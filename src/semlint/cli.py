@@ -12,6 +12,7 @@ import glob
 import hashlib
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ from . import builtins as builtins_mod
 from .dsl_parser import LexError, ParseError, parse_rule_texts
 from .engine import (EngineError, PassOneResult, evaluate_file, merge_facts,
                      parse_pass1, resolve_tests, serialize_pass1)
-from .matcher import SVal, TermVal, string_projection
+from .matcher import string_projection
 from .reporting import Message, emit_report
 from .rule_ast import RuleSet
 from .terms import Str, Var
@@ -74,13 +75,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _rules_digest(rule_files: list[str]) -> str:
-    digest = hashlib.sha256()
-    for path in rule_files:
-        digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
-
-
 def expand_inputs(patterns: list[str]) -> list[str]:
     out: list[str] = []
     for pattern in patterns:
@@ -99,26 +93,37 @@ def _cache_path(cache_dir: str, input_path: str) -> Path:
 
 
 def _cached_result(cache_dir: str, input_path: str, input_digest: str,
-                   rules_digest: str) -> PassOneResult | None:
+                   ruleset: RuleSet) -> PassOneResult | None:
+    """None on any miss: absent, damaged, older-format or other content."""
     path = _cache_path(cache_dir, input_path)
     try:
         text = path.read_text(encoding="utf-8")
-        result = parse_pass1(text, input_path)
+        result = parse_pass1(text, input_path, ruleset)
     except (OSError, ValueError):
         return None
-    if (result.input_digest != input_digest
-            or result.rules_digest != rules_digest):
-        return None
-    return result
+    return result if result.input_digest == input_digest else None
+
+
+def _write_cache(path: Path, text: str) -> None:
+    # a unique temp file renamed into place: concurrent writers of the same
+    # entry never interleave, and a torn file can only read as a miss
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def plan_work(cfg: RunConfig) -> list[tuple[str, str]]:
     """Classify every input as 'cached' or 'stale' against the cache dir."""
-    rules_digest = _rules_digest(cfg.rule_files)
+    ruleset = _load_ruleset(cfg)
     plan = []
     for path in expand_inputs(cfg.inputs):
         digest = _sha256(Path(path).read_bytes())
-        cached = _cached_result(cfg.cache_dir, path, digest, rules_digest)
+        cached = _cached_result(cfg.cache_dir, path, digest, ruleset)
         plan.append((path, "cached" if cached is not None else "stale"))
     return plan
 
@@ -140,8 +145,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     stale: list[str] = []
     cached: list[str] = []
     for path in inputs:
-        hit = _cached_result(cfg.cache_dir, path, digests[path],
-                             ruleset.source_hash)
+        hit = _cached_result(cfg.cache_dir, path, digests[path], ruleset)
         if hit is not None:
             results[path] = hit
             cached.append(path)
@@ -151,8 +155,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     def evaluate(path: str) -> PassOneResult:
         doc = parse_xml(Path(path).read_bytes(), path)
         result = evaluate_file(doc, ruleset, path, digests[path])
-        _cache_path(cfg.cache_dir, path).write_text(serialize_pass1(result),
-                                                    encoding="utf-8")
+        _write_cache(_cache_path(cfg.cache_dir, path), serialize_pass1(result))
         return result
 
     if stale:
@@ -209,7 +212,11 @@ def run(cfg: RunConfig, prober=None,
         print(f"semlint: error: {exc}", file=stderr)
         return 2
     if cfg.output:
-        Path(cfg.output).write_text(outcome.report, encoding="utf-8")
+        try:
+            Path(cfg.output).write_text(outcome.report, encoding="utf-8")
+        except OSError as exc:
+            print(f"semlint: error: {exc}", file=stderr)
+            return 2
     else:
         stdout.write(outcome.report)
     for diag in sorted(set(outcome.diagnostics)):

@@ -4,22 +4,23 @@ test resolution against the global fact store (pass 2).
 Pass 1 is a depth-first pre-order walk.  At every node all applicable rules
 are matched against the same inherited environment snapshot; assignments
 only become visible to the node's children.  Facts and tests produced for a
-file can be cached on disk and replayed bit-exactly.
+file can be cached on disk as a JSON document and replayed bit-exactly; a
+cached test refers to its rule by index instead of copying the rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from . import reporting
 from .matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal, Value,
                       deep_contains, match_node, string_projection, unify)
-from .rule_ast import (Assert, Assign, Contains, EnvRule, Eq, Pattern,
-                       Polarity, Rule, RuleSet, TestRule, consequence_vars,
-                       decode_pattern, encode_pattern)
-from .terms import (Functor, Str, Term, Var, is_ground, term_from_text,
-                    term_to_text, term_vars)
-from .xml_frontend import Element, SourcePos, Text, XmlNode
+from .rule_ast import (Assign, EnvRule, Eq, Pattern, Polarity, Rule,
+                       RuleSet, TestRule, consequence_vars)
+from .terms import Functor, Str, Term, term_to_text, term_vars
+from .xml_frontend import Element, SourcePos, XmlNode
 
 
 class EngineError(Exception):
@@ -266,9 +267,7 @@ def solve(goal: Functor, b: Bindings, store: FactStore,
 def resolve_tests(tests: list[DelayedTest], store: FactStore,
                   builtins: BuiltinRegistry):
     """Solve every delayed test; returns (messages, diagnostics)."""
-    from .reporting import Message, UnboundInConsequence, render_consequence
-
-    messages: list[Message] = []
+    messages: list[reporting.Message] = []
     diagnostics: list[str] = []
     unknown_reported: set[tuple[str, int]] = set()
 
@@ -288,21 +287,22 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
         try:
             if dt.polarity is Polarity.IF_ABSENT:
                 if not solutions:
-                    html, text = render_consequence(dt.consequence,
-                                                    dt.captured)
-                    messages.append(Message(dt.pos, dt.rule_index, html,
-                                            text, ""))
+                    html, text = reporting.render_consequence(
+                        dt.consequence, dt.captured)
+                    messages.append(reporting.Message(
+                        dt.pos, dt.rule_index, html, text, ""))
             else:
                 seen: set[str] = set()
                 for sol in solutions:
-                    html, text = render_consequence(dt.consequence, sol)
+                    html, text = reporting.render_consequence(
+                        dt.consequence, sol)
                     if html in seen:
                         continue
                     seen.add(html)
                     key = _solution_key(sol, dt.captured)
-                    messages.append(Message(dt.pos, dt.rule_index, html,
-                                            text, key))
-        except UnboundInConsequence as exc:
+                    messages.append(reporting.Message(
+                        dt.pos, dt.rule_index, html, text, key))
+        except reporting.UnboundInConsequence as exc:
             diagnostics.append(
                 f"{dt.pos.file}:{dt.pos.line}: message template uses "
                 f"unbound variable ${exc.var}")
@@ -318,103 +318,99 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
     return ",".join(parts)
 
 
-# -- pass-1 result cache format ----------------------------------------------
+# -- pass-1 result cache ------------------------------------------------------
+#
+# One JSON document per input file.  A term is a string (Str) or a list
+# [name, *args] (Functor); a captured value is stored as the term it holds.
+# A delayed test is stored as [rule_index, line, {var: value}]: its goal and
+# consequence are read back from the ruleset, whose digest is in the entry.
 
-_TESTS_MARK = "%tests"
-_DIAGS_MARK = "%diags"
+CACHE_FORMAT = 2
 
 
 def serialize_pass1(result: PassOneResult) -> str:
-    lines = [f"#input {result.input_digest}", f"#rules {result.rules_digest}"]
-    for fact in result.facts:
-        lines.append(term_to_text(fact.term) + ".")
-    lines.append(_TESTS_MARK)
-    for dt in result.tests:
-        lines.append(term_to_text(_encode_test(dt)))
-    lines.append(_DIAGS_MARK)
-    lines.extend(result.diagnostics)
-    return "\n".join(lines) + "\n"
+    return json.dumps({
+        "format": CACHE_FORMAT,
+        "input": result.input_digest,
+        "rules": result.rules_digest,
+        "facts": [_term_to_json(fact.term) for fact in result.facts],
+        "tests": [[dt.rule_index, dt.pos.line,
+                   {name: _value_to_json(value)
+                    for name, value in dt.captured.items()}]
+                  for dt in result.tests],
+        "diags": list(result.diagnostics),
+    }, separators=(",", ":"))
 
 
-def parse_pass1(text: str, source_file: str) -> PassOneResult:
-    lines = text.splitlines()
-    if (len(lines) < 2 or not lines[0].startswith("#input ")
-            or not lines[1].startswith("#rules ")):
-        raise ValueError("bad cache header")
-    input_digest = lines[0].split(" ", 1)[1]
-    rules_digest = lines[1].split(" ", 1)[1]
-    facts: list[Fact] = []
-    tests: list[DelayedTest] = []
-    diagnostics: list[str] = []
-    section = "facts"
-    for line in lines[2:]:
-        if line == _TESTS_MARK:
-            section = "tests"
-        elif line == _DIAGS_MARK:
-            section = "diags"
-        elif section == "facts":
-            if not line.endswith("."):
-                raise ValueError(f"bad fact line {line!r}")
-            term = term_from_text(line[:-1])
-            if not isinstance(term, Functor) or not is_ground(term):
-                raise ValueError(f"bad fact line {line!r}")
-            facts.append(Fact(term, SourcePos(source_file, 1)))
-        elif section == "tests":
-            tests.append(_decode_test(term_from_text(line)))
-        else:
-            diagnostics.append(line)
-    return PassOneResult(source_file, tuple(facts), tuple(tests),
-                         tuple(diagnostics), input_digest, rules_digest)
+def parse_pass1(text: str, source_file: str,
+                rules: RuleSet) -> PassOneResult:
+    """ValueError unless text is a complete entry for this ruleset."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
+        raise ValueError("not a current pass-1 cache entry")
+    if doc.get("rules") != rules.source_hash:
+        raise ValueError("cache entry was written for another ruleset")
+    facts = []
+    for item in _typed(doc.get("facts"), list):
+        term = _term_from_json(item)
+        if not isinstance(term, Functor):
+            raise ValueError(f"bad cached fact {item!r}")
+        facts.append(Fact(term, SourcePos(source_file, 1)))
+    tests = tuple(_test_from_json(item, source_file, rules)
+                  for item in _typed(doc.get("tests"), list))
+    diagnostics = tuple(_typed(d, str)
+                        for d in _typed(doc.get("diags"), list))
+    return PassOneResult(source_file, tuple(facts), tests, diagnostics,
+                         _typed(doc.get("input"), str), rules.source_hash)
 
 
-def _encode_value(value: Value) -> Term:
-    if isinstance(value, SVal):
-        return Str(value.value)
-    if isinstance(value, TermVal):
-        return Functor("term", (value.term,))
-    raise ValueError(f"node value not serializable: {value!r}")
+def _typed(value, kind: type):
+    # exact type check: bool is an int subclass and must not pass as one
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return value
 
 
-def _decode_value(t: Term) -> Value:
+def _term_to_json(t: Term):
     if isinstance(t, Str):
-        return SVal(t.value)
-    if isinstance(t, Functor) and t.name == "term" and len(t.args) == 1:
-        return TermVal(t.args[0])
-    raise ValueError(f"bad value term {t!r}")
+        return t.value
+    if isinstance(t, Functor):
+        return [t.name, *(_term_to_json(a) for a in t.args)]
+    raise ValueError(f"non-ground term not serializable: {t!r}")
 
 
-def _encode_test(dt: DelayedTest) -> Functor:
-    binds = tuple(Functor("bind", (Str(name), _encode_value(value)))
-                  for name, value in sorted(dt.captured.items()))
-    if isinstance(dt.consequence, (Var, Str, Functor)):
-        conseq: Functor = Functor("term", (dt.consequence,))
-    else:
-        conseq = Functor("msg", (encode_pattern(dt.consequence),))
-    return Functor("dt", (Str(dt.polarity.value), Str(str(dt.rule_index)),
-                          Str(dt.pos.file), Str(str(dt.pos.line)),
-                          dt.goal, Functor("bindings", binds), conseq))
+def _term_from_json(item) -> Term:
+    if type(item) is str:
+        return Str(item)
+    if type(item) is list and item and type(item[0]) is str:
+        return Functor(item[0], tuple(_term_from_json(a) for a in item[1:]))
+    raise ValueError(f"bad cached term {item!r}")
 
 
-def _decode_test(t: Term) -> DelayedTest:
-    if not isinstance(t, Functor) or t.name != "dt" or len(t.args) != 7:
-        raise ValueError(f"bad test term {t!r}")
-    pol_s, idx_s, file_s, line_s, goal, binds, conseq = t.args
-    assert isinstance(pol_s, Str) and isinstance(idx_s, Str)
-    assert isinstance(file_s, Str) and isinstance(line_s, Str)
-    assert isinstance(goal, Functor) and isinstance(binds, Functor)
-    assert isinstance(conseq, Functor)
-    captured = Bindings()
-    for bind in binds.args:
-        assert isinstance(bind, Functor) and bind.name == "bind"
-        name = bind.args[0]
-        assert isinstance(name, Str)
-        captured = captured.bind(name.value, _decode_value(bind.args[1]))
-    if conseq.name == "term":
-        consequence: Union[Pattern, Term] = conseq.args[0]
-    else:
-        consequence = decode_pattern(conseq.args[0])
-    polarity = (Polarity.IF_ABSENT if pol_s.value == Polarity.IF_ABSENT.value
-                else Polarity.IF_PRESENT)
-    return DelayedTest(int(idx_s.value), polarity, goal, captured,
-                       consequence, SourcePos(file_s.value,
-                                              int(line_s.value)))
+def _value_to_json(value: Value):
+    # pass 1 captures only strings and ground functors
+    if isinstance(value, SVal):
+        return value.value
+    if isinstance(value, TermVal) and isinstance(value.term, Functor):
+        return _term_to_json(value.term)
+    raise ValueError(f"value not serializable: {value!r}")
+
+
+def _value_from_json(item) -> Value:
+    term = _term_from_json(item)
+    return SVal(term.value) if isinstance(term, Str) else TermVal(term)
+
+
+def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
+    if type(item) is not list or len(item) != 3:
+        raise ValueError(f"bad cached test {item!r}")
+    index, line, captured = (_typed(item[0], int), _typed(item[1], int),
+                             _typed(item[2], dict))
+    rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
+    if rule is None or not isinstance(rule.body, TestRule):
+        raise ValueError(f"cached test names rule {index}, not a test rule")
+    test = rule.body.test
+    bindings = Bindings({name: _value_from_json(value)
+                         for name, value in captured.items()})
+    return DelayedTest(index, test.polarity, test.goal, bindings,
+                       test.consequence, SourcePos(source_file, line))

@@ -7,11 +7,11 @@ environment actions (assignments / fact assertions) or a delayed test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
-from .terms import Functor, Str, Term, Var, quote_string, term_vars
+from .terms import Functor, Str, Term, Var, term_vars
 from .xml_frontend import SourcePos
 
 ANON = "_"
@@ -145,65 +145,3 @@ def consequence_vars(c: Union[Pattern, Term]) -> Iterator[str]:
     else:
         yield from term_vars(c)
 
-
-# -- canonical encoding of patterns as terms (cache file format) ------------
-
-def encode_pattern(p: Pattern) -> Functor:
-    if isinstance(p, PVar):
-        return Functor("pvar", (Str(p.name),))
-    if isinstance(p, PAnon):
-        return Functor("panon", ())
-    if isinstance(p, PText):
-        return Functor("ptext", (Str(p.content),))
-    attrs = tuple(_encode_attr(a) for a in p.attrs)
-    if isinstance(p, PEmptyElem):
-        return Functor("eelem", (Str(p.name), Functor("attrs", attrs)))
-    children = tuple(encode_pattern(c) for c in p.children)
-    return Functor("elem", (Str(p.name), Functor("attrs", attrs),
-                            Functor("children", children)))
-
-
-def _encode_attr(a: AttrPattern) -> Functor:
-    if a.value is None:
-        return Functor("attranon", (Str(a.name),))
-    if isinstance(a.value, Var):
-        return Functor("attrvar", (Str(a.name), Str(a.value.name)))
-    return Functor("attr", (Str(a.name), Str(a.value.value)))
-
-
-def decode_pattern(t: Term) -> Pattern:
-    if not isinstance(t, Functor):
-        raise ValueError(f"not a pattern term: {t!r}")
-    if t.name == "pvar":
-        return PVar(_str(t.args[0]))
-    if t.name == "panon":
-        return PAnon()
-    if t.name == "ptext":
-        return PText(_str(t.args[0]))
-    if t.name == "eelem":
-        return PEmptyElem(_str(t.args[0]), _decode_attrs(t.args[1]))
-    if t.name == "elem":
-        children = t.args[2]
-        assert isinstance(children, Functor) and children.name == "children"
-        return PElem(_str(t.args[0]), _decode_attrs(t.args[1]),
-                     tuple(decode_pattern(c) for c in children.args))
-    raise ValueError(f"unknown pattern term {t.name!r}")
-
-
-def _decode_attrs(t: Term) -> tuple[AttrPattern, ...]:
-    assert isinstance(t, Functor) and t.name == "attrs"
-    out = []
-    for a in t.args:
-        assert isinstance(a, Functor)
-        if a.name == "attranon":
-            out.append(AttrPattern(_str(a.args[0]), None))
-        elif a.name == "attrvar":
-            out.append(AttrPattern(_str(a.args[0]), Var(_str(a.args[1]))))
-        else:
-            out.append(AttrPattern(_str(a.args[0]), Str(_str(a.args[1]))))
-    return tuple(out)
-
-
-def _str(t: Term) -> str:
-    assert isinstance(t, Str)
-    return t.value

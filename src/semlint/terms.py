@@ -1,8 +1,8 @@
 """Functor terms: predicate goals, assertions and their canonical text form.
 
-The canonical text form is the on-disk representation used by the pass-1
-cache and by the fact store's deterministic ordering.  It contains no
-insignificant whitespace and round-trips exactly.
+The canonical text form gives the fact store its deterministic order and is
+how terms are rendered in messages and diagnostics.  It contains no
+insignificant whitespace.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ def term_vars(t: Term) -> Iterator[str]:
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_UNESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
 
 def quote_string(s: str) -> str:
@@ -61,74 +60,3 @@ def term_to_text(t: Term) -> str:
         return quote_string(t.value)
     return t.name + "(" + ",".join(term_to_text(a) for a in t.args) + ")"
 
-
-class TermSyntaxError(ValueError):
-    pass
-
-
-class _TermReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise TermSyntaxError(
-                f"expected {ch!r} at offset {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def read_name(self) -> str:
-        start = self.pos
-        while self.peek() and (self.peek().isalnum() or self.peek() in "_-."):
-            self.pos += 1
-        if start == self.pos:
-            raise TermSyntaxError(f"expected name at offset {start}")
-        return self.text[start:self.pos]
-
-    def read_string(self) -> str:
-        self.expect('"')
-        out = []
-        while True:
-            c = self.peek()
-            if not c:
-                raise TermSyntaxError("unterminated string")
-            self.pos += 1
-            if c == '"':
-                return "".join(out)
-            if c == "\\":
-                esc = self.peek()
-                if esc not in _UNESCAPES:
-                    raise TermSyntaxError(f"bad escape \\{esc}")
-                self.pos += 1
-                out.append(_UNESCAPES[esc])
-            else:
-                out.append(c)
-
-    def read_term(self) -> Term:
-        c = self.peek()
-        if c == '"':
-            return Str(self.read_string())
-        if c == "$":
-            self.pos += 1
-            return Var(self.read_name())
-        name = self.read_name()
-        args: list[Term] = []
-        self.expect("(")
-        if self.peek() != ")":
-            args.append(self.read_term())
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.read_term())
-        self.expect(")")
-        return Functor(name, tuple(args))
-
-
-def term_from_text(text: str) -> Term:
-    reader = _TermReader(text)
-    t = reader.read_term()
-    if reader.pos != len(text):
-        raise TermSyntaxError(f"trailing characters after term: {text!r}")
-    return t

@@ -51,6 +51,13 @@ XmlNode = Union[Element, Text]
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
+
+def _is_xml_char(code: int) -> bool:
+    """XML 1.0's Char production: the code points a reference may name."""
+    return (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF
+            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF)
+
+
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_REST = _NAME_START | set("0123456789-.")
 
@@ -125,16 +132,16 @@ class _Reader:
             name = raw[i + 1:end]
             if name in _ENTITIES:
                 out.append(_ENTITIES[name])
-            elif name.startswith("#x") or name.startswith("#X"):
-                try:
-                    out.append(chr(int(name[2:], 16)))
-                except ValueError:
-                    self.fail(f"bad entity &{name};", SourcePos(pos.file, line))
             elif name.startswith("#"):
+                hex_ref = name[1:2] in ("x", "X")
                 try:
-                    out.append(chr(int(name[1:])))
+                    code = int(name[2:] if hex_ref else name[1:],
+                               16 if hex_ref else 10)
                 except ValueError:
+                    code = -1
+                if not _is_xml_char(code):
                     self.fail(f"bad entity &{name};", SourcePos(pos.file, line))
+                out.append(chr(code))
             else:
                 self.fail(f"bad entity &{name};", SourcePos(pos.file, line))
             i = end + 1

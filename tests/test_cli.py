@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from semlint.builtins import StubProber
-from semlint.cli import (CliError, RunConfig, execute, expand_inputs, main,
-                         plan_work, run)
+from semlint.cli import (CliError, RunConfig, _cache_path, execute,
+                         expand_inputs, main, plan_work, run)
 
 RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
         '<check nom=$N/> ? personne($N) / <li> <$N> is unknown, ' \
@@ -125,6 +125,90 @@ def test_parallel_jobs_match_serial_report(tmp_path):
     assert parallel.report == serial.report
 
 
+def test_duplicate_input_with_jobs_matches_serial(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0,))
+    doubled = [inputs[0]] * 6 + inputs
+    reports = []
+    for jobs in (1, 8):
+        cfg = RunConfig(rule_files=[rules], inputs=doubled,
+                        cache_dir=str(tmp_path / f"cache{jobs}"),
+                        offline=True, jobs=jobs)
+        reports.append(execute(cfg).report)
+        warm = execute(cfg)
+        assert warm.evaluated == [] and warm.report == reports[0]
+    assert reports[0] == reports[1]
+    assert not list((tmp_path / "cache8").glob("*.tmp"))
+
+
+def cache_file(cfg, path):
+    return _cache_path(cfg.cache_dir, path)
+
+
+def test_truncated_cache_entry_is_reevaluated(tmp_path):
+    rules = tmp_path / "check.rules"
+    rules.write_text(RULES, encoding="utf-8")
+    doc = tmp_path / "team.xml"
+    doc.write_text('<team>\n<pers nom="known"><r/></pers>\n' + "".join(
+        f'<check nom="ghost{i}"/>\n' for i in range(30)) + "</team>\n",
+        encoding="utf-8")
+    cfg = config(tmp_path, str(rules), [str(doc)])
+    cold = execute(cfg)
+    assert len(cold.messages) == 30
+    entry = cache_file(cfg, str(doc))
+    text = entry.read_text(encoding="utf-8")
+    # cut at half its length, or at the line start before it if any
+    half = len(text) // 2
+    entry.write_text(text[:text.rfind("\n", 0, half) + 1 or half],
+                     encoding="utf-8")
+    again = execute(cfg)
+    assert again.evaluated == [str(doc)]
+    assert again.report == cold.report
+    assert entry.read_text(encoding="utf-8") == text
+
+
+def _retarget_test(data, rule_index):
+    data["tests"][0][0] = rule_index
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("make_entry", [
+    lambda data, path: '{"format": 2}',
+    lambda data, path: _retarget_test(data, 99),
+    # rule 0 of RULES asserts personne/1; only rule 1 is a check
+    lambda data, path: _retarget_test(data, 0),
+    # the line-oriented text format of earlier versions
+    lambda data, path: (
+        f'#input {data["input"]}\n#rules {data["rules"]}\n'
+        f'personne("known").\n%tests\ndt("ifnot","1","{path}","3",'
+        f'personne($N),bindings(),term("x"))\n%diags\n'),
+], ids=["format-only", "rule-99", "environment-rule", "text-format"])
+def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
+    rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
+    cfg = config(tmp_path, rules, inputs)
+    cold = execute(cfg)
+    target = cache_file(cfg, inputs[0])
+    data = json.loads(target.read_text(encoding="utf-8"))
+    target.write_text(make_entry(data, inputs[0]), encoding="utf-8")
+    assert dict(plan_work(cfg))[inputs[0]] == "stale"
+    again = execute(cfg)
+    assert again.evaluated == [inputs[0]]
+    assert again.report == cold.report
+
+
+def test_plan_agrees_with_execute_on_crlf_rules(tmp_path):
+    rules, inputs = write_corpus(tmp_path)
+    Path(rules).write_bytes(RULES.replace("\n", "\r\n").encode("utf-8"))
+    cfg = config(tmp_path, rules, inputs)
+    execute(cfg)
+    victim = Path(inputs[1])
+    victim.write_text(victim.read_text() + "\n", encoding="utf-8")
+    plan = plan_work(cfg)
+    outcome = execute(cfg)
+    assert outcome.cached == [p for p, state in plan if state == "cached"]
+    assert outcome.evaluated == [p for p, state in plan if state == "stale"]
+    assert outcome.evaluated == [inputs[1]]
+
+
 def test_facts_merge_across_files(tmp_path):
     # the member is declared in one file and checked in another
     rules = tmp_path / "check.rules"
@@ -183,6 +267,12 @@ def test_run_returns_2_on_bad_inputs(tmp_path):
     bad_rules.write_text("<a> oops", encoding="utf-8")
     assert run(config(tmp_path, str(bad_rules), inputs),
                stdout=io.StringIO(), stderr=io.StringIO()) == 2
+
+    err = io.StringIO()
+    unwritable = config(tmp_path, rules, inputs,
+                        output=str(tmp_path / "no-such-dir" / "report.txt"))
+    assert run(unwritable, stdout=io.StringIO(), stderr=err) == 2
+    assert err.getvalue().startswith("semlint: error: ")
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,10 +274,14 @@ def test_per_file_results_are_independent():
 
 # -- cache round-trip -----------------------------------------------------------
 
+def mini_ruleset():
+    return parse_rules(MINI_RULES, "r.rules")
+
+
 def test_cache_round_trip_is_bit_exact():
     result = ev(MINI_RULES, MINI_DOC)
     blob = serialize_pass1(result)
-    parsed = parse_pass1(blob, "doc.xml")
+    parsed = parse_pass1(blob, "doc.xml", mini_ruleset())
     assert serialize_pass1(parsed) == blob
     # fact origins are diagnostic-only and not serialized
     assert [f.term for f in parsed.facts] == [f.term for f in result.facts]
@@ -286,7 +292,7 @@ def test_cache_round_trip_is_bit_exact():
 
 def test_cached_tests_resolve_identically():
     result = ev(MINI_RULES, MINI_DOC)
-    parsed = parse_pass1(serialize_pass1(result), "doc.xml")
+    parsed = parse_pass1(serialize_pass1(result), "doc.xml", mini_ruleset())
     store = merge_facts([result])
     fresh = resolve_tests(list(result.tests), store, mini_builtins())
     cached = resolve_tests(list(parsed.tests), merge_facts([parsed]),
@@ -298,12 +304,48 @@ def test_cache_preserves_diagnostics():
     rules = '<a/> => x := "1";\n<a/> => x := "2";'
     result = ev(rules, "<a/>")
     assert result.diagnostics
-    parsed = parse_pass1(serialize_pass1(result), "doc.xml")
+    parsed = parse_pass1(serialize_pass1(result), "doc.xml",
+                         parse_rules(rules, "r.rules"))
     assert parsed.diagnostics == result.diagnostics
 
 
 def test_cache_rejects_corrupt_input():
     with pytest.raises(ValueError):
-        parse_pass1("garbage\n", "doc.xml")
+        parse_pass1("garbage\n", "doc.xml", mini_ruleset())
     with pytest.raises(ValueError):
-        parse_pass1("#input x\n#rules y\nnot a fact\n", "doc.xml")
+        parse_pass1("#input x\n#rules y\nnot a fact\n", "doc.xml",
+                    mini_ruleset())
+
+
+def test_cache_rejects_every_truncation():
+    result = ev(MINI_RULES, MINI_DOC)
+    assert result.facts and result.tests
+    blob = serialize_pass1(result).rstrip()
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            parse_pass1(blob[:cut], "doc.xml", mini_ruleset())
+
+
+def _mutated_entry(mutate):
+    entry = json.loads(serialize_pass1(ev(MINI_RULES, MINI_DOC)))
+    mutate(entry)
+    return json.dumps(entry)
+
+
+# the CLI tests cover a bare format, rule 99, an environment rule and the
+# older text format end to end
+@pytest.mark.parametrize("text", [
+    _mutated_entry(lambda e: e["tests"][0].__setitem__(0, -1)),
+    _mutated_entry(lambda e: e["tests"][0].__setitem__(0, True)),
+    _mutated_entry(lambda e: e["tests"][0].__setitem__(1, "3")),
+    _mutated_entry(lambda e: e["tests"][0][2].__setitem__("P", 7)),
+    _mutated_entry(lambda e: e["facts"].append("personne")),
+    _mutated_entry(lambda e: e["facts"].append(["personne", 1])),
+    _mutated_entry(lambda e: e.__setitem__("rules", "0" * 64)),
+    _mutated_entry(lambda e: e.__setitem__("format", 1)),
+    _mutated_entry(lambda e: e.pop("diags")),
+    "[]",
+])
+def test_cache_rejects_inconsistent_entries(text):
+    with pytest.raises(ValueError):
+        parse_pass1(text, "doc.xml", mini_ruleset())

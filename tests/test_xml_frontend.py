@@ -64,6 +64,16 @@ def test_bad_entity_reported_with_position():
     assert exc.value.pos.line == 2
 
 
+@pytest.mark.parametrize("ref", ["&#xD800;", "&#x7FFFFFFFF;", "&#0;"])
+@pytest.mark.parametrize("where", ["attr", "text"])
+def test_reference_outside_xml_chars_rejected(ref, where):
+    doc = (f'<a>\n<b t="{ref}"/></a>' if where == "attr"
+           else f"<a>\n{ref}</a>")
+    with pytest.raises(MalformedXml) as exc:
+        parse_xml(doc.encode(), "f.xml")
+    assert str(exc.value).startswith("f.xml:2: ")
+
+
 def test_duplicate_attribute_rejected():
     with pytest.raises(MalformedXml) as exc:
         parse_xml(b'<a x="1" x="2"/>', "f.xml")
