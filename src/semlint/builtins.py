@@ -166,6 +166,14 @@ def strip_accents(s: str) -> str:
                    if unicodedata.category(c) != "Mn").casefold()
 
 
+def _title_key(fact) -> Optional[str]:
+    """A pub fact's title; None (never asked for) unless both args are Str."""
+    title, project = fact.term.args
+    if isinstance(title, Str) and isinstance(project, Str):
+        return title.value
+    return None
+
+
 def make_registry(prober=None, offline: bool = False,
                   normalize_names: bool = False) -> BuiltinRegistry:
     prober = prober if prober is not None else HttpProber()
@@ -179,32 +187,23 @@ def make_registry(prober=None, offline: bool = False,
             equal = a == c
         return [b] if equal else []
 
+    fold = strip_accents if normalize_names else (lambda s: s)
+
+    def name_key(fact):
+        return tuple(fold(a.value if isinstance(a, Str) else "")
+                     for a in fact.term.args)
+
     def personne1(args, b, store):
-        wanted = tuple(_bound_text(a, b, "personne1") for a in args)
-        if normalize_names:
-            wanted = tuple(strip_accents(w) for w in wanted)
-        for fact in store.lookup("personne", 3):
-            got = tuple(a.value if isinstance(a, Str) else ""
-                        for a in fact.term.args)
-            if normalize_names:
-                got = tuple(strip_accents(g) for g in got)
-            if got == wanted:
-                return [b]
-        return []
+        wanted = tuple(fold(_bound_text(a, b, "personne1")) for a in args)
+        return [b] if wanted in store.index("personne", 3, name_key) else []
 
     def pubbyotherproject(args, b, store):
         title = _bound_text(args[0], b, "pubbyotherproject")
         project = _bound_text(args[1], b, "pubbyotherproject")
         other = _unbound_name(args[2], b, "pubbyotherproject")
-        out = []
-        for fact in store.lookup("pub", 2):
-            fact_title, fact_proj = fact.term.args
-            if not isinstance(fact_title, Str) or not isinstance(fact_proj,
-                                                                 Str):
-                continue
-            if fact_title.value == title and fact_proj.value != project:
-                out.append(b.bind(other, SVal(fact_proj.value)))
-        return out
+        return [b.bind(other, SVal(fact.term.args[1].value))
+                for fact in store.index("pub", 2, _title_key).get(title, ())
+                if fact.term.args[1].value != project]
 
     def testurl(args, b, store):
         url = _bound_text(args[0], b, "testurl")

@@ -140,11 +140,13 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     inputs = expand_inputs(cfg.inputs)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    digests = {path: _sha256(Path(path).read_bytes()) for path in inputs}
+    # a repeated path is probed and evaluated once; `ordered` keeps repeats
+    digests = {path: _sha256(Path(path).read_bytes())
+               for path in dict.fromkeys(inputs)}
     results: dict[str, PassOneResult] = {}
     stale: list[str] = []
     cached: list[str] = []
-    for path in inputs:
+    for path in digests:
         hit = _cached_result(cfg.cache_dir, path, digests[path], ruleset)
         if hit is not None:
             results[path] = hit

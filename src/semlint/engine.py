@@ -215,22 +215,47 @@ def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
 # -- pass 2 -------------------------------------------------------------------
 
 class FactStore:
-    """Deduplicated ground facts indexed by functor name and arity."""
+    """Deduplicated ground facts bucketed by functor name and arity.
+
+    A bucket is sorted by term text on the first lookup after a change and
+    that order is reused until the next add to it.  index(name, arity, key)
+    groups the sorted bucket by key(fact), so a builtin answers by one dict
+    probe instead of a scan; it is cached per key function until the next
+    add to the bucket.
+    """
 
     def __init__(self):
         self._by_key: dict[tuple[str, int], dict[Functor, Fact]] = {}
+        self._sorted: dict[tuple[str, int], tuple[Fact, ...]] = {}
+        self._indexes: dict[tuple[str, int], dict[Callable, dict]] = {}
         self.names: set[str] = set()
 
     def add(self, fact: Fact) -> None:
         key = (fact.term.name, len(fact.term.args))
         bucket = self._by_key.setdefault(key, {})
         bucket.setdefault(fact.term, fact)
+        self._sorted.pop(key, None)
+        self._indexes.pop(key, None)
         self.names.add(fact.term.name)
 
-    def lookup(self, name: str, arity: int) -> list[Fact]:
-        bucket = self._by_key.get((name, arity), {})
-        return sorted(bucket.values(),
-                      key=lambda f: term_to_text(f.term))
+    def lookup(self, name: str, arity: int) -> tuple[Fact, ...]:
+        key = (name, arity)
+        if key not in self._sorted:
+            self._sorted[key] = tuple(sorted(
+                self._by_key.get(key, {}).values(),
+                key=lambda f: term_to_text(f.term)))
+        return self._sorted[key]
+
+    def index(self, name: str, arity: int,
+              key: Callable[[Fact], object]) -> dict:
+        """key(fact) -> the facts with that key, in lookup order."""
+        indexes = self._indexes.setdefault((name, arity), {})
+        if key not in indexes:
+            groups: dict = {}
+            for fact in self.lookup(name, arity):
+                groups.setdefault(key(fact), []).append(fact)
+            indexes[key] = {k: tuple(v) for k, v in groups.items()}
+        return indexes[key]
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._by_key.values())

@@ -9,6 +9,7 @@ source file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,6 +51,8 @@ class Element:
 XmlNode = Union[Element, Text]
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+# a character reference: ASCII digits, or ASCII hex digits after #x or #X
+_CHAR_REF = re.compile(r"#([0-9]+)|#[xX]([0-9a-fA-F]+)")
 
 
 def _is_xml_char(code: int) -> bool:
@@ -132,13 +135,8 @@ class _Reader:
             name = raw[i + 1:end]
             if name in _ENTITIES:
                 out.append(_ENTITIES[name])
-            elif name.startswith("#"):
-                hex_ref = name[1:2] in ("x", "X")
-                try:
-                    code = int(name[2:] if hex_ref else name[1:],
-                               16 if hex_ref else 10)
-                except ValueError:
-                    code = -1
+            elif ref := _CHAR_REF.fullmatch(name):
+                code = int(ref[1]) if ref[1] else int(ref[2], 16)
                 if not _is_xml_char(code):
                     self.fail(f"bad entity &{name};", SourcePos(pos.file, line))
                 out.append(chr(code))

@@ -140,6 +140,17 @@ def test_duplicate_input_with_jobs_matches_serial(tmp_path):
     assert not list((tmp_path / "cache8").glob("*.tmp"))
 
 
+def test_duplicate_input_is_evaluated_once(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0, 1))
+    a, b = inputs
+    repeated = execute(config(tmp_path / "rep", rules, [a, a, a, b]))
+    distinct = execute(config(tmp_path / "dist", rules, [a, b]))
+    assert repeated.evaluated == [a, b]
+    assert repeated.report == distinct.report
+    warm = execute(config(tmp_path / "rep", rules, [a, a, a, b]))
+    assert warm.cached == [a, b] and warm.report == distinct.report
+
+
 def cache_file(cfg, path):
     return _cache_path(cfg.cache_dir, path)
 

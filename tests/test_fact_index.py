@@ -1,0 +1,171 @@
+"""The indexed fact store against a full scan, and its cost in term renders.
+
+The reference functions below rescan every fact on every query, the way
+FactStore.lookup and the personne1/pubbyotherproject builtins did before
+buckets were sorted once and indexed by key.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semlint import engine
+from semlint.builtins import StubProber, make_registry, strip_accents
+from semlint.engine import (DelayedTest, Fact, FactStore, merge_facts,
+                            resolve_tests)
+from semlint.matcher import Bindings, SVal
+from semlint.rule_ast import Polarity
+from semlint.terms import Functor, Str, Var, term_to_text
+from semlint.xml_frontend import SourcePos
+
+B0 = Bindings()
+NAMES = ["Anne", "anne", "ANNE", "Dupónt", "Dupont", "Émile", "emile", ""]
+PROJECTS = ["acacia", "Acacia", "orpailleur", "éa"]
+TITLES = ["T1", "t1", "Thé", "The", ""]
+BUCKETS = [("personne", 3), ("personne", 2), ("pub", 2), ("pub", 3)]
+
+
+# -- reference: a full scan per query -----------------------------------------
+
+def ref_lookup(facts, name, arity):
+    bucket = {}
+    for fact in facts:
+        if fact.term.name == name and len(fact.term.args) == arity:
+            bucket.setdefault(fact.term, fact)
+    return sorted(bucket.values(), key=lambda f: term_to_text(f.term))
+
+
+def ref_personne1(facts, wanted, normalize):
+    fold = strip_accents if normalize else (lambda s: s)
+    wanted = tuple(fold(w) for w in wanted)
+    for fact in ref_lookup(facts, "personne", 3):
+        got = tuple(fold(a.value if isinstance(a, Str) else "")
+                    for a in fact.term.args)
+        if got == wanted:
+            return [B0]
+    return []
+
+
+def ref_pubbyotherproject(facts, title, project):
+    out = []
+    for fact in ref_lookup(facts, "pub", 2):
+        fact_title, fact_proj = fact.term.args
+        if not isinstance(fact_title, Str) or not isinstance(fact_proj, Str):
+            continue
+        if fact_title.value == title and fact_proj.value != project:
+            out.append(B0.bind("O", SVal(fact_proj.value)))
+    return out
+
+
+# -- random fact sets ---------------------------------------------------------
+
+def args_from(pool):
+    return st.one_of(
+        st.sampled_from(pool).map(Str),
+        st.sampled_from(pool).map(lambda s: Functor("f", (Str(s),))),
+        st.just(Functor("nil", ())))
+
+
+def terms():
+    return st.one_of(
+        st.tuples(args_from(NAMES), args_from(NAMES), args_from(PROJECTS))
+        .map(lambda a: Functor("personne", a)),
+        st.tuples(args_from(NAMES), args_from(PROJECTS))
+        .map(lambda a: Functor("personne", a)),
+        st.tuples(args_from(TITLES), args_from(PROJECTS))
+        .map(lambda a: Functor("pub", a)),
+        st.tuples(args_from(TITLES), args_from(PROJECTS), args_from(TITLES))
+        .map(lambda a: Functor("pub", a)))
+
+
+person_queries = st.lists(st.tuples(st.sampled_from(NAMES),
+                                    st.sampled_from(NAMES),
+                                    st.sampled_from(PROJECTS)), max_size=6)
+pub_queries = st.lists(st.tuples(st.sampled_from(TITLES),
+                                 st.sampled_from(PROJECTS)), max_size=6)
+
+
+def check_against_scan(store, facts, registry, people, pubs, normalize):
+    for name, arity in BUCKETS:
+        assert list(store.lookup(name, arity)) == ref_lookup(facts, name,
+                                                             arity)
+    personne1 = registry[("personne1", 3)]
+    for wanted in people:
+        got = personne1(tuple(Str(w) for w in wanted), B0, store)
+        assert got == ref_personne1(facts, wanted, normalize)
+    pubbyotherproject = registry[("pubbyotherproject", 3)]
+    for title, project in pubs:
+        got = pubbyotherproject((Str(title), Str(project), Var("O")), B0,
+                                store)
+        assert got == ref_pubbyotherproject(facts, title, project)
+
+
+@given(first=st.lists(terms(), max_size=25),
+       later=st.lists(terms(), max_size=10),
+       people=person_queries, pubs=pub_queries, normalize=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_indexed_store_matches_full_scan(first, later, people, pubs,
+                                         normalize):
+    registry = make_registry(StubProber(), offline=True,
+                             normalize_names=normalize)
+    store = FactStore()
+    facts = []
+    # every term is added twice, and later ones only after the first queries
+    for batch in (first + first, later + later):
+        for term in batch:
+            fact = Fact(term, SourcePos("f.xml", len(facts) + 1))
+            store.add(fact)
+            facts.append(fact)
+        check_against_scan(store, facts, registry, people, pubs, normalize)
+        # queried people and titles also come from the stored facts, with
+        # variants that match only when names are normalised
+        people_in = [tuple(vary(a.value) for a in f.term.args)
+                     for f in ref_lookup(facts, "personne", 3)
+                     if all(isinstance(a, Str) for a in f.term.args)
+                     for vary in (str, str.upper, strip_accents)]
+        pubs_in = [(f.term.args[0].value, p)
+                   for f in ref_lookup(facts, "pub", 2)
+                   if isinstance(f.term.args[0], Str) for p in PROJECTS]
+        check_against_scan(store, facts, registry, people_in, pubs_in,
+                           normalize)
+
+
+# -- cost guard ---------------------------------------------------------------
+
+def goal_tests(n):
+    goals = [
+        Functor("personne1", (Str("First3"), Str("Last3"), Str("p1"))),
+        Functor("personne1", (Str("Nobody"), Str("Last3"), Str("p1"))),
+        Functor("pubbyotherproject", (Str("Title2"), Str("p0"), Var("O"))),
+        Functor("member", (Var("M"),)),
+    ]
+    return [DelayedTest(i, Polarity.IF_ABSENT, goals[i % len(goals)], B0,
+                        Str("warn"), SourcePos("f.xml", i + 1))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n_tests", [1, 40, 800])
+def test_pass2_renders_each_fact_at_most_once(monkeypatch, n_tests):
+    terms_ = ([Functor("personne", (Str(f"First{i}"), Str(f"Last{i}"),
+                                    Str(f"p{i % 2}"))) for i in range(30)]
+              + [Functor("pub", (Str(f"Title{i % 10}"), Str(f"p{i % 3}")))
+                 for i in range(30)]
+              + [Functor("member", (Str(f"m{i}"),)) for i in range(20)])
+    store = merge_facts([engine.PassOneResult(
+        "f.xml", tuple(Fact(t, SourcePos("f.xml", 1)) for t in terms_),
+        (), (), "", "")])
+    renders = 0
+    real = engine.term_to_text
+
+    def counting(t):
+        nonlocal renders
+        renders += 1
+        return real(t)
+
+    monkeypatch.setattr(engine, "term_to_text", counting)
+    registry = make_registry(StubProber(), offline=True,
+                             normalize_names=True)
+    messages, diagnostics = resolve_tests(goal_tests(n_tests), store,
+                                          registry)
+    assert diagnostics == []
+    assert renders <= len(store) == 80

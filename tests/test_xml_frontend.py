@@ -56,6 +56,8 @@ def test_entity_decoding_in_text_and_attrs():
 def test_numeric_character_references():
     root = parse_xml(b"<a>&#65;&#x42;</a>", "f.xml")
     assert root.children[0].content == "AB"
+    root = parse_xml(b'<a t="&#065;&#X42;&#x0043;"/>', "f.xml")
+    assert root.attrs == (("t", "ABC"),)
 
 
 def test_bad_entity_reported_with_position():
@@ -64,7 +66,11 @@ def test_bad_entity_reported_with_position():
     assert exc.value.pos.line == 2
 
 
-@pytest.mark.parametrize("ref", ["&#xD800;", "&#x7FFFFFFFF;", "&#0;"])
+@pytest.mark.parametrize("ref", [
+    "&#xD800;", "&#x7FFFFFFFF;", "&#0;",
+    # not an ASCII (hex) digit run; int() reads the first seven as 65
+    "&#6_5;", "&# 65;", "&#+65;", "&#x 41;", "&#65 ;", "&#\u0666\u0665;",
+    "&#x\uff14\uff11;", "&#;", "&#x;", "&#x-41;"])
 @pytest.mark.parametrize("where", ["attr", "text"])
 def test_reference_outside_xml_chars_rejected(ref, where):
     doc = (f'<a>\n<b t="{ref}"/></a>' if where == "attr"
