@@ -140,22 +140,25 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     inputs = expand_inputs(cfg.inputs)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    # a repeated path is probed and evaluated once; `ordered` keeps repeats
-    digests = {path: _sha256(Path(path).read_bytes())
-               for path in dict.fromkeys(inputs)}
+    # a repeated path is probed and evaluated once; `ordered` keeps repeats.
+    # A miss is parsed from the bytes digested, dropped once it is evaluated.
+    digests: dict[str, str] = {}
+    pending: dict[str, bytes] = {}
     results: dict[str, PassOneResult] = {}
-    stale: list[str] = []
     cached: list[str] = []
-    for path in digests:
+    for path in dict.fromkeys(inputs):
+        data = Path(path).read_bytes()
+        digests[path] = _sha256(data)
         hit = _cached_result(cfg.cache_dir, path, digests[path], ruleset)
         if hit is not None:
             results[path] = hit
             cached.append(path)
         else:
-            stale.append(path)
+            pending[path] = data
+    stale = list(pending)
 
     def evaluate(path: str) -> PassOneResult:
-        doc = parse_xml(Path(path).read_bytes(), path)
+        doc = parse_xml(pending.pop(path), path)
         result = evaluate_file(doc, ruleset, path, digests[path])
         _write_cache(_cache_path(cfg.cache_dir, path), serialize_pass1(result))
         return result

@@ -3,7 +3,9 @@ test resolution against the global fact store (pass 2).
 
 Pass 1 is a depth-first pre-order walk.  At every node all applicable rules
 are matched against the same inherited environment snapshot; assignments
-only become visible to the node's children.  Facts and tests produced for a
+only become visible to the node's children.  Rules are indexed by the
+element name of their head (like Rete alpha memories), so each node tries
+only the rules whose head can match it.  Facts and tests produced for a
 file can be cached on disk as a JSON document and replayed bit-exactly; a
 cached test refers to its rule by index instead of copying the rule.
 """
@@ -17,8 +19,9 @@ from typing import Callable, Optional, Union
 from . import reporting
 from .matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal, Value,
                       deep_contains, match_node, string_projection, unify)
-from .rule_ast import (Assign, EnvRule, Eq, Pattern, Polarity, Rule,
-                       RuleSet, TestRule, consequence_vars)
+from .rule_ast import (Assign, EnvRule, Eq, PAnon, PElem, PEmptyElem,
+                       Pattern, Polarity, PText, PVar, Rule, RuleSet,
+                       TestRule, consequence_vars)
 from .terms import Functor, Str, Term, term_to_text, term_vars
 from .xml_frontend import Element, SourcePos, XmlNode
 
@@ -103,14 +106,17 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
     tests: list[DelayedTest] = []
     diagnostics: list[str] = []
 
+    any_node, by_name, text_rules = _rules_by_head(rules)
+
     def visit(node: XmlNode, env: LocalEnv) -> None:
-        seed = (Bindings()
-                .bind("SourceFile", SVal(file))
-                .bind("SourceLine", SVal(str(node.pos.line))))
+        candidates = (by_name.get(node.name, any_node)
+                      if isinstance(node, Element) else text_rules)
+        if candidates:
+            seed = (Bindings()
+                    .bind("SourceFile", SVal(file))
+                    .bind("SourceLine", SVal(str(node.pos.line))))
         applicable: list[tuple[Rule, Bindings]] = []
-        for rule in rules.rules:
-            if rule.skipped:
-                continue
+        for rule in candidates:
             b = match_node(rule.pattern, node, seed)
             if b is None:
                 continue
@@ -150,6 +156,23 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
     visit(doc, LocalEnv())
     return PassOneResult(file, tuple(facts), tuple(tests),
                          tuple(diagnostics), input_digest, rules.source_hash)
+
+
+def _rules_by_head(rules: RuleSet):
+    """Live rules for any element, by element name, and for text nodes.
+
+    $X/$_ heads are in every list.  Each list keeps the ruleset's order,
+    which orders facts, tests and conflicting-assignment diagnostics.
+    """
+    live = [rule for rule in rules.rules if not rule.skipped]
+    # a head is its element name, or the class of a $X, $_ or text pattern
+    heads = [(r, r.pattern.name if isinstance(r.pattern, (PElem, PEmptyElem))
+              else type(r.pattern)) for r in live]
+    any_node = [r for r, head in heads if head in (PVar, PAnon)]
+    text_rules = [r for r, head in heads if head in (PVar, PAnon, PText)]
+    by_name = {name: [r for r, head in heads if head in (PVar, PAnon, name)]
+               for _, name in heads if isinstance(name, str)}
+    return any_node, by_name, text_rules
 
 
 def _eval_condition(cond, b: Bindings, env: LocalEnv) -> Optional[Bindings]:
@@ -349,8 +372,11 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 # [name, *args] (Functor); a captured value is stored as the term it holds.
 # A delayed test is stored as [rule_index, line, {var: value}]: its goal and
 # consequence are read back from the ruleset, whose digest is in the entry.
+# {var: value} leaves out $SourceFile and $SourceLine, which are always the
+# input path and the test's line: an entry does not depend on the path.
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
+_POSITION_VARS = ("SourceFile", "SourceLine")
 
 
 def serialize_pass1(result: PassOneResult) -> str:
@@ -361,7 +387,8 @@ def serialize_pass1(result: PassOneResult) -> str:
         "facts": [_term_to_json(fact.term) for fact in result.facts],
         "tests": [[dt.rule_index, dt.pos.line,
                    {name: _value_to_json(value)
-                    for name, value in dt.captured.items()}]
+                    for name, value in dt.captured.items()
+                    if name not in _POSITION_VARS}]
                   for dt in result.tests],
         "diags": list(result.diagnostics),
     }, separators=(",", ":"))
@@ -435,7 +462,9 @@ def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     if rule is None or not isinstance(rule.body, TestRule):
         raise ValueError(f"cached test names rule {index}, not a test rule")
     test = rule.body.test
-    bindings = Bindings({name: _value_from_json(value)
-                         for name, value in captured.items()})
+    bindings = (Bindings({name: _value_from_json(value)
+                          for name, value in captured.items()})
+                .bind("SourceFile", SVal(source_file))
+                .bind("SourceLine", SVal(str(line))))
     return DelayedTest(index, test.polarity, test.goal, bindings,
                        test.consequence, SourcePos(source_file, line))

@@ -151,6 +151,39 @@ def test_duplicate_input_is_evaluated_once(tmp_path):
     assert warm.cached == [a, b] and warm.report == distinct.report
 
 
+def test_each_input_is_read_once(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path, n_files=4)
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads.append(str(path))
+        return read_bytes(path)
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    cfg = config(tmp_path, rules, inputs + inputs[:1])
+    cold = execute(cfg)
+    assert sorted(reads) == sorted(inputs)
+    reads.clear()
+    warm = execute(cfg)
+    assert sorted(reads) == sorted(inputs)
+    assert warm.cached == inputs and warm.report == cold.report
+
+
+def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
+    rules, (short,) = write_corpus(tmp_path, n_files=1, unknown_in=(0,))
+    longer = tmp_path / "a" / "much" / "longer" / "directory" / "team.xml"
+    longer.parent.mkdir(parents=True)
+    longer.write_bytes(Path(short).read_bytes())
+    cfg = config(tmp_path, rules, [short, str(longer)])
+    cold = execute(cfg)
+    entries = [json.loads(cache_file(cfg, path).read_text(encoding="utf-8"))
+               for path in (short, str(longer))]
+    assert entries[0]["tests"] and entries[0]["tests"] == entries[1]["tests"]
+    warm = execute(cfg)
+    assert warm.cached == cfg.inputs and warm.report == cold.report
+    assert str(longer) in warm.report
+
+
 def cache_file(cfg, path):
     return _cache_path(cfg.cache_dir, path)
 
