@@ -1,7 +1,8 @@
 """Position-annotated XML parsing: a small tree builder on stdlib expat.
 
 Names are literal strings (no namespaces); the DTD adds no attribute
-defaults and its internal entities are an error in text.  Comments and PIs
+defaults, and a reference to any entity but the five predefined ones is an
+error, in text and in attribute values alike.  Comments and PIs
 are dropped, CDATA becomes its own text node, whitespace-only text is
 dropped, and every node keeps the line of its opening construct.
 """
@@ -52,6 +53,19 @@ XmlNode = Union[Element, Text]
 
 _CODES = expat.errors.codes
 _TOKEN = re.compile(rb"[^\s>;]*;?")
+_START_TAG = re.compile(rb"""<[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
+# a reference to an entity other than the predefined ones
+_ENTITY_REF = re.compile(rb"&(?!(?:amp|lt|gt|quot|apos|#[^;]*);)([^;]*);")
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
+
+
+def _check_attr_refs(data: bytes, at: int, pos: SourcePos) -> None:
+    """Reject an entity reference in the start tag at byte `at`, line pos."""
+    tag = _START_TAG.match(data, at)[0]
+    if ref := _ENTITY_REF.search(tag):
+        line = pos.line + len(_LINE_BREAK.findall(tag, 0, ref.start()))
+        raise MalformedXml(SourcePos(pos.file, line),
+                           f"bad entity &{ref[1].decode('utf-8', 'replace')};")
 
 
 def parse_xml(data: bytes, file: str) -> Element:
@@ -67,6 +81,7 @@ def parse_xml(data: bytes, file: str) -> Element:
     stack: list[tuple] = [("", (), [], None)]
     text: list[str] = []
     text_pos = last_pos = SourcePos(file, 1)
+    doctype: list[bool] = []
 
     def here() -> SourcePos:
         # events come in line order: one SourcePos per distinct line
@@ -90,7 +105,12 @@ def parse_xml(data: bytes, file: str) -> Element:
 
     def start(name: str, attrs: list[str]) -> None:
         flush()
-        stack.append((name, tuple(zip(attrs[::2], attrs[1::2])), [], here()))
+        pos = here()
+        # after a DOCTYPE expat expands internal entities in attribute
+        # values, and drops undefined ones if there is an external subset
+        if doctype and attrs:
+            _check_attr_refs(data, parser.CurrentByteIndex, pos)
+        stack.append((name, tuple(zip(attrs[::2], attrs[1::2])), [], pos))
 
     def end(_) -> None:
         flush()
@@ -108,7 +128,8 @@ def parse_xml(data: bytes, file: str) -> Element:
                 "CharacterDataHandler": chars, "CommentHandler": flush,
                 "ProcessingInstructionHandler": flush,
                 "StartCdataSectionHandler": flush,
-                "EndCdataSectionHandler": flush, "DefaultHandler": default}
+                "EndCdataSectionHandler": flush, "DefaultHandler": default,
+                "StartDoctypeDeclHandler": lambda *_: doctype.append(True)}
     for name, handler in handlers.items():
         setattr(parser, name, handler)
     try:
@@ -116,14 +137,16 @@ def parse_xml(data: bytes, file: str) -> Element:
     except expat.ExpatError as exc:
         name, _, _, open_pos = stack[-1]
         pos = SourcePos(file, exc.lineno)
-        found = _TOKEN.match(data, max(parser.ErrorByteIndex, 0))[0].decode(
-            "utf-8", "replace")
+        at = max(parser.ErrorByteIndex, 0)
+        found = _TOKEN.match(data, at)[0].decode("utf-8", "replace")
         if exc.code == _CODES[expat.errors.XML_ERROR_TAG_MISMATCH]:
             detail = (f"close tag {name!r} expected, found {found!r} "
                       f"(element opened at line {open_pos.line})")
         elif exc.code == _CODES[expat.errors.XML_ERROR_NO_ELEMENTS] and name:
             pos, detail = open_pos, f"unterminated element {name!r}"
         elif exc.code == _CODES[expat.errors.XML_ERROR_UNDEFINED_ENTITY]:
+            if data.startswith(b"<", at):  # the reference is in an attribute
+                _check_attr_refs(data, at, pos)
             detail = f"bad entity {found}"
         else:
             detail = expat.ErrorString(exc.code)
