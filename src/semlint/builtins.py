@@ -13,9 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .engine import BuiltinError, BuiltinRegistry, FactStore
+from .engine import BuiltinError, BuiltinRegistry
 from .matcher import Bindings, SVal, TermVal, Value, string_projection
-from .terms import Functor, Str, Term, Var
+from .terms import Str, Term, Var
 
 
 class InstantiationError(BuiltinError):

@@ -13,7 +13,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,6 @@ class RunConfig:
     max_probes: int = 8
     normalize_names: bool = False
     fail_on_warnings: bool = False
-    jobs: int = 1
     output: str | None = None
 
     def __post_init__(self):
@@ -53,8 +51,6 @@ class RunConfig:
             raise CliError("at least one rule file is required")
         if not self.inputs:
             raise CliError("at least one input file is required")
-        if self.jobs < 1:
-            raise CliError("jobs must be >= 1")
         if self.url_timeout <= 0:
             raise CliError("url timeout must be positive")
         if self.max_probes < 1:
@@ -105,8 +101,8 @@ def _cached_result(cache_dir: str, input_path: str, input_digest: str,
 
 
 def _write_cache(path: Path, text: str) -> None:
-    # a unique temp file renamed into place: concurrent writers of the same
-    # entry never interleave, and a torn file can only read as a miss
+    # a unique temp file renamed into place: concurrent processes writing the
+    # same entry never interleave, and a torn file can only read as a miss
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
@@ -115,17 +111,6 @@ def _write_cache(path: Path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def plan_work(cfg: RunConfig) -> list[tuple[str, str]]:
-    """Classify every input as 'cached' or 'stale' against the cache dir."""
-    ruleset = _load_ruleset(cfg)
-    plan = []
-    for path in expand_inputs(cfg.inputs):
-        digest = _sha256(Path(path).read_bytes())
-        cached = _cached_result(cfg.cache_dir, path, digest, ruleset)
-        plan.append((path, "cached" if cached is not None else "stale"))
-    return plan
 
 
 def _load_ruleset(cfg: RunConfig) -> RuleSet:
@@ -141,32 +126,23 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
     # a repeated path is probed and evaluated once; `ordered` keeps repeats.
-    # A miss is parsed from the bytes digested, dropped once it is evaluated.
-    digests: dict[str, str] = {}
-    pending: dict[str, bytes] = {}
+    # A miss is parsed from the bytes digested, so one input is read once
+    # and only its bytes and tree are alive while it is evaluated.
     results: dict[str, PassOneResult] = {}
+    evaluated: list[str] = []
     cached: list[str] = []
     for path in dict.fromkeys(inputs):
         data = Path(path).read_bytes()
-        digests[path] = _sha256(data)
-        hit = _cached_result(cfg.cache_dir, path, digests[path], ruleset)
-        if hit is not None:
-            results[path] = hit
-            cached.append(path)
+        digest = _sha256(data)
+        result = _cached_result(cfg.cache_dir, path, digest, ruleset)
+        if result is None:
+            result = evaluate_file(parse_xml(data, path), ruleset, path, digest)
+            _write_cache(_cache_path(cfg.cache_dir, path),
+                         serialize_pass1(result))
+            evaluated.append(path)
         else:
-            pending[path] = data
-    stale = list(pending)
-
-    def evaluate(path: str) -> PassOneResult:
-        doc = parse_xml(pending.pop(path), path)
-        result = evaluate_file(doc, ruleset, path, digests[path])
-        _write_cache(_cache_path(cfg.cache_dir, path), serialize_pass1(result))
-        return result
-
-    if stale:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for path, result in zip(stale, pool.map(evaluate, stale)):
-                results[path] = result
+            cached.append(path)
+        results[path] = result
 
     ordered = [results[path] for path in inputs]
     store = merge_facts(ordered)
@@ -190,7 +166,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     else:
         exit_code = 0
     return RunOutcome(report, messages, diagnostics, exit_code,
-                      evaluated=stale, cached=cached)
+                      evaluated=evaluated, cached=cached)
 
 
 def _test_urls(tests) -> list[str]:
@@ -248,8 +224,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--normalize-names", action="store_true",
                         help="case/accent-insensitive member name matching")
     parser.add_argument("--fail-on-warnings", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="max concurrent pass-1 evaluations")
     parser.add_argument("--output", metavar="FILE",
                         help="write the report here instead of stdout")
     parser.add_argument("inputs", nargs="+", metavar="INPUT",
@@ -270,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
             offline=args.offline, url_timeout=args.url_timeout,
             max_probes=args.max_probes,
             normalize_names=args.normalize_names,
-            fail_on_warnings=args.fail_on_warnings, jobs=args.jobs,
+            fail_on_warnings=args.fail_on_warnings,
             output=args.output)
     except CliError as exc:
         print(f"semlint: error: {exc}", file=sys.stderr)

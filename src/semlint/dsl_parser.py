@@ -42,8 +42,11 @@ class Token:
     pos: SourcePos
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_REST = _NAME_START | set("0123456789-.")
+def _is_name_rest(c: str) -> bool:
+    # a name starts as a Python identifier does (c.isidentifier()) and goes
+    # on with identifier characters, '-' and '.': Unicode letters included,
+    # so a rule can name any element parse_xml reads
+    return c in "-." or ("_" + c).isidentifier()
 
 
 class _Lexer:
@@ -129,7 +132,7 @@ class _Lexer:
         if c == '"':
             self.lex_string()
             return True
-        if c in _NAME_START:
+        if c.isidentifier():
             self.lex_name()
             return True
         raise LexError(pos, f"unexpected character {c!r}")
@@ -175,7 +178,7 @@ class _Lexer:
             self.emit("$", "$", pos)
         elif c == '"':
             self.lex_string()
-        elif c in _NAME_START:
+        elif c.isidentifier():
             self.lex_name()
         else:
             raise LexError(pos, f"unexpected character {c!r} in tag")
@@ -183,7 +186,7 @@ class _Lexer:
     def lex_name(self) -> None:
         pos = self.here()
         start = self.pos
-        while self.peek() in _NAME_REST and self.peek():
+        while self.peek() and _is_name_rest(self.peek()):
             # longest match, but never swallow the '-' of '->'
             if self.peek(2) == "->":
                 break

@@ -251,7 +251,6 @@ class FactStore:
         self._by_key: dict[tuple[str, int], dict[Functor, Fact]] = {}
         self._sorted: dict[tuple[str, int], tuple[Fact, ...]] = {}
         self._indexes: dict[tuple[str, int], dict[Callable, dict]] = {}
-        self.names: set[str] = set()
 
     def add(self, fact: Fact) -> None:
         key = (fact.term.name, len(fact.term.args))
@@ -259,7 +258,6 @@ class FactStore:
         bucket.setdefault(fact.term, fact)
         self._sorted.pop(key, None)
         self._indexes.pop(key, None)
-        self.names.add(fact.term.name)
 
     def lookup(self, name: str, arity: int) -> tuple[Fact, ...]:
         key = (name, arity)
@@ -302,7 +300,7 @@ def solve(goal: Functor, b: Bindings, store: FactStore,
     if key in builtins:
         return builtins[key](goal.args, b, store)
     facts = store.lookup(*key)
-    if not facts and goal.name not in store.names:
+    if not facts:
         raise UnknownPredicate(*key)
     out = []
     for fact in facts:

@@ -9,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .rule_ast import (AttrPattern, PAnon, PElem, PEmptyElem, PText, PVar,
-                       Pattern)
+from .rule_ast import AttrPattern, PAnon, PEmptyElem, PText, PVar, Pattern
 from .terms import Functor, Str, Term, Var, is_ground, term_to_text
 from .xml_frontend import Element, Text, XmlNode, walk
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .matcher import Bindings, normalize_ws, string_projection
-from .rule_ast import PAnon, PElem, PEmptyElem, PText, PVar, Pattern
+from .rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
 from .terms import Functor, Str, Term, Var, term_to_text
 from .xml_frontend import SourcePos
 

@@ -13,7 +13,7 @@ CRITERIA = {
     3: "seeded two-team corpus yields exactly the 4 planted defects",
     4: "environment assignments stay local to their subtree",
     5: "deep containment search equals the brute-force oracle",
-    6: "cold, warm and parallel runs emit byte-identical reports",
+    6: "cold, warm and partly cached runs emit byte-identical reports",
     7: "touching 1 of 10 inputs re-evaluates exactly that file",
     8: "matching/unification invariants hold on random inputs",
 }

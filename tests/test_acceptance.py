@@ -7,7 +7,7 @@ PASS/FAIL line per criterion in the terminal summary.
 import random
 import time
 
-from semlint.cli import RunConfig, execute
+from semlint.cli import RunConfig, _cache_path, execute
 from semlint.dsl_parser import parse_rules
 from semlint.matcher import (Bindings, NodeListVal, NodeVal, SVal,
                              deep_contains, match_children, match_node,
@@ -126,9 +126,9 @@ def test_criterion_5_contains_oracle():
     assert time.perf_counter() - start < 30.0
 
 
-def test_criterion_6_determinism_and_parallel_soundness(tmp_path,
-                                                        stub_http_server,
-                                                        raweb_rules_path):
+def test_criterion_6_determinism_and_cache_soundness(tmp_path,
+                                                     stub_http_server,
+                                                     raweb_rules_path):
     from conftest import make_corpus
     corpus = make_corpus(tmp_path / "corpus", stub_http_server,
                          raweb_rules_path, fixed=False)
@@ -139,9 +139,13 @@ def test_criterion_6_determinism_and_parallel_soundness(tmp_path,
                               format="machine")).report,   # cold again
         execute(corpus_config(corpus, cache=str(tmp_path / "c2"),
                               format="machine")).report,   # warm
-        execute(corpus_config(corpus, cache=str(tmp_path / "c3"),
-                              format="machine", jobs=8)).report,
     ]
+    for path in corpus["inputs"][1::2]:
+        _cache_path(str(tmp_path / "c2"), path).unlink()
+    partly = execute(corpus_config(corpus, cache=str(tmp_path / "c2"),
+                                   format="machine"))
+    assert partly.evaluated == corpus["inputs"][1::2]
+    reports.append(partly.report)
     assert len(set(reports)) == 1
 
 

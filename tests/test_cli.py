@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from semlint.builtins import StubProber
+from semlint import cli
 from semlint.cli import (CliError, RunConfig, _cache_path, execute,
-                         expand_inputs, main, plan_work, run)
+                         expand_inputs, main, run)
 
 RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
         '<check nom=$N/> ? personne($N) / <li> <$N> is unknown, ' \
@@ -39,8 +40,6 @@ def test_config_validation():
     with pytest.raises(CliError):
         RunConfig(rule_files=["r"], inputs=[], cache_dir="c")
     with pytest.raises(CliError):
-        RunConfig(rule_files=["r"], inputs=["x"], cache_dir="c", jobs=0)
-    with pytest.raises(CliError):
         RunConfig(rule_files=["r"], inputs=["x"], cache_dir="c",
                   url_timeout=0)
 
@@ -71,14 +70,6 @@ def test_cold_run_evaluates_all_warm_run_none(tmp_path):
     warm = execute(cfg)
     assert warm.evaluated == [] and sorted(warm.cached) == sorted(inputs)
     assert warm.report == cold.report
-
-
-def test_plan_work_tracks_cache_state(tmp_path):
-    rules, inputs = write_corpus(tmp_path)
-    cfg = config(tmp_path, rules, inputs)
-    assert {state for _, state in plan_work(cfg)} == {"stale"}
-    execute(cfg)
-    assert {state for _, state in plan_work(cfg)} == {"cached"}
 
 
 def test_touching_one_file_reevaluates_only_it(tmp_path):
@@ -114,30 +105,13 @@ def test_unchanged_content_same_report_after_edit_revert(tmp_path):
     assert third.report == first.report
 
 
-def test_parallel_jobs_match_serial_report(tmp_path):
-    rules, inputs = write_corpus(tmp_path, n_files=8, unknown_in=(1, 5))
-    serial = execute(RunConfig(rule_files=[rules], inputs=inputs,
-                               cache_dir=str(tmp_path / "s-cache"),
-                               offline=True, jobs=1))
-    parallel = execute(RunConfig(rule_files=[rules], inputs=inputs,
-                                 cache_dir=str(tmp_path / "p-cache"),
-                                 offline=True, jobs=8))
-    assert parallel.report == serial.report
-
-
-def test_duplicate_input_with_jobs_matches_serial(tmp_path):
+def test_duplicate_input_cold_and_warm_match(tmp_path):
     rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0,))
-    doubled = [inputs[0]] * 6 + inputs
-    reports = []
-    for jobs in (1, 8):
-        cfg = RunConfig(rule_files=[rules], inputs=doubled,
-                        cache_dir=str(tmp_path / f"cache{jobs}"),
-                        offline=True, jobs=jobs)
-        reports.append(execute(cfg).report)
-        warm = execute(cfg)
-        assert warm.evaluated == [] and warm.report == reports[0]
-    assert reports[0] == reports[1]
-    assert not list((tmp_path / "cache8").glob("*.tmp"))
+    cfg = config(tmp_path, rules, [inputs[0]] * 6 + inputs)
+    cold = execute(cfg)
+    warm = execute(cfg)
+    assert warm.evaluated == [] and warm.report == cold.report
+    assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
 def test_duplicate_input_is_evaluated_once(tmp_path):
@@ -167,6 +141,25 @@ def test_each_input_is_read_once(tmp_path, monkeypatch):
     warm = execute(cfg)
     assert sorted(reads) == sorted(inputs)
     assert warm.cached == inputs and warm.report == cold.report
+
+
+def test_each_miss_is_parsed_before_the_next_read(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path)
+    calls = []
+    read_bytes, parse_xml = Path.read_bytes, cli.parse_xml
+
+    def logged_read_bytes(path):
+        calls.append(("read", str(path)))
+        return read_bytes(path)
+
+    def logged_parse_xml(data, path):
+        calls.append(("parse", path))
+        return parse_xml(data, path)
+    monkeypatch.setattr(Path, "read_bytes", logged_read_bytes)
+    monkeypatch.setattr(cli, "parse_xml", logged_parse_xml)
+    execute(config(tmp_path, rules, inputs))
+    assert calls == [(op, path) for path in inputs
+                     for op in ("read", "parse")]
 
 
 def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
@@ -233,24 +226,21 @@ def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     target = cache_file(cfg, inputs[0])
     data = json.loads(target.read_text(encoding="utf-8"))
     target.write_text(make_entry(data, inputs[0]), encoding="utf-8")
-    assert dict(plan_work(cfg))[inputs[0]] == "stale"
     again = execute(cfg)
     assert again.evaluated == [inputs[0]]
     assert again.report == cold.report
 
 
-def test_plan_agrees_with_execute_on_crlf_rules(tmp_path):
+def test_crlf_rules_keep_cache_hits(tmp_path):
     rules, inputs = write_corpus(tmp_path)
     Path(rules).write_bytes(RULES.replace("\n", "\r\n").encode("utf-8"))
     cfg = config(tmp_path, rules, inputs)
     execute(cfg)
     victim = Path(inputs[1])
     victim.write_text(victim.read_text() + "\n", encoding="utf-8")
-    plan = plan_work(cfg)
     outcome = execute(cfg)
-    assert outcome.cached == [p for p, state in plan if state == "cached"]
-    assert outcome.evaluated == [p for p, state in plan if state == "stale"]
     assert outcome.evaluated == [inputs[1]]
+    assert outcome.cached == [inputs[0], inputs[2]]
 
 
 def test_facts_merge_across_files(tmp_path):
@@ -317,6 +307,16 @@ def test_run_returns_2_on_bad_inputs(tmp_path):
                         output=str(tmp_path / "no-such-dir" / "report.txt"))
     assert run(unwritable, stdout=io.StringIO(), stderr=err) == 2
     assert err.getvalue().startswith("semlint: error: ")
+
+
+def test_first_bad_input_in_order_is_reported(tmp_path):
+    rules, _ = write_corpus(tmp_path)
+    bad_xml = tmp_path / "bad.xml"
+    bad_xml.write_text("<a><b></a>", encoding="utf-8")
+    err = io.StringIO()
+    cfg = config(tmp_path, rules, [str(bad_xml), str(tmp_path / "missing.xml")])
+    assert run(cfg, stdout=io.StringIO(), stderr=err) == 2
+    assert "bad.xml" in err.getvalue()
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -41,6 +41,14 @@ def test_tokenize_text_runs_in_pattern_context():
     assert texts == ["Warning:", "line"]
 
 
+def test_tokenize_non_ascii_names_stop_before_arrow():
+    toks = tokenize("? été($X)->", "r.rules")
+    assert [(t.kind, t.lexeme) for t in toks[:-1]] == [
+        ("?", "?"), ("NAME", "été"), ("(", "("), ("$", "$"),
+        ("NAME", "X"), (")", ")"), ("->", "->")]
+    assert kinds("a-b.c->") == ["NAME", "->"]
+
+
 def test_tokenize_unterminated_string():
     with pytest.raises(LexError):
         tokenize('x := "oops', "r.rules")

@@ -198,20 +198,28 @@ def test_solve_unknown_predicate_raises():
     with pytest.raises(UnknownPredicate):
         solve(Functor("haed", (Var("P"), Var("X"))), Bindings(), store,
               NO_BUILTINS)
-    # same name at another arity is "known": zero solutions, no error
-    assert solve(Functor("head", (Var("P"),)), Bindings(), store,
-                 NO_BUILTINS) == []
+    # as in Prolog, the same name at another arity is another predicate
+    with pytest.raises(UnknownPredicate):
+        solve(Functor("head", (Var("P"),)), Bindings(), store, NO_BUILTINS)
+
+
+def test_non_ascii_names_in_rules_match_non_ascii_elements():
+    result = ev('<élève nom=$N/> => p($N);', '<r><élève nom="Zoé"/></r>')
+    assert [f.term for f in result.facts] == [Functor("p", (Str("Zoé"),))]
 
 
 def test_unknown_predicate_reported_once_as_diagnostic():
     rules = ('<a/> ? nosuch($SourceLine) / <li> missing </li> ;\n'
-             '<b/> ? nosuch($SourceLine) / <li> missing </li> ;')
+             '<b/> ? nosuch($SourceLine) / <li> missing </li> ;\n'
+             '<a/> => head("Smith","CS");\n'
+             '<b/> ? head($SourceLine) / <li> no head </li> ;')
     result = ev(rules, "<root><a/><b/></root>")
     store = merge_facts([result])
     msgs, diags = resolve_tests(list(result.tests), store, NO_BUILTINS)
     assert msgs == []
-    assert len(diags) == 1
+    assert len(diags) == 2
     assert "nosuch/1" in diags[0]
+    assert "head/1" in diags[1]
 
 
 def test_if_present_emits_one_message_per_solution():
