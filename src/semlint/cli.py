@@ -40,8 +40,8 @@ class RunConfig:
     cache_dir: str
     format: str = "text"
     offline: bool = False
-    url_timeout: float = 10.0
-    max_probes: int = 8
+    url_timeout: float = builtins_mod.DEFAULT_URL_TIMEOUT
+    max_probes: int = builtins_mod.DEFAULT_MAX_PROBES
     normalize_names: bool = False
     fail_on_warnings: bool = False
     output: str | None = None
@@ -217,9 +217,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         default="text")
     parser.add_argument("--offline", action="store_true",
                         help="never touch the network; URL tests are silent")
-    parser.add_argument("--url-timeout", type=float, default=10.0,
+    parser.add_argument("--url-timeout", type=float,
+                        default=builtins_mod.DEFAULT_URL_TIMEOUT,
                         metavar="SECS")
-    parser.add_argument("--max-probes", type=int, default=8, metavar="N",
+    parser.add_argument("--max-probes", type=int,
+                        default=builtins_mod.DEFAULT_MAX_PROBES, metavar="N",
                         help="max concurrent URL probes")
     parser.add_argument("--normalize-names", action="store_true",
                         help="case/accent-insensitive member name matching")

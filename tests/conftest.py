@@ -46,6 +46,36 @@ def raweb_rules_text(raweb_rules_path) -> str:
     return raweb_rules_path.read_text(encoding="utf-8")
 
 
+class InFlight:
+    """Holds each /gate request at a barrier of `k` parties.
+
+    No /gate request is answered until `k` are in flight together, and
+    `peak` records the most that ever were.
+    """
+
+    def __init__(self, k: int):
+        self.barrier = threading.Barrier(k, timeout=5)
+        self.peak = 0
+        self._now = 0
+        self._lock = threading.Lock()
+
+    def hold(self) -> bool:
+        """Wait at the barrier; False when it broke (timed out)."""
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+        try:
+            self.barrier.wait()
+            return True
+        except threading.BrokenBarrierError:
+            return False
+        finally:
+            # leave the count before the reply is sent, so the client's next
+            # request can never be counted alongside this one
+            with self._lock:
+                self._now -= 1
+
+
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     def _reply(self):
         if self.path.startswith("/dead"):
@@ -53,6 +83,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         elif self.path.startswith("/slow"):
             time.sleep(5)
             self.send_response(200)
+        elif self.path.startswith("/gate"):
+            self.send_response(200 if self.server.gate.hold() else 503)
         else:
             self.send_response(200)
         self.send_header("Content-Length", "0")
@@ -65,14 +97,34 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _StubServer(http.server.ThreadingHTTPServer):
+    request_queue_size = 64  # room for every probe of a full pool at once
+    gate: InFlight | None = None
+
+
 @pytest.fixture(scope="session")
-def stub_http_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+def _stub_server():
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield base
+    yield server
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(scope="session")
+def stub_http_server(_stub_server):
+    return f"http://127.0.0.1:{_stub_server.server_address[1]}"
+
+
+@pytest.fixture
+def in_flight(_stub_server):
+    """Call with `k` to gate the stub server's /gate path on `k` requests."""
+    def install(k: int) -> InFlight:
+        _stub_server.gate = InFlight(k)
+        return _stub_server.gate
+    yield install
+    _stub_server.gate = None
 
 
 SUPPLEMENT_RULES = """\

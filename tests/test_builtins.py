@@ -1,14 +1,17 @@
 import socket
+import threading
 
 import pytest
 
-from semlint.builtins import (HTTP_ERROR, OK, UNREACHABLE, HttpProber,
-                              InstantiationError, StubProber, UrlProbeResult,
-                              make_registry, probe_answers, strip_accents)
+from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
+                              UNREACHABLE, HttpProber, InstantiationError,
+                              UrlProbeResult, make_registry, probe_answers,
+                              strip_accents)
 from semlint.engine import Fact, FactStore
 from semlint.matcher import Bindings, SVal
 from semlint.terms import Functor, Str, Var
 from semlint.xml_frontend import SourcePos
+from stub_prober import StubProber
 
 B0 = Bindings()
 POS = SourcePos("f.xml", 1)
@@ -181,8 +184,34 @@ def test_prober_connection_refused():
 
 def test_prober_rejects_non_http():
     prober = HttpProber(timeout=5)
-    assert prober.probe("ftp://example.org/x").kind == "malformed"
-    assert prober.probe("relative/path").kind == "malformed"
+    for url in ["ftp://example.org/x",
+                "relative/path",
+                "http://127.0.0.1:1/a b",      # http.client refuses the space
+                "http://127.0.0.1:abc/",       # non-numeric port
+                "http://[::1/x",               # urlparse raises ValueError
+                "http://127.0.0.1:1/\u00e9"]:  # a request line must be ASCII
+        assert prober.probe(url).kind == MALFORMED, url
+
+
+def test_prober_non_http_reply_is_unreachable():
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen()
+        server.settimeout(5)
+
+        def answer():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"NOT HTTP\r\n\r\n")
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        port = server.getsockname()[1]
+        result = HttpProber(timeout=5).probe(f"http://127.0.0.1:{port}/")
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result.kind == UNREACHABLE
+    assert probe_answers(result)[0] == "No answer or time out,"
 
 
 def test_prober_memoizes(stub_http_server):
@@ -201,3 +230,17 @@ def test_prober_prefetch_deduplicates(stub_http_server):
     assert prober.probe_count == 2
     assert prober.probe(urls[0]).kind == OK
     assert prober.probe_count == 2
+
+
+@pytest.mark.parametrize("k", [3, DEFAULT_MAX_PROBES])
+def test_prefetch_runs_max_workers_probes_at_once_and_no_more(
+        stub_http_server, in_flight, k):
+    # each batch of k requests is held until all k have arrived: a serial
+    # prober never completes one, and a larger pool overshoots the peak
+    gate = in_flight(k)
+    urls = [f"{stub_http_server}/gate/{i}" for i in range(3 * k)]
+    prober = HttpProber(5, k)
+    prober.prefetch(urls)
+    assert gate.peak == k
+    assert prober.probe_count == 3 * k
+    assert all(prober.probe(url).kind == OK for url in urls)

@@ -1,13 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from semlint.builtins import StubProber
 from semlint import cli
+from semlint.builtins import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT,
+                              HttpProber)
 from semlint.cli import (CliError, RunConfig, _cache_path, execute,
                          expand_inputs, main, run)
+from stub_prober import StubProber
 
 RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
         '<check nom=$N/> ? personne($N) / <li> <$N> is unknown, ' \
@@ -350,11 +355,13 @@ def test_output_file_option(tmp_path):
     assert "ghost is unknown" in target.read_text(encoding="utf-8")
 
 
+URL_RULES = ('<xref url=$U><$_></xref>\n'
+             '? testurl($U,$A,$B) -> <li> <$U> : <$A> <$B> </li> ;\n')
+
+
 def test_url_prefetch_uses_injected_prober(tmp_path):
     rules = tmp_path / "url.rules"
-    rules.write_text('<xref url=$U><$_></xref>\n'
-                     '? testurl($U,$A,$B) -> <li> <$U> : <$A> <$B> </li> ;\n',
-                     encoding="utf-8")
+    rules.write_text(URL_RULES, encoding="utf-8")
     doc = tmp_path / "d.xml"
     doc.write_text('<p><xref url="http://h/dead">x</xref></p>',
                    encoding="utf-8")
@@ -364,3 +371,39 @@ def test_url_prefetch_uses_injected_prober(tmp_path):
     outcome = execute(cfg, prober=prober)
     assert len(outcome.messages) == 1
     assert "http://h/dead" in outcome.messages[0].text
+
+
+def test_unprobeable_urls_are_reported_not_raised(tmp_path):
+    rules = tmp_path / "url.rules"
+    rules.write_text(URL_RULES, encoding="utf-8")
+    urls = ["http://127.0.0.1:1/a b", "http://127.0.0.1:abc/",
+            "http://[::1/x", "http://127.0.0.1:1/\u00e9"]
+    doc = tmp_path / "d.xml"
+    doc.write_text("<p>" + "".join(f'<xref url="{u}">x</xref>' for u in urls)
+                   + "</p>", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semlint.cli", "--rules", str(rules),
+         "--cache-dir", str(tmp_path / "cache"), str(doc)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, encoding="utf-8", timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("Malformed URL") == len(urls)
+
+
+def test_probe_defaults_are_shared(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert main(["--rules", rules, "--cache-dir", str(tmp_path / "c"),
+                 *inputs]) == 0
+    built = seen[0]
+    assert (built.max_probes, built.url_timeout) == (DEFAULT_MAX_PROBES,
+                                                    DEFAULT_URL_TIMEOUT)
+    default = config(tmp_path, rules, inputs)
+    assert (default.max_probes, default.url_timeout) == (DEFAULT_MAX_PROBES,
+                                                        DEFAULT_URL_TIMEOUT)
+    prober = HttpProber()
+    assert (prober.max_workers, prober.timeout) == (DEFAULT_MAX_PROBES,
+                                                    DEFAULT_URL_TIMEOUT)

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlint import engine
-from semlint.builtins import StubProber, make_registry, strip_accents
+from semlint.builtins import make_registry, strip_accents
 from semlint.engine import (DelayedTest, Fact, FactStore, merge_facts,
                             resolve_tests)
 from semlint.matcher import Bindings, SVal
 from semlint.rule_ast import Polarity
 from semlint.terms import Functor, Str, Var, term_to_text
 from semlint.xml_frontend import SourcePos
+from stub_prober import StubProber
 
 B0 = Bindings()
 NAMES = ["Anne", "anne", "ANNE", "Dupónt", "Dupont", "Émile", "emile", ""]

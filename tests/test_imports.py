@@ -1,6 +1,10 @@
-"""Every name a module of src/semlint imports is used in that module."""
+"""Every name a module of src/semlint imports is used in that module, and
+importing the CLI leaves the HTTP stack unloaded until a URL is probed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,16 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_module_has_no_unused_imports(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     assert unused_imports(tree) == []
+
+
+HTTP_STACK = ("urllib.request", "http.client", "ssl", "concurrent.futures")
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    code = ("import sys, semlint.cli; "
+            f"print([m for m in {HTTP_STACK!r} if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
