@@ -4,6 +4,7 @@ co-publication search and URL liveness probing.
 
 from __future__ import annotations
 
+import re
 import threading
 import unicodedata
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ def _unbound_name(t: Term, b: Bindings, pred: str) -> str:
 # each extra thread still adds to peak memory.
 DEFAULT_URL_TIMEOUT = 10.0
 DEFAULT_MAX_PROBES = 32
+
+_NON_ASCII = re.compile(r"[^\x00-\x7f]+")
 
 OK = "ok"
 HTTP_ERROR = "http_error"
@@ -110,7 +113,10 @@ class HttpProber:
     def _probe_uncached(self, url: str) -> UrlProbeResult:
         import urllib.parse
         try:
-            parsed = urllib.parse.urlparse(url)
+            parsed = urllib.parse.urlsplit(url)
+            # the request goes to the URI form of an IRI; the result, and
+            # so the report, keeps the URL as the document wrote it
+            target = url if url.isascii() else _iri_to_uri(parsed)
         except ValueError as exc:
             return UrlProbeResult(url, MALFORMED, detail=str(exc))
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
@@ -118,18 +124,18 @@ class HttpProber:
                                                          "http/https URL")
         with self._lock:
             self.probe_count += 1
-        result = self._request(url, "HEAD")
+        result = self._request(url, target, "HEAD")
         # some servers reject HEAD outright; retry with GET before judging
         if result.kind == HTTP_ERROR and result.status in (405, 501):
-            result = self._request(url, "GET")
+            result = self._request(url, target, "GET")
         return result
 
-    def _request(self, url: str, method: str) -> UrlProbeResult:
+    def _request(self, url: str, target: str, method: str) -> UrlProbeResult:
         import http.client
         import urllib.error
         import urllib.request
         try:
-            req = urllib.request.Request(url, method=method)
+            req = urllib.request.Request(target, method=method)
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 return UrlProbeResult(url, OK, status=resp.status)
         except urllib.error.HTTPError as exc:
@@ -145,12 +151,27 @@ class HttpProber:
         except OSError as exc:
             return UrlProbeResult(url, UNREACHABLE, detail=str(exc))
         # urllib wraps only OSError: a URL that http.client cannot put on
-        # the wire (a space in the path, a non-numeric port, a non-ASCII
-        # path or host) and a reply that is not HTTP come through raw
+        # the wire (a space in the path, a non-numeric port, an empty host
+        # label) and a reply that is not HTTP come through raw
         except (http.client.InvalidURL, ValueError) as exc:
             return UrlProbeResult(url, MALFORMED, detail=str(exc))
         except http.client.HTTPException as exc:
             return UrlProbeResult(url, UNREACHABLE, detail=str(exc))
+
+
+def _iri_to_uri(parsed) -> str:
+    """An IRI as a URI (RFC 3987 section 3.1): the host IDNA-encoded, any
+    other non-ASCII character percent-encoded as UTF-8, ASCII left as it is.
+    ValueError (UnicodeError) when the host is not a valid IDNA name."""
+    import urllib.parse
+    userinfo, at, hostport = parsed.netloc.rpartition("@")
+    # a non-ASCII host is a name, not a bracketed IPv6 literal
+    host, colon, port = (hostport.partition(":") if hostport[:1] != "["
+                         else (hostport, "", ""))
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    uri = parsed._replace(netloc=userinfo + at + host + colon + port).geturl()
+    return _NON_ASCII.sub(lambda m: urllib.parse.quote(m[0]), uri)
 
 
 def probe_answers(result: UrlProbeResult) -> Optional[tuple[str, str]]:

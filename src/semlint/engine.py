@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import reporting
-from .matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal, Value,
-                      deep_contains, match_node, string_projection, unify)
+from .matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal,
+                      TypeMismatch, Value, deep_contains, match_node,
+                      string_projection, unify)
 from .rule_ast import (Assign, EnvRule, Eq, PAnon, PElem, PEmptyElem,
                        Pattern, Polarity, PText, PVar, Rule, RuleSet,
                        TestRule, consequence_vars)
@@ -77,7 +78,9 @@ class LocalEnv:
 @dataclass(frozen=True)
 class Fact:
     term: Functor
-    origin: SourcePos  # diagnostic only, not part of fact identity
+    # diagnostic only, not part of fact identity, and cold-only: a fact
+    # read back from the pass-1 cache gets line 1 of its file
+    origin: SourcePos
 
 
 @dataclass(frozen=True)
@@ -107,21 +110,28 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
     diagnostics: list[str] = []
 
     any_node, by_name, text_rules = _rules_by_head(rules)
+    source_file = SVal(file)
 
-    def visit(node: XmlNode, env: LocalEnv) -> None:
-        candidates = (by_name.get(node.name, any_node)
-                      if isinstance(node, Element) else text_rules)
-        if candidates:
-            seed = (Bindings()
-                    .bind("SourceFile", SVal(file))
-                    .bind("SourceLine", SVal(str(node.pos.line))))
+    def apply(node: XmlNode, candidates: list[Rule],
+              env: LocalEnv) -> LocalEnv:
+        """Fire the candidates that match node; the env its children see."""
+        seed = Bindings({"SourceFile": source_file,
+                         "SourceLine": SVal(str(node.pos.line))})
         applicable: list[tuple[Rule, Bindings]] = []
         for rule in candidates:
+            # looked up in this module on each call, where it can be wrapped
             b = match_node(rule.pattern, node, seed)
             if b is None:
                 continue
             for cond in rule.conditions:
-                b = _eval_condition(cond, b, env)
+                try:
+                    b = _eval_condition(cond, b, env)
+                except TypeMismatch as exc:
+                    diagnostics.append(
+                        f"{file}:{node.pos.line}: ${cond.var} holds "
+                        f"{exc.kind}, not a node: the contains condition of "
+                        f"rule {rule.index} fails")
+                    b = None
                 if b is None:
                     break
             if b is not None:
@@ -149,11 +159,25 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
                         facts.append(Fact(term, node.pos))
             else:
                 tests.append(_capture_test(rule, b, node.pos))
-        if isinstance(node, Element):
-            for child in node.children:
-                visit(child, child_env)
+        return child_env
 
-    visit(doc, LocalEnv())
+    # pre-order with an explicit stack, so depth is bounded by memory only:
+    # each entry is an open element's child iterator and the env they inherit
+    stack = [(iter((doc,)), LocalEnv())]
+    while stack:
+        siblings, env = stack[-1]
+        node = next(siblings, None)
+        if node is None:
+            stack.pop()
+        elif isinstance(node, Element):
+            candidates = by_name.get(node.name, any_node)
+            if candidates:
+                env = apply(node, candidates, env)
+            if node.children:
+                stack.append((iter(node.children), env))
+        elif text_rules:
+            apply(node, text_rules, env)
+
     return PassOneResult(file, tuple(facts), tuple(tests),
                          tuple(diagnostics), input_digest, rules.source_hash)
 

@@ -38,7 +38,9 @@ Value = Union[SVal, NodeVal, NodeListVal, TermVal]
 
 
 class TypeMismatch(Exception):
-    pass
+    def __init__(self, kind: str):
+        super().__init__(f"contains requires a node value, got {kind}")
+        self.kind = kind
 
 
 class Bindings:
@@ -100,11 +102,7 @@ def string_projection(value: Value) -> str:
 
 
 def _texts(node: XmlNode) -> Iterator[str]:
-    if isinstance(node, Text):
-        yield node.content
-    else:
-        for child in node.children:
-            yield from _texts(child)
+    return (n.content for n in walk(node) if isinstance(n, Text))
 
 
 def match_node(p: Pattern, n: XmlNode, b: Bindings) -> Optional[Bindings]:
@@ -188,8 +186,7 @@ def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
     elif isinstance(root, NodeListVal):
         nodes = (d for n in root.nodes for d in walk(n))
     else:
-        raise TypeMismatch(
-            f"contains requires a node value, got {type(root).__name__}")
+        raise TypeMismatch("a string" if isinstance(root, SVal) else "a term")
     out = []
     for node in nodes:
         b2 = match_node(p, node, b)

@@ -35,13 +35,17 @@ class EncodingError(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
+# Nodes are slotted and mutable only because frozen construction costs
+# about three times as much per node; treat them as immutable.  They are
+# unhashable, and __eq__ still recurses through children: comparing two
+# subtrees some 250 levels deep (one variable bound twice) overflows.
+@dataclass(slots=True)
 class Text:
     content: str
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Element:
     name: str
     attrs: tuple[tuple[str, str], ...]
@@ -77,8 +81,11 @@ def parse_xml(data: bytes, file: str) -> Element:
     # "utf-8" overrides whatever encoding the XML declaration names
     parser = expat.ParserCreate("utf-8")
     parser.ordered_attributes = parser.specified_attributes = True
-    # open elements as (name, attrs, children, pos), above a document entry
-    stack: list[tuple] = [("", (), [], None)]
+    # open elements as (name, attrs, pos, the parent's child list);
+    # `children` collects the innermost open element's children
+    stack: list[tuple] = []
+    children: list = []
+    top = children
     text: list[str] = []
     text_pos = last_pos = SourcePos(file, 1)
     doctype: list[bool] = []
@@ -94,28 +101,37 @@ def parse_xml(data: bytes, file: str) -> Element:
         if text:
             content = "".join(text)
             text.clear()
-            if content.strip():
-                stack[-1][2].append(Text(content, text_pos))
+            if not content.isspace():
+                children.append(Text(content, text_pos))
 
     def chars(data: str) -> None:
         nonlocal text_pos
         if not text:
-            text_pos = here()
+            text_pos = (last_pos if parser.CurrentLineNumber == last_pos.line
+                        else here())
         text.append(data)
 
     def start(name: str, attrs: list[str]) -> None:
-        flush()
-        pos = here()
+        nonlocal children
+        if text:
+            flush()
+        pos = (last_pos if parser.CurrentLineNumber == last_pos.line
+               else here())
         # after a DOCTYPE expat expands internal entities in attribute
         # values, and drops undefined ones if there is an external subset
         if doctype and attrs:
             _check_attr_refs(data, parser.CurrentByteIndex, pos)
-        stack.append((name, tuple(zip(attrs[::2], attrs[1::2])), [], pos))
+        stack.append((name, tuple(zip(attrs[::2], attrs[1::2])) if attrs
+                      else (), pos, children))
+        children = []
 
     def end(_) -> None:
-        flush()
-        name, attrs, children, pos = stack.pop()
-        stack[-1][2].append(Element(name, attrs, tuple(children), pos))
+        nonlocal children
+        if text:
+            flush()
+        name, attrs, pos, parent = stack.pop()
+        parent.append(Element(name, attrs, tuple(children), pos))
+        children = parent
 
     def default(data: str) -> None:
         # with a default handler set, expat passes references to internal
@@ -135,7 +151,7 @@ def parse_xml(data: bytes, file: str) -> Element:
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
-        name, _, _, open_pos = stack[-1]
+        name, _, open_pos, _ = stack[-1] if stack else ("", None, None, None)
         pos = SourcePos(file, exc.lineno)
         at = max(parser.ErrorByteIndex, 0)
         found = _TOKEN.match(data, at)[0].decode("utf-8", "replace")
@@ -156,12 +172,14 @@ def parse_xml(data: bytes, file: str) -> Element:
         # now instead of leaving each parse to the cycle collector
         for name in handlers:
             setattr(parser, name, None)
-    return stack[0][2][0]
+    return top[0]
 
 
 def walk(node: XmlNode):
-    """Yield node and all descendants in document order."""
-    yield node
-    if isinstance(node, Element):
-        for child in node.children:
-            yield from walk(child)
+    """Yield node and all descendants in document order, at any depth."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Element):
+            stack.extend(reversed(node.children))

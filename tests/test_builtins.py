@@ -1,12 +1,13 @@
 import socket
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
 from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
                               UNREACHABLE, HttpProber, InstantiationError,
-                              UrlProbeResult, make_registry, probe_answers,
-                              strip_accents)
+                              UrlProbeResult, _iri_to_uri, make_registry,
+                              probe_answers, strip_accents)
 from semlint.engine import Fact, FactStore
 from semlint.matcher import Bindings, SVal
 from semlint.terms import Functor, Str, Var
@@ -188,9 +189,33 @@ def test_prober_rejects_non_http():
                 "relative/path",
                 "http://127.0.0.1:1/a b",      # http.client refuses the space
                 "http://127.0.0.1:abc/",       # non-numeric port
-                "http://[::1/x",               # urlparse raises ValueError
-                "http://127.0.0.1:1/\u00e9"]:  # a request line must be ASCII
+                "http://[::1/x",               # urlsplit raises ValueError
+                "http://a..\u00e9/",            # IDNA: an empty label
+                "http://127.0.0.1:1/a \u00e9",  # non-ASCII is encoded, not ' '
+                "http://127.0.0.1:\u00e9/"]:    # a non-numeric port
         assert prober.probe(url).kind == MALFORMED, url
+
+
+def test_prober_sends_an_iri_as_its_uri(stub_http_server):
+    prober = HttpProber(timeout=5)
+    live = f"{stub_http_server}/\u00e9t\u00e9?q=\u00fc#\u00e0"
+    dead = f"{stub_http_server}/dead/\u00e9t\u00e9"
+    assert prober.probe(live).kind == OK
+    result = prober.probe(dead)
+    assert (result.kind, result.status, result.url) == (HTTP_ERROR, 404, dead)
+    assert prober.probe(dead) is result
+    assert prober.probe_count == 2
+
+
+@pytest.mark.parametrize("iri, uri", [
+    ("http://\u00e9t\u00e9.example/\u00e9t\u00e9?q=\u00fc#f",
+     "http://xn--t-9fab.example/%C3%A9t%C3%A9?q=%C3%BC#f"),
+    ("http://p\u00e9@h\u00f4st.example:8080/a%20b",
+     "http://p%C3%A9@xn--hst-kna.example:8080/a%20b"),
+    ("http://[::1]:80/\u00e9", "http://[::1]:80/%C3%A9"),
+])
+def test_iri_to_uri(iri, uri):
+    assert _iri_to_uri(urlsplit(iri)) == uri
 
 
 def test_prober_non_http_reply_is_unreachable():

@@ -377,7 +377,7 @@ def test_unprobeable_urls_are_reported_not_raised(tmp_path):
     rules = tmp_path / "url.rules"
     rules.write_text(URL_RULES, encoding="utf-8")
     urls = ["http://127.0.0.1:1/a b", "http://127.0.0.1:abc/",
-            "http://[::1/x", "http://127.0.0.1:1/\u00e9"]
+            "http://[::1/x", "http://a..\u00e9/"]
     doc = tmp_path / "d.xml"
     doc.write_text("<p>" + "".join(f'<xref url="{u}">x</xref>' for u in urls)
                    + "</p>", encoding="utf-8")
@@ -407,3 +407,46 @@ def test_probe_defaults_are_shared(tmp_path, monkeypatch):
     prober = HttpProber()
     assert (prober.max_workers, prober.timeout) == (DEFAULT_MAX_PROBES,
                                                     DEFAULT_URL_TIMEOUT)
+
+
+DEPTH = 5000
+
+
+@pytest.mark.parametrize("rules_text", [
+    "<raweb> <$X> </raweb> & $X contains <em> <$E> </em> => p($X, $E);\n",
+    None], ids=["contains", "raweb-rules"])
+def test_deeply_nested_document_checks_cleanly(tmp_path, raweb_rules_text,
+                                               rules_text):
+    assert DEPTH > sys.getrecursionlimit()
+    rules = tmp_path / "deep.rules"
+    rules.write_text(rules_text or raweb_rules_text, encoding="utf-8")
+    doc = tmp_path / "deep.xml"
+    doc.write_text('<raweb year="2003">' + "<section>" * DEPTH
+                   + "<em>bottom</em>" + "</section>" * DEPTH + "</raweb>",
+                   encoding="utf-8")
+    err = io.StringIO()
+    cfg = config(tmp_path, str(rules), [str(doc)])
+    assert run(cfg, stdout=io.StringIO(), stderr=err) == 0
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("rules_text, doc_text, where", [
+    ('<a x=$X/> & $X contains <b/> => p("y");\n', '<a x="1"/>\n',
+     "d.xml:1: $X holds a string, not a node: the contains condition of "
+     "rule 0 fails"),
+    ('<a> <$_> </a> => v := "s";\n'
+     '<b/> & v = $V & $V contains <c/> => p("y");\n', "<a>\n<b/></a>\n",
+     "d.xml:2: $V holds a string, not a node: the contains condition of "
+     "rule 1 fails"),
+], ids=["attribute", "environment"])
+def test_contains_on_a_string_is_a_diagnostic(tmp_path, monkeypatch,
+                                              rules_text, doc_text, where):
+    monkeypatch.chdir(tmp_path)
+    Path("d.rules").write_text(rules_text, encoding="utf-8")
+    Path("d.xml").write_text(doc_text, encoding="utf-8")
+    cfg = config(tmp_path, "d.rules", ["d.xml"])
+    cold_err, warm_err = io.StringIO(), io.StringIO()
+    assert run(cfg, stdout=io.StringIO(), stderr=cold_err) == 0
+    assert run(cfg, stdout=io.StringIO(), stderr=warm_err) == 0
+    assert cold_err.getvalue() == warm_err.getvalue() == f"semlint: {where}\n"
+    assert execute(cfg).cached == ["d.xml"]

@@ -153,6 +153,17 @@ def test_contains_condition_binds_first_solution():
         Functor("title", (Str("First"),))]
 
 
+def test_contains_on_a_string_fails_with_a_diagnostic():
+    rules = ('<a x=$X/> & $X contains <b/> => p("y");\n'
+             '<a x=$X/> => q($X);\n')
+    result = ev(rules, '<r>\n<a x="1"/></r>')
+    assert [fact.term for fact in result.facts] == [
+        Functor("q", (Str("1"),))]
+    assert result.diagnostics == (
+        "doc.xml:2: $X holds a string, not a node: the contains condition "
+        "of rule 0 fails",)
+
+
 def test_node_values_project_to_strings_in_facts():
     rules = "<a> <$X> </a> => got($X);"
     result = ev(rules, "<a><b> spaced  <c>text</c> </b></a>")

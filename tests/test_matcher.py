@@ -9,7 +9,9 @@ from semlint.matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal,
                              match_node, string_projection, unify)
 from semlint.rule_ast import AttrPattern, PAnon, PElem, PEmptyElem, PText, PVar
 from semlint.terms import Functor, Str, Var
-from semlint.xml_frontend import parse_xml, walk
+from semlint.xml_frontend import Element, MalformedXml, Text, parse_xml, walk
+from test_rule_index import trees
+from test_xml_frontend import _documents
 
 B0 = Bindings()
 
@@ -340,3 +342,47 @@ def test_unify_extends_input_bindings(t1, t2):
     b = unify(t1, t2, seeded)
     if b is not None:
         assert b["Pre"] == SVal("v")
+
+
+# -- the iterative walks against the recursive definitions they replaced ------
+
+def walk_reference(node):
+    yield node
+    if isinstance(node, Element):
+        for child in node.children:
+            yield from walk_reference(child)
+
+
+def texts_reference(node):
+    if isinstance(node, Text):
+        return [node.content]
+    return [t for child in node.children for t in texts_reference(child)]
+
+
+def _parsed(docs):
+    try:
+        return parse_xml(docs[0], "f.xml")
+    except MalformedXml:
+        return None
+
+
+@given(st.one_of(trees(), _documents().map(_parsed).filter(
+    lambda doc: doc is not None)))
+@settings(max_examples=300, deadline=None)
+def test_walk_and_projection_match_recursive_references(doc):
+    assert [id(n) for n in walk(doc)] == [id(n) for n in walk_reference(doc)]
+    for node in walk_reference(doc):
+        assert string_projection(NodeVal(node)) == " ".join(
+            " ".join(texts_reference(node)).split())
+    assert string_projection(NodeListVal(doc.children)) == " ".join(
+        " ".join(t for child in doc.children
+                 for t in texts_reference(child)).split())
+
+
+def test_walk_and_projection_at_any_depth():
+    depth = 5000
+    doc = parse_xml(b"<s>" * depth + b" x " + b"</s>" * depth, "f.xml")
+    assert [type(n).__name__ for n in walk(doc)] == ["Element"] * depth + [
+        "Text"]
+    assert string_projection(NodeVal(doc)) == "x"
+    assert deep_contains(NodeVal(doc), PText("x"), B0) == [B0]
