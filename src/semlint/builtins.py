@@ -7,11 +7,11 @@ from __future__ import annotations
 import re
 import threading
 import unicodedata
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .engine import BuiltinError, BuiltinRegistry
 from .matcher import Bindings, SVal, TermVal, Value, string_projection
+from .record import Record
 from .terms import Str, Term, Var
 
 
@@ -50,6 +50,9 @@ def _unbound_name(t: Term, b: Bindings, pred: str) -> str:
 # each extra thread still adds to peak memory.
 DEFAULT_URL_TIMEOUT = 10.0
 DEFAULT_MAX_PROBES = 32
+# a day is far beyond any useful wait and far below the largest timeout a
+# socket takes (about 9.2e9 s)
+MAX_URL_TIMEOUT = 86400.0
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]+")
 
@@ -60,12 +63,15 @@ TIMEOUT = "timeout"
 MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class UrlProbeResult:
-    url: str
-    kind: str
-    status: Optional[int] = None
-    detail: str = ""
+class UrlProbeResult(Record, frozen=True):
+    __slots__ = ("url", "kind", "status", "detail")
+
+    def __init__(self, url: str, kind: str, status: Optional[int] = None,
+                 detail: str = ""):
+        self.url = url
+        self.kind = kind
+        self.status = status
+        self.detail = detail
 
     @property
     def live(self) -> bool:

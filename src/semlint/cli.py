@@ -13,7 +13,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import builtins as builtins_mod
@@ -21,6 +20,7 @@ from .dsl_parser import LexError, ParseError, parse_rule_texts
 from .engine import (EngineError, PassOneResult, evaluate_file, merge_facts,
                      parse_pass1, resolve_tests, serialize_pass1)
 from .matcher import string_projection
+from .record import Record
 from .reporting import Message, emit_report
 from .rule_ast import RuleSet
 from .terms import Str, Var
@@ -33,38 +33,54 @@ class CliError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    rule_files: list[str]
-    inputs: list[str]
-    cache_dir: str
-    format: str = "text"
-    offline: bool = False
-    url_timeout: float = builtins_mod.DEFAULT_URL_TIMEOUT
-    max_probes: int = builtins_mod.DEFAULT_MAX_PROBES
-    normalize_names: bool = False
-    fail_on_warnings: bool = False
-    output: str | None = None
+class RunConfig(Record):
+    __slots__ = ("rule_files", "inputs", "cache_dir", "format", "offline",
+                 "url_timeout", "max_probes", "normalize_names",
+                 "fail_on_warnings", "output")
 
-    def __post_init__(self):
-        if not self.rule_files:
+    def __init__(self, rule_files: list[str], inputs: list[str],
+                 cache_dir: str, format: str = "text", offline: bool = False,
+                 url_timeout: float = builtins_mod.DEFAULT_URL_TIMEOUT,
+                 max_probes: int = builtins_mod.DEFAULT_MAX_PROBES,
+                 normalize_names: bool = False,
+                 fail_on_warnings: bool = False, output: str | None = None):
+        if not rule_files:
             raise CliError("at least one rule file is required")
-        if not self.inputs:
+        if not inputs:
             raise CliError("at least one input file is required")
-        if self.url_timeout <= 0:
-            raise CliError("url timeout must be positive")
-        if self.max_probes < 1:
+        # NaN fails this test too; inf or a huge value would overflow the
+        # socket timeout on the first probe
+        if not 0 < url_timeout <= builtins_mod.MAX_URL_TIMEOUT:
+            raise CliError(f"url timeout must be positive and at most "
+                           f"{builtins_mod.MAX_URL_TIMEOUT:g} seconds")
+        if max_probes < 1:
             raise CliError("max probes must be >= 1")
+        self.rule_files = rule_files
+        self.inputs = inputs
+        self.cache_dir = cache_dir
+        self.format = format
+        self.offline = offline
+        self.url_timeout = url_timeout
+        self.max_probes = max_probes
+        self.normalize_names = normalize_names
+        self.fail_on_warnings = fail_on_warnings
+        self.output = output
 
 
-@dataclass
-class RunOutcome:
-    report: str
-    messages: list[Message]
-    diagnostics: list[str]
-    exit_code: int
-    evaluated: list[str] = field(default_factory=list)
-    cached: list[str] = field(default_factory=list)
+class RunOutcome(Record):
+    __slots__ = ("report", "messages", "diagnostics", "exit_code",
+                 "evaluated", "cached")
+
+    def __init__(self, report: str, messages: list[Message],
+                 diagnostics: list[str], exit_code: int,
+                 evaluated: list[str] | None = None,
+                 cached: list[str] | None = None):
+        self.report = report
+        self.messages = messages
+        self.diagnostics = diagnostics
+        self.exit_code = exit_code
+        self.evaluated = [] if evaluated is None else evaluated
+        self.cached = [] if cached is None else cached
 
 
 def _sha256(data: bytes) -> str:
@@ -116,7 +132,12 @@ def _write_cache(path: Path, text: str) -> None:
 def _load_ruleset(cfg: RunConfig) -> RuleSet:
     pairs = []
     for path in cfg.rule_files:
-        pairs.append((Path(path).read_text(encoding="utf-8"), path))
+        # "utf-8-sig" drops a leading BOM, as parse_xml accepts one; the
+        # digest of a file without one is unchanged
+        try:
+            pairs.append((Path(path).read_text(encoding="utf-8-sig"), path))
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not valid UTF-8: {exc}") from None
     return parse_rule_texts(pairs)
 
 

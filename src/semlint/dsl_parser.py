@@ -9,8 +9,8 @@ become TEXT tokens.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
+from .record import Record
 from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
                        EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
                        Pattern, Polarity, Rule, RuleSet, Test, TestRule,
@@ -35,11 +35,13 @@ class ParseError(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str       # punctuation lexeme, or NAME / STRING / TEXT / EOF
-    lexeme: str
-    pos: SourcePos
+class Token(Record, frozen=True):
+    __slots__ = ("kind", "lexeme", "pos")
+
+    def __init__(self, kind: str, lexeme: str, pos: SourcePos):
+        self.kind = kind    # punctuation lexeme, or NAME / STRING / TEXT / EOF
+        self.lexeme = lexeme
+        self.pos = pos
 
 
 def _is_name_rest(c: str) -> bool:

@@ -13,13 +13,13 @@ cached test refers to its rule by index instead of copying the rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import reporting
 from .matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal,
                       TypeMismatch, Value, deep_contains, match_node,
                       string_projection, unify)
+from .record import Record
 from .rule_ast import (Assign, EnvRule, Eq, PAnon, PElem, PEmptyElem,
                        Pattern, Polarity, PText, PVar, Rule, RuleSet,
                        TestRule, consequence_vars)
@@ -75,32 +75,44 @@ class LocalEnv:
         return child
 
 
-@dataclass(frozen=True)
-class Fact:
-    term: Functor
-    # diagnostic only, not part of fact identity, and cold-only: a fact
-    # read back from the pass-1 cache gets line 1 of its file
-    origin: SourcePos
+class Fact(Record, frozen=True):
+    __slots__ = ("term", "origin")
+
+    def __init__(self, term: Functor, origin: SourcePos):
+        self.term = term
+        # diagnostic only, not part of fact identity, and cold-only: a fact
+        # read back from the pass-1 cache gets line 1 of its file
+        self.origin = origin
 
 
-@dataclass(frozen=True)
-class DelayedTest:
-    rule_index: int
-    polarity: Polarity
-    goal: Functor
-    captured: Bindings
-    consequence: Union[Pattern, Term]
-    pos: SourcePos
+class DelayedTest(Record, frozen=True):
+    __slots__ = ("rule_index", "polarity", "goal", "captured", "consequence",
+                 "pos")
+
+    def __init__(self, rule_index: int, polarity: Polarity, goal: Functor,
+                 captured: Bindings, consequence: Union[Pattern, Term],
+                 pos: SourcePos):
+        self.rule_index = rule_index
+        self.polarity = polarity
+        self.goal = goal
+        self.captured = captured
+        self.consequence = consequence
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class PassOneResult:
-    source_file: str
-    facts: tuple[Fact, ...]
-    tests: tuple[DelayedTest, ...]
-    diagnostics: tuple[str, ...]
-    input_digest: str
-    rules_digest: str
+class PassOneResult(Record, frozen=True):
+    __slots__ = ("source_file", "facts", "tests", "diagnostics",
+                 "input_digest", "rules_digest")
+
+    def __init__(self, source_file: str, facts: tuple[Fact, ...],
+                 tests: tuple[DelayedTest, ...], diagnostics: tuple[str, ...],
+                 input_digest: str, rules_digest: str):
+        self.source_file = source_file
+        self.facts = facts
+        self.tests = tests
+        self.diagnostics = diagnostics
+        self.input_digest = input_digest
+        self.rules_digest = rules_digest
 
 
 def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,

@@ -6,32 +6,40 @@ match is the ordinary ``None`` outcome rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .record import Record
 from .rule_ast import AttrPattern, PAnon, PEmptyElem, PText, PVar, Pattern
 from .terms import Functor, Str, Term, Var, is_ground, term_to_text
 from .xml_frontend import Element, Text, XmlNode, walk
 
 
-@dataclass(frozen=True)
-class SVal:
-    value: str
+class SVal(Record, frozen=True):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class NodeVal:
-    node: XmlNode
+class NodeVal(Record, frozen=True):
+    __slots__ = ("node",)
+
+    def __init__(self, node: XmlNode):
+        self.node = node
 
 
-@dataclass(frozen=True)
-class NodeListVal:
-    nodes: tuple[XmlNode, ...]
+class NodeListVal(Record, frozen=True):
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[XmlNode, ...]):
+        self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class TermVal:
-    term: Term
+class TermVal(Record, frozen=True):
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        self.term = term
 
 
 Value = Union[SVal, NodeVal, NodeListVal, TermVal]

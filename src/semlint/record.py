@@ -1,0 +1,40 @@
+"""Record: the shared base of semlint's small value classes.
+
+The value classes used to be ``@dataclass`` classes.  Building them and
+importing ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) cost
+35-45 ms of every start-up on a 2-core VM with Python 3.11: most of what
+a warm check of a cached corpus spent in semlint.  A Record subclass
+lists its fields, in order, in ``__slots__`` and stores them in its own
+``__init__``; this base gives it a dataclass's equality and repr, and a
+hash if it is declared ``frozen``.  Records are never changed after
+construction, frozen or not: that is a convention, not enforced.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        super().__init_subclass__()
+        # the class leads the key so that it is a tuple even for one field
+        # or none; records of one class compare as tuples of their fields
+        cls._key = attrgetter("__class__", *cls.__slots__)
+        if frozen:
+            cls.__hash__ = Record._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def _hash(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import html as html_mod
 import json
-from dataclasses import dataclass
 from typing import Union
 
 from .matcher import Bindings, normalize_ws, string_projection
+from .record import Record
 from .rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
 from .terms import Functor, Str, Term, Var, term_to_text
 from .xml_frontend import SourcePos
@@ -25,13 +25,16 @@ class UnboundInConsequence(Exception):
         self.var = var
 
 
-@dataclass(frozen=True)
-class Message:
-    pos: SourcePos
-    rule_index: int
-    html: str
-    text: str
-    solution_key: str
+class Message(Record, frozen=True):
+    __slots__ = ("pos", "rule_index", "html", "text", "solution_key")
+
+    def __init__(self, pos: SourcePos, rule_index: int, html: str, text: str,
+                 solution_key: str):
+        self.pos = pos
+        self.rule_index = rule_index
+        self.html = html
+        self.text = text
+        self.solution_key = solution_key
 
     def sort_key(self):
         return (self.pos.file, self.pos.line, self.rule_index,

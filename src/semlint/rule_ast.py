@@ -7,78 +7,96 @@ environment actions (assignments / fact assertions) or a delayed test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
+from .record import Record
 from .terms import Functor, Str, Term, Var, term_vars
 from .xml_frontend import SourcePos
 
 ANON = "_"
 
 
-@dataclass(frozen=True)
-class AttrPattern:
-    name: str
-    # value is Str (exact match), Var (bind/check) or None for $_ (presence only)
-    value: Union[Str, Var, None]
+class AttrPattern(Record, frozen=True):
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: Union[Str, Var, None]):
+        self.name = name
+        # Str (exact match), Var (bind/check) or None for $_ (presence only)
+        self.value = value
 
 
-@dataclass(frozen=True)
-class PElem:
-    name: str
-    attrs: tuple[AttrPattern, ...]
-    children: tuple["Pattern", ...]
+class PElem(Record, frozen=True):
+    __slots__ = ("name", "attrs", "children")
+
+    def __init__(self, name: str, attrs: tuple[AttrPattern, ...],
+                 children: tuple["Pattern", ...]):
+        self.name = name
+        self.attrs = attrs
+        self.children = children
 
 
-@dataclass(frozen=True)
-class PEmptyElem:
-    name: str
-    attrs: tuple[AttrPattern, ...]
+class PEmptyElem(Record, frozen=True):
+    __slots__ = ("name", "attrs")
+
+    def __init__(self, name: str, attrs: tuple[AttrPattern, ...]):
+        self.name = name
+        self.attrs = attrs
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+class PVar(Record, frozen=True):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class PAnon:
-    pass
+class PAnon(Record, frozen=True):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PText:
-    content: str
+class PText(Record, frozen=True):
+    __slots__ = ("content",)
+
+    def __init__(self, content: str):
+        self.content = content
 
 
 Pattern = Union[PElem, PEmptyElem, PVar, PAnon, PText]
 
 
-@dataclass(frozen=True)
-class Eq:
-    env_var: str
-    rhs: Term
+class Eq(Record, frozen=True):
+    __slots__ = ("env_var", "rhs")
+
+    def __init__(self, env_var: str, rhs: Term):
+        self.env_var = env_var
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class Contains:
-    var: str
-    pattern: Pattern
+class Contains(Record, frozen=True):
+    __slots__ = ("var", "pattern")
+
+    def __init__(self, var: str, pattern: Pattern):
+        self.var = var
+        self.pattern = pattern
 
 
 Condition = Union[Eq, Contains]
 
 
-@dataclass(frozen=True)
-class Assign:
-    env_var: str
-    value: Term
+class Assign(Record, frozen=True):
+    __slots__ = ("env_var", "value")
+
+    def __init__(self, env_var: str, value: Term):
+        self.env_var = env_var
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Assert:
-    fact: Functor
+class Assert(Record, frozen=True):
+    __slots__ = ("fact",)
+
+    def __init__(self, fact: Functor):
+        self.fact = fact
 
 
 Action = Union[Assign, Assert]
@@ -89,41 +107,53 @@ class Polarity(Enum):
     IF_PRESENT = "if"      # ? pred -> conseq -- warn once per solution
 
 
-@dataclass(frozen=True)
-class Test:
+class Test(Record, frozen=True):
     __test__ = False
+    __slots__ = ("polarity", "goal", "consequence")
 
-    polarity: Polarity
-    goal: Functor
-    consequence: Union[Pattern, Term]
-
-
-@dataclass(frozen=True)
-class EnvRule:
-    actions: tuple[Action, ...]
+    def __init__(self, polarity: Polarity, goal: Functor,
+                 consequence: Union[Pattern, Term]):
+        self.polarity = polarity
+        self.goal = goal
+        self.consequence = consequence
 
 
-@dataclass(frozen=True)
-class TestRule:
+class EnvRule(Record, frozen=True):
+    __slots__ = ("actions",)
+
+    def __init__(self, actions: tuple[Action, ...]):
+        self.actions = actions
+
+
+class TestRule(Record, frozen=True):
     __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ("test",)
 
-    test: Test
-
-
-@dataclass(frozen=True)
-class Rule:
-    index: int
-    pattern: Pattern
-    conditions: tuple[Condition, ...]
-    body: Union[EnvRule, TestRule]
-    skipped: bool
-    pos: SourcePos
+    def __init__(self, test: Test):
+        self.test = test
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...]
-    source_hash: str
+class Rule(Record, frozen=True):
+    __slots__ = ("index", "pattern", "conditions", "body", "skipped", "pos")
+
+    def __init__(self, index: int, pattern: Pattern,
+                 conditions: tuple[Condition, ...],
+                 body: Union[EnvRule, TestRule], skipped: bool,
+                 pos: SourcePos):
+        self.index = index
+        self.pattern = pattern
+        self.conditions = conditions
+        self.body = body
+        self.skipped = skipped
+        self.pos = pos
+
+
+class RuleSet(Record, frozen=True):
+    __slots__ = ("rules", "source_hash")
+
+    def __init__(self, rules: tuple[Rule, ...], source_hash: str):
+        self.rules = rules
+        self.source_hash = source_hash
 
 
 def pattern_vars(p: Pattern) -> Iterator[str]:

@@ -7,24 +7,31 @@ insignificant whitespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Str:
-    value: str
+class Var(Record, frozen=True):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Functor:
-    name: str
-    args: tuple["Term", ...] = ()
+class Str(Record, frozen=True):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
+
+
+class Functor(Record, frozen=True):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple["Term", ...] = ()):
+        self.name = name
+        self.args = args
 
 
 Term = Union[Var, Str, Functor]

@@ -10,15 +10,18 @@ dropped, and every node keeps the line of its opening construct.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 from xml.parsers import expat
 
+from .record import Record
 
-@dataclass(frozen=True)
-class SourcePos:
-    file: str
-    line: int
+
+class SourcePos(Record, frozen=True):
+    __slots__ = ("file", "line")
+
+    def __init__(self, file: str, line: int):
+        self.file = file
+        self.line = line
 
 
 class MalformedXml(Exception):
@@ -35,22 +38,46 @@ class EncodingError(Exception):
         self.detail = detail
 
 
-# Nodes are slotted and mutable only because frozen construction costs
-# about three times as much per node; treat them as immutable.  They are
-# unhashable, and __eq__ still recurses through children: comparing two
-# subtrees some 250 levels deep (one variable bound twice) overflows.
-@dataclass(slots=True)
-class Text:
-    content: str
-    pos: SourcePos
+# Nodes are records but not frozen ones: nothing hashes a node, and a hash
+# would recurse through its subtree.  Equal subtrees are only compared (one
+# variable bound twice), by an Element.__eq__ that does not recurse.
+class Text(Record):
+    __slots__ = ("content", "pos")
+
+    def __init__(self, content: str, pos: SourcePos):
+        self.content = content
+        self.pos = pos
 
 
-@dataclass(slots=True)
-class Element:
-    name: str
-    attrs: tuple[tuple[str, str], ...]
-    children: tuple["XmlNode", ...]
-    pos: SourcePos
+class Element(Record):
+    __slots__ = ("name", "attrs", "children", "pos")
+
+    def __init__(self, name: str, attrs: tuple[tuple[str, str], ...],
+                 children: tuple["XmlNode", ...], pos: SourcePos):
+        self.name = name
+        self.attrs = attrs
+        self.children = children
+        self.pos = pos
+
+    def __eq__(self, other):
+        # field by field as Record does, with an explicit stack instead of
+        # recursion through children, so any depth compares
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if ((a.name, a.attrs, a.pos) != (b.name, b.attrs, b.pos)
+                    or len(a.children) != len(b.children)):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if x.__class__ is Element and y.__class__ is Element:
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
 
 XmlNode = Union[Element, Text]

@@ -1,6 +1,8 @@
 import io
 import json
+import hashlib
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +11,9 @@ import pytest
 
 from semlint import cli
 from semlint.builtins import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT,
-                              HttpProber)
-from semlint.cli import (CliError, RunConfig, _cache_path, execute,
-                         expand_inputs, main, run)
+                              MAX_URL_TIMEOUT, HttpProber)
+from semlint.cli import (CliError, RunConfig, _cache_path, _load_ruleset,
+                         execute, expand_inputs, main, run)
 from stub_prober import StubProber
 
 RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
@@ -450,3 +452,65 @@ def test_contains_on_a_string_is_a_diagnostic(tmp_path, monkeypatch,
     assert run(cfg, stdout=io.StringIO(), stderr=warm_err) == 0
     assert cold_err.getvalue() == warm_err.getvalue() == f"semlint: {where}\n"
     assert execute(cfg).cached == ["d.xml"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e12", "0", "-1"])
+def test_main_rejects_unusable_url_timeouts(tmp_path, capsys, value):
+    rules, inputs = write_corpus(tmp_path)
+    assert main(["--rules", rules, "--cache-dir", str(tmp_path / "cache"),
+                 "--url-timeout", value, *inputs]) == 2
+    assert capsys.readouterr().err == (
+        "semlint: error: url timeout must be positive and at most "
+        "86400 seconds\n")
+
+
+def test_largest_url_timeout_is_accepted_by_sockets(tmp_path):
+    rules, inputs = write_corpus(tmp_path)
+    cfg = config(tmp_path, rules, inputs, url_timeout=MAX_URL_TIMEOUT)
+    with socket.socket() as sock:
+        sock.settimeout(cfg.url_timeout)
+
+
+def test_rules_file_not_utf8_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, inputs = write_corpus(tmp_path)
+    Path("bad.rules").write_bytes(b'<a/> => p("\xff");\n')
+    out, err = io.StringIO(), io.StringIO()
+    assert run(config(tmp_path, "bad.rules", inputs), stdout=out,
+               stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "semlint: error: bad.rules: not valid UTF-8: 'utf-8' codec can't "
+        "decode byte 0xff in position 11: invalid start byte\n")
+
+
+def test_rules_file_may_start_with_a_bom(tmp_path):
+    rules, inputs = write_corpus(tmp_path)
+    plain = execute(config(tmp_path, rules, inputs))
+    assert (_load_ruleset(config(tmp_path, rules, inputs)).source_hash
+            == hashlib.sha256(RULES.encode("utf-8")).hexdigest())
+    Path(rules).write_bytes(b"\xef\xbb\xbf" + RULES.encode("utf-8"))
+    with_bom = execute(config(tmp_path, rules, inputs))
+    assert with_bom.report == plain.report
+    assert with_bom.cached == inputs
+
+
+@pytest.mark.parametrize("depth", [300, 5000])
+def test_variable_bound_twice_to_deep_subtrees(tmp_path, monkeypatch, depth):
+    # the head compares its first two children: equal chains bind $X, and
+    # chains that differ only at the bottom do not
+    monkeypatch.chdir(tmp_path)
+    Path("d.rules").write_text(
+        "<a> <$X> <$X> <$_> </a> => p($X);\n"
+        "<r> <$_> </r> ? p($Y) -> <w> twice: <$Y> </w>;\n", encoding="utf-8")
+
+    def chain(text):
+        return "<s>" * depth + text + "</s>" * depth
+    Path("d.xml").write_text(
+        f"<r>\n<a>{chain('x')}{chain('x')}</a>\n"
+        f"<a>{chain('x')}{chain('y')}<b/></a>\n</r>\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(config(tmp_path, "d.rules", ["d.xml"]), stdout=out,
+               stderr=err) == 0
+    assert out.getvalue() == "d.xml:1: twice: x\n1 messages\n"
+    assert err.getvalue() == ""

@@ -1,5 +1,6 @@
 """Every name a module of src/semlint imports is used in that module, and
-importing the CLI leaves the HTTP stack unloaded until a URL is probed."""
+importing the CLI leaves the HTTP stack unloaded until a URL is probed, and
+dataclasses unloaded altogether."""
 
 import ast
 import os
@@ -37,13 +38,24 @@ def test_module_has_no_unused_imports(module):
 
 
 HTTP_STACK = ("urllib.request", "http.client", "ssl", "concurrent.futures")
+# building the value classes as dataclasses cost about 45 ms of every
+# start-up, importing inspect included (see semlint/record.py)
+DATACLASSES = ("dataclasses", "inspect")
 
 
-def test_cli_import_leaves_http_stack_unloaded():
+def loaded_by_cli_import(modules: tuple[str, ...]) -> str:
     code = ("import sys, semlint.cli; "
-            f"print([m for m in {HTTP_STACK!r} if m in sys.modules])")
+            f"print([m for m in {modules!r} if m in sys.modules])")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    assert loaded_by_cli_import(HTTP_STACK) == "[]"
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    assert loaded_by_cli_import(DATACLASSES) == "[]"

@@ -4,8 +4,6 @@ The reference below tries every rule at every node, the way evaluate_file
 did before rules were grouped by the element name of their head.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +12,7 @@ from semlint.dsl_parser import parse_rules
 from semlint.engine import (Fact, LocalEnv, _capture_test, _eval_condition,
                             _ground_term, _ground_value, evaluate_file)
 from semlint.matcher import Bindings, SVal, match_node
-from semlint.rule_ast import Assign, EnvRule, PAnon, PVar, RuleSet
+from semlint.rule_ast import Assign, EnvRule, PAnon, PVar, Rule, RuleSet
 from semlint.xml_frontend import Element, SourcePos, Text, parse_xml
 
 
@@ -112,10 +110,9 @@ def rulesets(draw):
     parsed = parse_rules("".join(text for _, text in drawn), "r.rules")
     rules = []
     for (kind, _), rule in zip(drawn, parsed.rules):
-        if kind == "var":
-            rule = replace(rule, pattern=PVar("X"))
-        elif kind == "anon":
-            rule = replace(rule, pattern=PAnon())
+        if kind in ("var", "anon"):
+            rule = Rule(rule.index, PVar("X") if kind == "var" else PAnon(),
+                        rule.conditions, rule.body, rule.skipped, rule.pos)
         rules.append(rule)
     return RuleSet(tuple(rules), parsed.source_hash)
 
