@@ -10,7 +10,7 @@ import unicodedata
 from typing import Optional, Union
 
 from .engine import BuiltinError, BuiltinRegistry
-from .matcher import Bindings, SVal, TermVal, Value, string_projection
+from .matcher import Bindings, Value, string_projection, unify
 from .record import Record
 from .terms import Str, Term, Var
 
@@ -20,13 +20,11 @@ class InstantiationError(BuiltinError):
 
 
 def _arg(t: Term, b: Bindings) -> Union[Value, str]:
-    """Resolve a goal argument: a Value if bound, the var name if unbound."""
+    """Resolve a goal argument: its value if bound, the var name if unbound."""
     if isinstance(t, Var):
         value = b.get(t.name)
         return value if value is not None else t.name
-    if isinstance(t, Str):
-        return SVal(t.value)
-    return TermVal(t)
+    return t
 
 
 def _bound_text(t: Term, b: Bindings, pred: str) -> str:
@@ -202,7 +200,7 @@ def strip_accents(s: str) -> str:
 
 def _title_key(fact) -> Optional[str]:
     """A pub fact's title; None (never asked for) unless both args are Str."""
-    title, project = fact.term.args
+    title, project = fact.args
     if isinstance(title, Str) and isinstance(project, Str):
         return title.value
     return None
@@ -225,7 +223,7 @@ def make_registry(prober=None, offline: bool = False,
 
     def name_key(fact):
         return tuple(fold(a.value if isinstance(a, Str) else "")
-                     for a in fact.term.args)
+                     for a in fact.args)
 
     def personne1(args, b, store):
         wanted = tuple(fold(_bound_text(a, b, "personne1")) for a in args)
@@ -235,20 +233,24 @@ def make_registry(prober=None, offline: bool = False,
         title = _bound_text(args[0], b, "pubbyotherproject")
         project = _bound_text(args[1], b, "pubbyotherproject")
         other = _unbound_name(args[2], b, "pubbyotherproject")
-        return [b.bind(other, SVal(fact.term.args[1].value))
+        return [b.bind(other, fact.args[1])
                 for fact in store.index("pub", 2, _title_key).get(title, ())
-                if fact.term.args[1].value != project]
+                if fact.args[1].value != project]
 
     def testurl(args, b, store):
         url = _bound_text(args[0], b, "testurl")
         a1 = _unbound_name(args[1], b, "testurl")
-        a2 = _unbound_name(args[2], b, "testurl")
+        _unbound_name(args[2], b, "testurl")
         if offline:
             return []
         answers = probe_answers(prober.probe(url))
         if answers is None:
             return []
-        return [b.bind(a1, SVal(answers[0])).bind(a2, SVal(answers[1]))]
+        # the second output may be the first one's variable again, as in
+        # testurl($U, $A, $A): then there is a solution only if they agree
+        solution = unify(args[2], Str(answers[1]),
+                         b.bind(a1, Str(answers[0])))
+        return [] if solution is None else [solution]
 
     return {
         ("sameyear", 2): sameyear,

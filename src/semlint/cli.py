@@ -21,7 +21,7 @@ from .engine import (EngineError, PassOneResult, evaluate_file, merge_facts,
                      parse_pass1, resolve_tests, serialize_pass1)
 from .matcher import string_projection
 from .record import Record
-from .reporting import Message, emit_report
+from .reporting import FORMATS, Message, emit_report
 from .rule_ast import RuleSet
 from .terms import Str, Var
 from .xml_frontend import EncodingError, MalformedXml, parse_xml
@@ -48,6 +48,8 @@ class RunConfig(Record):
             raise CliError("at least one rule file is required")
         if not inputs:
             raise CliError("at least one input file is required")
+        if format not in FORMATS:
+            raise CliError(f"unknown report format {format!r}")
         # NaN fails this test too; inf or a huge value would overflow the
         # socket timeout on the first probe
         if not 0 < url_timeout <= builtins_mod.MAX_URL_TIMEOUT:
@@ -88,15 +90,20 @@ def _sha256(data: bytes) -> str:
 
 
 def expand_inputs(patterns: list[str]) -> list[str]:
+    """Each argument as the path it names, else as a glob of paths.
+
+    A shell has already expanded its globs, so an existing path such as
+    rep[1].xml is taken literally, never re-globbed.
+    """
     out: list[str] = []
     for pattern in patterns:
-        if any(c in pattern for c in "*?["):
+        if os.path.exists(pattern) or not any(c in pattern for c in "*?["):
+            out.append(pattern)
+        else:
             matches = sorted(glob.glob(pattern))
             if not matches:
                 raise CliError(f"no input matches pattern {pattern!r}")
             out.extend(matches)
-        else:
-            out.append(pattern)
     return out
 
 
@@ -193,9 +200,10 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
 def _test_urls(tests) -> list[str]:
     urls = []
     for dt in tests:
-        if dt.goal.name != "testurl" or len(dt.goal.args) != 3:
+        goal = dt.test.goal
+        if goal.name != "testurl" or len(goal.args) != 3:
             continue
-        arg = dt.goal.args[0]
+        arg = goal.args[0]
         if isinstance(arg, Str):
             urls.append(arg.value)
         elif isinstance(arg, Var) and arg.name in dt.captured:
@@ -234,7 +242,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="rule file(s), concatenated in order")
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV),
                         help=f"pass-1 cache directory (or ${CACHE_DIR_ENV})")
-    parser.add_argument("--format", choices=["html", "text", "machine"],
+    parser.add_argument("--format", choices=FORMATS,
                         default="text")
     parser.add_argument("--offline", action="store_true",
                         help="never touch the network; URL tests are silent")

@@ -13,18 +13,16 @@ cached test refers to its rule by index instead of copying the rule.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import reporting
-from .matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal,
-                      TypeMismatch, Value, deep_contains, match_node,
-                      string_projection, unify)
+from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
+                      match_node, string_projection, unify)
 from .record import Record
-from .rule_ast import (Assign, EnvRule, Eq, PAnon, PElem, PEmptyElem,
-                       Pattern, Polarity, PText, PVar, Rule, RuleSet,
-                       TestRule, consequence_vars)
-from .terms import Functor, Str, Term, term_to_text, term_vars
-from .xml_frontend import Element, SourcePos, XmlNode
+from .rule_ast import (Assign, EnvRule, Eq, Polarity, PText, Rule, RuleSet,
+                       Test, TestRule, consequence_vars)
+from .terms import Functor, Str, Term, Var, term_to_text, term_vars
+from .xml_frontend import Element, SourcePos, Text, XmlNode
 
 
 class EngineError(Exception):
@@ -75,28 +73,15 @@ class LocalEnv:
         return child
 
 
-class Fact(Record, frozen=True):
-    __slots__ = ("term", "origin")
-
-    def __init__(self, term: Functor, origin: SourcePos):
-        self.term = term
-        # diagnostic only, not part of fact identity, and cold-only: a fact
-        # read back from the pass-1 cache gets line 1 of its file
-        self.origin = origin
-
-
 class DelayedTest(Record, frozen=True):
-    __slots__ = ("rule_index", "polarity", "goal", "captured", "consequence",
-                 "pos")
+    __slots__ = ("rule_index", "test", "captured", "pos")
 
-    def __init__(self, rule_index: int, polarity: Polarity, goal: Functor,
-                 captured: Bindings, consequence: Union[Pattern, Term],
+    def __init__(self, rule_index: int, test: Test, captured: Bindings,
                  pos: SourcePos):
         self.rule_index = rule_index
-        self.polarity = polarity
-        self.goal = goal
+        # the rule's own Test record: its goal, polarity and template
+        self.test = test
         self.captured = captured
-        self.consequence = consequence
         self.pos = pos
 
 
@@ -104,7 +89,7 @@ class PassOneResult(Record, frozen=True):
     __slots__ = ("source_file", "facts", "tests", "diagnostics",
                  "input_digest", "rules_digest")
 
-    def __init__(self, source_file: str, facts: tuple[Fact, ...],
+    def __init__(self, source_file: str, facts: tuple[Functor, ...],
                  tests: tuple[DelayedTest, ...], diagnostics: tuple[str, ...],
                  input_digest: str, rules_digest: str):
         self.source_file = source_file
@@ -117,18 +102,18 @@ class PassOneResult(Record, frozen=True):
 
 def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
                   input_digest: str = "") -> PassOneResult:
-    facts: list[Fact] = []
+    facts: list[Functor] = []
     tests: list[DelayedTest] = []
     diagnostics: list[str] = []
 
-    any_node, by_name, text_rules = _rules_by_head(rules)
-    source_file = SVal(file)
+    by_name, text_rules = _rules_by_head(rules)
+    source_file = Str(file)
 
     def apply(node: XmlNode, candidates: list[Rule],
               env: LocalEnv) -> LocalEnv:
         """Fire the candidates that match node; the env its children see."""
         seed = Bindings({"SourceFile": source_file,
-                         "SourceLine": SVal(str(node.pos.line))})
+                         "SourceLine": Str(str(node.pos.line))})
         applicable: list[tuple[Rule, Bindings]] = []
         for rule in candidates:
             # looked up in this module on each call, where it can be wrapped
@@ -168,7 +153,7 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
                     else:
                         term = _ground_term(act.fact, b, node.pos)
                         assert isinstance(term, Functor)
-                        facts.append(Fact(term, node.pos))
+                        facts.append(term)
             else:
                 tests.append(_capture_test(rule, b, node.pos))
         return child_env
@@ -182,7 +167,7 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
         if node is None:
             stack.pop()
         elif isinstance(node, Element):
-            candidates = by_name.get(node.name, any_node)
+            candidates = by_name.get(node.name)
             if candidates:
                 env = apply(node, candidates, env)
             if node.children:
@@ -195,20 +180,22 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
 
 
 def _rules_by_head(rules: RuleSet):
-    """Live rules for any element, by element name, and for text nodes.
+    """Live rules by the element name of their head, and text-headed rules.
 
-    $X/$_ heads are in every list.  Each list keeps the ruleset's order,
-    which orders facts, tests and conflicting-assignment diagnostics.
+    A head is an element or text (the parser rejects $X and $_ heads).  Each
+    list keeps the ruleset's order, which orders facts, tests and
+    conflicting-assignment diagnostics.
     """
-    live = [rule for rule in rules.rules if not rule.skipped]
-    # a head is its element name, or the class of a $X, $_ or text pattern
-    heads = [(r, r.pattern.name if isinstance(r.pattern, (PElem, PEmptyElem))
-              else type(r.pattern)) for r in live]
-    any_node = [r for r, head in heads if head in (PVar, PAnon)]
-    text_rules = [r for r, head in heads if head in (PVar, PAnon, PText)]
-    by_name = {name: [r for r, head in heads if head in (PVar, PAnon, name)]
-               for _, name in heads if isinstance(name, str)}
-    return any_node, by_name, text_rules
+    by_name: dict[str, list[Rule]] = {}
+    text_rules: list[Rule] = []
+    for rule in rules.rules:
+        if rule.skipped:
+            continue
+        if isinstance(rule.pattern, PText):
+            text_rules.append(rule)
+        else:
+            by_name.setdefault(rule.pattern.name, []).append(rule)
+    return by_name, text_rules
 
 
 def _eval_condition(cond, b: Bindings, env: LocalEnv) -> Optional[Bindings]:
@@ -236,17 +223,19 @@ def _ground_term(term: Term, b: Bindings, pos: SourcePos,
     value = b.get(term.name)
     if value is None:
         raise NonGroundAssertion(pos, top, term.name)
-    if isinstance(value, TermVal):
-        return value.term
-    return Str(string_projection(value))
+    return _project_nodes(value)
+
+
+def _project_nodes(value: Value) -> Value:
+    """A node or node list as the string it projects to; a term as itself."""
+    if isinstance(value, (Element, Text, tuple)):
+        return Str(string_projection(value))
+    return value
 
 
 def _ground_value(term: Term, b: Bindings, pos: SourcePos) -> Value:
-    if isinstance(term, Str):
-        return SVal(term.value)
-    if isinstance(term, Functor):
-        ground = _ground_term(term, b, pos)
-        return TermVal(ground)
+    if not isinstance(term, Var):
+        return _ground_term(term, b, pos)
     value = b.get(term.name)
     if value is None:
         raise NonGroundAssertion(pos, term, term.name)
@@ -264,17 +253,14 @@ def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
         value = b.get(name)
         if value is None:
             continue
-        if isinstance(value, (NodeVal, NodeListVal)):
-            value = SVal(string_projection(value))
-        captured = captured.bind(name, value)
-    return DelayedTest(rule.index, test.polarity, test.goal, captured,
-                       test.consequence, pos)
+        captured = captured.bind(name, _project_nodes(value))
+    return DelayedTest(rule.index, test, captured, pos)
 
 
 # -- pass 2 -------------------------------------------------------------------
 
 class FactStore:
-    """Deduplicated ground facts bucketed by functor name and arity.
+    """Deduplicated ground facts (functors) by functor name and arity.
 
     A bucket is sorted by term text on the first lookup after a change and
     that order is reused until the next add to it.  index(name, arity, key)
@@ -284,27 +270,28 @@ class FactStore:
     """
 
     def __init__(self):
-        self._by_key: dict[tuple[str, int], dict[Functor, Fact]] = {}
-        self._sorted: dict[tuple[str, int], tuple[Fact, ...]] = {}
+        # a bucket is a dict used as an ordered set: a set's order varies
+        # with string hashing, and the sort by term text must be stable
+        self._by_key: dict[tuple[str, int], dict[Functor, None]] = {}
+        self._sorted: dict[tuple[str, int], tuple[Functor, ...]] = {}
         self._indexes: dict[tuple[str, int], dict[Callable, dict]] = {}
 
-    def add(self, fact: Fact) -> None:
-        key = (fact.term.name, len(fact.term.args))
-        bucket = self._by_key.setdefault(key, {})
-        bucket.setdefault(fact.term, fact)
+    def add(self, fact: Functor) -> None:
+        key = (fact.name, len(fact.args))
+        self._by_key.setdefault(key, {})[fact] = None
         self._sorted.pop(key, None)
         self._indexes.pop(key, None)
 
-    def lookup(self, name: str, arity: int) -> tuple[Fact, ...]:
+    def lookup(self, name: str, arity: int) -> tuple[Functor, ...]:
         key = (name, arity)
         if key not in self._sorted:
-            self._sorted[key] = tuple(sorted(
-                self._by_key.get(key, {}).values(),
-                key=lambda f: term_to_text(f.term)))
+            # looked up in this module on each call, where it can be wrapped
+            self._sorted[key] = tuple(sorted(self._by_key.get(key, {}),
+                                             key=term_to_text))
         return self._sorted[key]
 
     def index(self, name: str, arity: int,
-              key: Callable[[Fact], object]) -> dict:
+              key: Callable[[Functor], object]) -> dict:
         """key(fact) -> the facts with that key, in lookup order."""
         indexes = self._indexes.setdefault((name, arity), {})
         if key not in indexes:
@@ -340,7 +327,7 @@ def solve(goal: Functor, b: Bindings, store: FactStore,
         raise UnknownPredicate(*key)
     out = []
     for fact in facts:
-        b2 = unify(goal, fact.term, b)
+        b2 = unify(goal, fact, b)
         if b2 is not None:
             out.append(b2)
     return out
@@ -355,7 +342,7 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
 
     for dt in tests:
         try:
-            solutions = solve(dt.goal, dt.captured, store, builtins)
+            solutions = solve(dt.test.goal, dt.captured, store, builtins)
         except UnknownPredicate as exc:
             key = (exc.name, exc.arity)
             if key not in unknown_reported:
@@ -367,17 +354,17 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
             continue
 
         try:
-            if dt.polarity is Polarity.IF_ABSENT:
+            if dt.test.polarity is Polarity.IF_ABSENT:
                 if not solutions:
                     html, text = reporting.render_consequence(
-                        dt.consequence, dt.captured)
+                        dt.test.consequence, dt.captured)
                     messages.append(reporting.Message(
                         dt.pos, dt.rule_index, html, text, ""))
             else:
                 seen: set[str] = set()
                 for sol in solutions:
                     html, text = reporting.render_consequence(
-                        dt.consequence, sol)
+                        dt.test.consequence, sol)
                     if html in seen:
                         continue
                     seen.add(html)
@@ -403,7 +390,7 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 # -- pass-1 result cache ------------------------------------------------------
 #
 # One JSON document per input file.  A term is a string (Str) or a list
-# [name, *args] (Functor); a captured value is stored as the term it holds.
+# [name, *args] (Functor); a fact and a captured value are such terms.
 # A delayed test is stored as [rule_index, line, {var: value}]: its goal and
 # consequence are read back from the ruleset, whose digest is in the entry.
 # {var: value} leaves out $SourceFile and $SourceLine, which are always the
@@ -418,9 +405,9 @@ def serialize_pass1(result: PassOneResult) -> str:
         "format": CACHE_FORMAT,
         "input": result.input_digest,
         "rules": result.rules_digest,
-        "facts": [_term_to_json(fact.term) for fact in result.facts],
+        "facts": [_term_to_json(fact) for fact in result.facts],
         "tests": [[dt.rule_index, dt.pos.line,
-                   {name: _value_to_json(value)
+                   {name: _term_to_json(value)
                     for name, value in dt.captured.items()
                     if name not in _POSITION_VARS}]
                   for dt in result.tests],
@@ -441,7 +428,7 @@ def parse_pass1(text: str, source_file: str,
         term = _term_from_json(item)
         if not isinstance(term, Functor):
             raise ValueError(f"bad cached fact {item!r}")
-        facts.append(Fact(term, SourcePos(source_file, 1)))
+        facts.append(term)
     tests = tuple(_test_from_json(item, source_file, rules)
                   for item in _typed(doc.get("tests"), list))
     diagnostics = tuple(_typed(d, str)
@@ -473,20 +460,6 @@ def _term_from_json(item) -> Term:
     raise ValueError(f"bad cached term {item!r}")
 
 
-def _value_to_json(value: Value):
-    # pass 1 captures only strings and ground functors
-    if isinstance(value, SVal):
-        return value.value
-    if isinstance(value, TermVal) and isinstance(value.term, Functor):
-        return _term_to_json(value.term)
-    raise ValueError(f"value not serializable: {value!r}")
-
-
-def _value_from_json(item) -> Value:
-    term = _term_from_json(item)
-    return SVal(term.value) if isinstance(term, Str) else TermVal(term)
-
-
 def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     if type(item) is not list or len(item) != 3:
         raise ValueError(f"bad cached test {item!r}")
@@ -495,10 +468,9 @@ def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
     if rule is None or not isinstance(rule.body, TestRule):
         raise ValueError(f"cached test names rule {index}, not a test rule")
-    test = rule.body.test
-    bindings = (Bindings({name: _value_from_json(value)
+    bindings = (Bindings({name: _term_from_json(value)
                           for name, value in captured.items()})
-                .bind("SourceFile", SVal(source_file))
-                .bind("SourceLine", SVal(str(line))))
-    return DelayedTest(index, test.polarity, test.goal, bindings,
-                       test.consequence, SourcePos(source_file, line))
+                .bind("SourceFile", Str(source_file))
+                .bind("SourceLine", Str(str(line))))
+    return DelayedTest(index, rule.body.test, bindings,
+                       SourcePos(source_file, line))

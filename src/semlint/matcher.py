@@ -8,41 +8,15 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .record import Record
 from .rule_ast import AttrPattern, PAnon, PEmptyElem, PText, PVar, Pattern
-from .terms import Functor, Str, Term, Var, is_ground, term_to_text
+from .terms import Functor, Str, Var, is_ground, term_to_text
 from .xml_frontend import Element, Text, XmlNode, walk
 
 
-class SVal(Record, frozen=True):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-
-class NodeVal(Record, frozen=True):
-    __slots__ = ("node",)
-
-    def __init__(self, node: XmlNode):
-        self.node = node
-
-
-class NodeListVal(Record, frozen=True):
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: tuple[XmlNode, ...]):
-        self.nodes = nodes
-
-
-class TermVal(Record, frozen=True):
-    __slots__ = ("term",)
-
-    def __init__(self, term: Term):
-        self.term = term
-
-
-Value = Union[SVal, NodeVal, NodeListVal, TermVal]
+# A bound value is the term or node it denotes: a Str, a ground Functor, a
+# Var (an alias of another variable), an Element or Text node, or a tuple of
+# nodes (the rest of a child list).
+Value = Union[Str, Functor, Var, XmlNode, tuple[XmlNode, ...]]
 
 
 class TypeMismatch(Exception):
@@ -99,14 +73,13 @@ def normalize_ws(s: str) -> str:
 
 def string_projection(value: Value) -> str:
     """Flattened, whitespace-normalized textual content of a value."""
-    if isinstance(value, SVal):
+    if isinstance(value, Str):
         return value.value
-    if isinstance(value, NodeVal):
-        return normalize_ws(" ".join(_texts(value.node)))
-    if isinstance(value, NodeListVal):
-        return normalize_ws(" ".join(t for n in value.nodes
-                                     for t in _texts(n)))
-    return term_to_text(value.term)
+    if isinstance(value, (Element, Text)):
+        return normalize_ws(" ".join(_texts(value)))
+    if isinstance(value, tuple):
+        return normalize_ws(" ".join(t for n in value for t in _texts(n)))
+    return term_to_text(value)
 
 
 def _texts(node: XmlNode) -> Iterator[str]:
@@ -117,7 +90,7 @@ def match_node(p: Pattern, n: XmlNode, b: Bindings) -> Optional[Bindings]:
     if isinstance(p, PAnon):
         return b
     if isinstance(p, PVar):
-        return _bind_value(p.name, NodeVal(n), b)
+        return _bind_value(p.name, n, b)
     if isinstance(p, PText):
         if isinstance(n, Text) and n.content.strip() == p.content.strip():
             return b
@@ -147,7 +120,7 @@ def _match_attrs(attrs: tuple[AttrPattern, ...], n: Element,
             if ap.value.value != actual:
                 return None
         else:
-            b2 = _bind_value(ap.value.name, SVal(actual), b)
+            b2 = _bind_value(ap.value.name, Str(actual), b)
             if b2 is None:
                 return None
             b = b2
@@ -166,10 +139,9 @@ def match_children(ps: list[Pattern], ns: list[XmlNode],
             if b2 is None:
                 return None
             b = b2
-        rest = NodeListVal(tuple(ns[len(head):]))
         if isinstance(tail_pat, PAnon):
             return b
-        return _bind_value(tail_pat.name, rest, b)
+        return _bind_value(tail_pat.name, tuple(ns[len(head):]), b)
     if len(ps) != len(ns):
         return None
     for p, n in zip(ps, ns):
@@ -189,12 +161,12 @@ def _bind_value(name: str, value: Value, b: Bindings) -> Optional[Bindings]:
 
 def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
     """All matches of p anywhere in root's subtree(s), document order."""
-    if isinstance(root, NodeVal):
-        nodes: Iterator[XmlNode] = walk(root.node)
-    elif isinstance(root, NodeListVal):
-        nodes = (d for n in root.nodes for d in walk(n))
+    if isinstance(root, (Element, Text)):
+        nodes: Iterator[XmlNode] = walk(root)
+    elif isinstance(root, tuple):
+        nodes = (d for n in root for d in walk(n))
     else:
-        raise TypeMismatch("a string" if isinstance(root, SVal) else "a term")
+        raise TypeMismatch("a string" if isinstance(root, Str) else "a term")
     out = []
     for node in nodes:
         b2 = match_node(p, node, b)
@@ -205,76 +177,36 @@ def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
 
 # -- unification -------------------------------------------------------------
 
-def _resolve(t: Union[Term, Value], b: Bindings) -> Union[Term, Value]:
+def _resolve(t: Value, b: Bindings) -> Value:
     """Dereference variables (including var-to-var aliases) through b."""
     seen = set()
-    while isinstance(t, Var):
-        if t.name in seen:
-            break
+    while isinstance(t, Var) and t.name not in seen:
         seen.add(t.name)
         bound = b.get(t.name)
         if bound is None:
             return t
-        if isinstance(bound, TermVal) and isinstance(bound.term, Var):
-            t = bound.term
-            continue
-        return bound
+        t = bound
     return t
 
 
-def _as_value(t: Union[Term, Value]) -> Optional[Value]:
-    if isinstance(t, (SVal, NodeVal, NodeListVal, TermVal)):
-        return t
-    if isinstance(t, Str):
-        return SVal(t.value)
-    if isinstance(t, Functor):
-        return TermVal(t) if is_ground(t) else None
-    return TermVal(t)  # unbound Var: alias
-
-
-def unify(t1: Union[Term, Value], t2: Union[Term, Value],
-          b: Bindings) -> Optional[Bindings]:
+def unify(t1: Value, t2: Value, b: Bindings) -> Optional[Bindings]:
     a = _resolve(t1, b)
     c = _resolve(t2, b)
-    if isinstance(a, Var) and isinstance(c, Var) and a.name == c.name:
-        return b
     if isinstance(a, Var):
-        value = _as_value(c)
-        return None if value is None else b.bind(a.name, value)
+        if isinstance(c, Var) and a.name == c.name:
+            return b
+        a, c = c, a
     if isinstance(c, Var):
-        value = _as_value(a)
-        return None if value is None else b.bind(c.name, value)
-
-    fa, fc = _as_functor(a), _as_functor(c)
-    if fa is not None or fc is not None:
-        if fa is None or fc is None:
+        # a variable holds anything but a functor with variables in it
+        if isinstance(a, Functor) and not is_ground(a):
             return None
-        if fa.name != fc.name or len(fa.args) != len(fc.args):
+        return b.bind(c.name, a)
+    if isinstance(a, Functor) and isinstance(c, Functor):
+        if a.name != c.name or len(a.args) != len(c.args):
             return None
-        for x, y in zip(fa.args, fc.args):
-            b2 = unify(x, y, b)
-            if b2 is None:
+        for x, y in zip(a.args, c.args):
+            b = unify(x, y, b)
+            if b is None:
                 return None
-            b = b2
         return b
-
-    sa, sc = _as_string(a), _as_string(c)
-    if sa is not None and sc is not None:
-        return b if sa == sc else None
     return b if a == c else None
-
-
-def _as_functor(t) -> Optional[Functor]:
-    if isinstance(t, Functor):
-        return t
-    if isinstance(t, TermVal) and isinstance(t.term, Functor):
-        return t.term
-    return None
-
-
-def _as_string(t) -> Optional[str]:
-    if isinstance(t, Str):
-        return t.value
-    if isinstance(t, SVal):
-        return t.value
-    return None

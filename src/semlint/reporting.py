@@ -19,6 +19,10 @@ from .terms import Functor, Str, Term, Var, term_to_text
 from .xml_frontend import SourcePos
 
 
+# the report formats emit_report writes; the CLI offers exactly these
+FORMATS = ("html", "text", "machine")
+
+
 class UnboundInConsequence(Exception):
     def __init__(self, var: str):
         super().__init__(f"unbound variable ${var} in message template")

@@ -9,13 +9,12 @@ import time
 
 from semlint.cli import RunConfig, _cache_path, execute
 from semlint.dsl_parser import parse_rules
-from semlint.matcher import (Bindings, NodeListVal, NodeVal, SVal,
-                             deep_contains, match_children, match_node,
-                             string_projection, unify)
+from semlint.matcher import (Bindings, deep_contains, match_children,
+                             match_node, string_projection, unify)
 from semlint.rule_ast import (AttrPattern, EnvRule, PAnon, PElem, PVar,
                               TestRule)
 from semlint.terms import Functor, Str, Var
-from semlint.xml_frontend import parse_xml
+from semlint.xml_frontend import Element, parse_xml
 
 from test_matcher import oracle_contains, random_pattern, random_tree
 
@@ -52,12 +51,12 @@ def test_criterion_2_citation_worked_example():
                     (PVar("T"), PVar("R")))
     b = match_node(pattern, doc, B0)
     assert b is not None
-    assert b["Y"] == SVal("2003")
+    assert b["Y"] == Str("2003")
     t = b["T"]
-    assert isinstance(t, NodeVal) and t.node.name == "title"
+    assert isinstance(t, Element) and t.name == "title"
     r = b["R"]
-    assert isinstance(r, NodeListVal) and len(r.nodes) >= 3
-    assert [n.name for n in r.nodes] == ["author", "school", "year"]
+    assert isinstance(r, tuple) and len(r) >= 3
+    assert [n.name for n in r] == ["author", "school", "year"]
 
 
 def test_criterion_3_seeded_corpus(seeded_corpus, fixed_corpus):
@@ -106,10 +105,9 @@ def test_criterion_4_environment_scoping():
 </raweb>""", "doc.xml")
     for _ in range(3):  # deterministic across repeated evaluations
         result = evaluate_file(doc, rules, "doc.xml")
-        assert [f.term for f in result.facts] == [
+        assert list(result.facts) == [
             Functor("personne", (Str("Anne"), Str("Martin"), Str("demo")))]
-        assert [f.origin.line for f in result.facts] == [3]
-        assert [(t.goal.name, t.pos.line) for t in result.tests] == [
+        assert [(t.test.goal.name, t.pos.line) for t in result.tests] == [
             ("personne1", 6)]
 
 
@@ -119,8 +117,7 @@ def test_criterion_5_contains_oracle():
     for _ in range(1000):
         tree = random_tree(rng, 200)
         pattern = random_pattern(rng)
-        root = NodeVal(tree) if rng.random() < 0.5 \
-            else NodeListVal(tree.children)
+        root = tree if rng.random() < 0.5 else tree.children
         assert deep_contains(root, pattern, B0) == \
             oracle_contains(root, pattern, B0)
     assert time.perf_counter() - start < 30.0
@@ -197,11 +194,11 @@ def test_criterion_8_matching_invariants():
         pattern = random_pattern(rng)
 
         # binding monotonicity: matching only ever extends the input
-        seeded = B0.bind("Pre", SVal("kept"))
+        seeded = B0.bind("Pre", Str("kept"))
         b = match_node(pattern, tree, seeded)
         if b is not None:
             checked["monotone"] += 1
-            assert b["Pre"] == SVal("kept")
+            assert b["Pre"] == Str("kept")
 
         # attribute-order invariance
         def permute(n):

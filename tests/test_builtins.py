@@ -8,21 +8,19 @@ from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
                               UNREACHABLE, HttpProber, InstantiationError,
                               UrlProbeResult, _iri_to_uri, make_registry,
                               probe_answers, strip_accents)
-from semlint.engine import Fact, FactStore
-from semlint.matcher import Bindings, SVal
+from semlint.engine import FactStore
+from semlint.matcher import Bindings
 from semlint.terms import Functor, Str, Var
-from semlint.xml_frontend import SourcePos
 from stub_prober import StubProber
 
 B0 = Bindings()
-POS = SourcePos("f.xml", 1)
 OFFLINE = make_registry(StubProber(), offline=True)
 
 
 def store_with(*terms):
     store = FactStore()
     for t in terms:
-        store.add(Fact(t, POS))
+        store.add(t)
     return store
 
 
@@ -131,16 +129,23 @@ def test_testurl_http_error_binds_answers():
     reg = make_registry(prober)
     sols = call(reg, "testurl", 3, (Str("http://x/d"), Var("A1"), Var("A2")))
     assert len(sols) == 1
-    assert sols[0]["A1"] == SVal("http://x/d:")
-    assert sols[0]["A2"] == SVal("ERROR 404: Not Found")
+    assert sols[0]["A1"] == Str("http://x/d:")
+    assert sols[0]["A2"] == Str("ERROR 404: Not Found")
 
 
 def test_testurl_unreachable_binds_generic_answer():
     prober = StubProber()
     reg = make_registry(prober)
     sols = call(reg, "testurl", 3, (Str("http://gone/"), Var("A"), Var("B")))
-    assert sols[0]["A"] == SVal("No answer or time out,")
+    assert sols[0]["A"] == Str("No answer or time out,")
     assert "down or does not exist" in sols[0]["B"].value
+
+
+def test_testurl_answers_for_one_variable_must_agree():
+    reg = make_registry(StubProber())
+    # the two answers differ, so one variable cannot hold both
+    assert call(reg, "testurl", 3,
+                (Str("http://gone/"), Var("A"), Var("A"))) == []
 
 
 def test_testurl_offline_mode_never_probes():

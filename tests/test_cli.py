@@ -13,7 +13,8 @@ from semlint import cli
 from semlint.builtins import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT,
                               MAX_URL_TIMEOUT, HttpProber)
 from semlint.cli import (CliError, RunConfig, _cache_path, _load_ruleset,
-                         execute, expand_inputs, main, run)
+                         build_arg_parser, execute, expand_inputs, main, run)
+from semlint.reporting import FORMATS, emit_report
 from stub_prober import StubProber
 
 RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
@@ -51,6 +52,23 @@ def test_config_validation():
                   url_timeout=0)
 
 
+def test_unknown_format_is_rejected_before_the_run(tmp_path):
+    rules, inputs = write_corpus(tmp_path)
+    with pytest.raises(CliError, match="unknown report format 'xml'"):
+        config(tmp_path, rules, inputs, format="xml")
+    # the CLI offers exactly the formats the report writer knows
+    format_action = next(a for a in build_arg_parser()._actions
+                         if a.dest == "format")
+    assert tuple(format_action.choices) == FORMATS
+    for name in FORMATS:
+        assert emit_report([], [], name)
+    with pytest.raises(SystemExit) as exc:
+        main(["--rules", rules, "--cache-dir", str(tmp_path / "cache"),
+              "--format", "xml", *inputs])
+    assert exc.value.code == 2
+    assert not (tmp_path / "cache").exists()
+
+
 def test_expand_inputs_globs_sorted(tmp_path):
     for name in ["b.xml", "a.xml", "c.txt"]:
         (tmp_path / name).touch()
@@ -58,6 +76,18 @@ def test_expand_inputs_globs_sorted(tmp_path):
     assert [Path(p).name for p in got] == ["a.xml", "b.xml"]
     with pytest.raises(CliError):
         expand_inputs([str(tmp_path / "*.nope")])
+
+
+def test_existing_input_names_are_not_globbed(tmp_path):
+    # a shell has already expanded its globs: rep[1].xml names itself,
+    # whether or not rep1.xml (what it matches as a glob) exists
+    literal = tmp_path / "rep[1].xml"
+    literal.touch()
+    assert expand_inputs([str(literal)]) == [str(literal)]
+    (tmp_path / "rep1.xml").touch()
+    assert expand_inputs([str(literal)]) == [str(literal)]
+    assert expand_inputs([str(tmp_path / "rep[0-9].xml")]) == [
+        str(tmp_path / "rep1.xml")]
 
 
 def test_execute_reports_unknown_member(tmp_path):
@@ -373,6 +403,22 @@ def test_url_prefetch_uses_injected_prober(tmp_path):
     outcome = execute(cfg, prober=prober)
     assert len(outcome.messages) == 1
     assert "http://h/dead" in outcome.messages[0].text
+
+
+def test_answers_bound_to_one_variable_twice_have_no_solution(tmp_path):
+    # testurl($U, $A, $A) on a dead URL: the two answers differ, so, as in
+    # Prolog, the goal has no solution; it used to end in a traceback
+    rules = tmp_path / "url.rules"
+    rules.write_text('<a href=$U/> ? testurl($U, $A, $A) -> <li> <$A> </li>;',
+                     encoding="utf-8")
+    doc = tmp_path / "d.xml"
+    doc.write_text('<p><a href="http://h/dead"/></p>', encoding="utf-8")
+    cfg = RunConfig(rule_files=[str(rules)], inputs=[str(doc)],
+                    cache_dir=str(tmp_path / "cache"))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(cfg, prober=StubProber(), stdout=out, stderr=err) == 0
+    assert out.getvalue() == "0 messages\n"
+    assert err.getvalue() == ""
 
 
 def test_unprobeable_urls_are_reported_not_raised(tmp_path):

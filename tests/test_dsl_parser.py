@@ -136,8 +136,9 @@ def test_contains_var_must_come_from_pattern():
 
 
 def test_rule_head_cannot_be_bare_variable():
-    with pytest.raises(ParseError):
-        parse_rules('<$X> => y := "1";', "r")
+    for text in ('<$X> => y := "1";', '<$X> => p($X);', '<$_> => p("x");'):
+        with pytest.raises(ParseError, match="rule head must be"):
+            parse_rules(text, "r")
 
 
 def test_unbound_variable_in_action_rejected():

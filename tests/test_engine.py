@@ -8,7 +8,7 @@ from semlint.dsl_parser import parse_rules
 from semlint.engine import (DelayedTest, FactStore, UnknownPredicate,
                             evaluate_file, merge_facts, parse_pass1,
                             resolve_tests, serialize_pass1, solve)
-from semlint.matcher import Bindings, SVal
+from semlint.matcher import Bindings
 from semlint.rule_ast import Polarity, Rule, RuleSet
 from semlint.terms import Functor, Str, Var
 from semlint.xml_frontend import parse_xml
@@ -49,10 +49,10 @@ MINI_DOC = """\
 
 def mini_builtins():
     def personne1(args, b, store):
-        want = tuple(b.get(a.name) if isinstance(a, Var) else SVal(a.value)
+        want = tuple(b.get(a.name) if isinstance(a, Var) else Str(a.value)
                      for a in args)
         for fact in store.lookup("personne", 3):
-            if tuple(SVal(x.value) for x in fact.term.args) == want:
+            if tuple(Str(x.value) for x in fact.args) == want:
                 return [b]
         return []
     return {("personne1", 3): personne1}
@@ -60,7 +60,7 @@ def mini_builtins():
 
 def test_mini_report_end_to_end():
     result = ev(MINI_RULES, MINI_DOC)
-    assert [f.term for f in result.facts] == [
+    assert list(result.facts) == [
         Functor("personne", (Str("Anne"), Str("Martin"), Str("acacia")))]
     assert len(result.tests) == 2
     store = merge_facts([result])
@@ -87,7 +87,7 @@ def test_assignments_scope_to_subtree_only():
     xml = "<root><a><probe/></a><probe/></root>"
     result = ev(rules, xml)
     # the sibling probe outside <a> sees no binding for x at all
-    assert [f.term for f in result.facts] == [
+    assert list(result.facts) == [
         Functor("seen", (Str("in-a"),))]
 
 
@@ -109,7 +109,7 @@ def test_rules_at_same_node_share_pre_update_snapshot():
     result = ev(rules, "<root><a/></root>")
     # the condition reads the environment inherited from <root>,
     # not the sibling assignment made at the same <a/> node
-    assert [f.term for f in result.facts] == [
+    assert list(result.facts) == [
         Functor("saw", (Str("outer"),))]
 
 
@@ -123,21 +123,21 @@ def test_conflicting_assignments_last_rule_wins_with_diagnostic():
     assert len(result.diagnostics) == 1
     assert "conflicting assignments to 'x'" in result.diagnostics[0]
     result2 = ev(rules, "<root><a><probe/></a></root>")
-    assert [f.term for f in result2.facts] == [
+    assert list(result2.facts) == [
         Functor("seen", (Str("second"),))]
 
 
 def test_predefined_source_bindings():
     rules = "<a/> => at($SourceFile,$SourceLine);"
     result = ev(rules, "<root>\n<a/>\n</root>", file="in.xml")
-    assert [f.term for f in result.facts] == [
+    assert list(result.facts) == [
         Functor("at", (Str("in.xml"), Str("2")))]
 
 
 def test_skipped_rules_do_not_fire():
     rules = '<* <a/> => f();\n<a/> => g();'
     result = ev(rules, "<a/>")
-    assert [f.term.name for f in result.facts] == ["g"]
+    assert [f.name for f in result.facts] == ["g"]
 
 
 def test_contains_condition_binds_first_solution():
@@ -149,7 +149,7 @@ def test_contains_condition_binds_first_solution():
     xml = ("<citation><block><title>First</title></block>"
            "<title>Second</title></citation>")
     result = ev(rules, xml)
-    assert [f.term for f in result.facts] == [
+    assert list(result.facts) == [
         Functor("title", (Str("First"),))]
 
 
@@ -157,7 +157,7 @@ def test_contains_on_a_string_fails_with_a_diagnostic():
     rules = ('<a x=$X/> & $X contains <b/> => p("y");\n'
              '<a x=$X/> => q($X);\n')
     result = ev(rules, '<r>\n<a x="1"/></r>')
-    assert [fact.term for fact in result.facts] == [
+    assert list(result.facts) == [
         Functor("q", (Str("1"),))]
     assert result.diagnostics == (
         "doc.xml:2: $X holds a string, not a node: the contains condition "
@@ -167,7 +167,7 @@ def test_contains_on_a_string_fails_with_a_diagnostic():
 def test_node_values_project_to_strings_in_facts():
     rules = "<a> <$X> </a> => got($X);"
     result = ev(rules, "<a><b> spaced  <c>text</c> </b></a>")
-    assert result.facts[0].term == Functor("got", (Str("spaced text"),))
+    assert result.facts[0] == Functor("got", (Str("spaced text"),))
 
 
 # -- fact store / pass 2 -------------------------------------------------------
@@ -190,8 +190,8 @@ def test_merge_facts_deduplicates_across_files():
 def test_merge_is_idempotent_and_order_insensitive():
     r1 = ev('<a/> => p("1");\n<a/> => p("2");', "<a/>", file="one.xml")
     r2 = ev('<a/> => p("2");\n<a/> => p("3");', "<a/>", file="two.xml")
-    t1 = [f.term for f in merge_facts([r1, r2])]
-    t2 = [f.term for f in merge_facts([r2, r1, r2])]
+    t1 = list(merge_facts([r1, r2]))
+    t2 = list(merge_facts([r2, r1, r2]))
     assert t1 == t2
 
 
@@ -199,7 +199,7 @@ def test_solve_against_facts():
     store = merge_facts([ev('<a/> => head("Smith","CS");', "<a/>")])
     sols = solve(Functor("head", (Var("P"), Str("CS"))), Bindings(), store,
                  NO_BUILTINS)
-    assert [s["P"] for s in sols] == [SVal("Smith")]
+    assert [s["P"] for s in sols] == [Str("Smith")]
     assert solve(Functor("head", (Var("P"), Str("EE"))), Bindings(), store,
                  NO_BUILTINS) == []
 
@@ -216,7 +216,7 @@ def test_solve_unknown_predicate_raises():
 
 def test_non_ascii_names_in_rules_match_non_ascii_elements():
     result = ev('<élève nom=$N/> => p($N);', '<r><élève nom="Zoé"/></r>')
-    assert [f.term for f in result.facts] == [Functor("p", (Str("Zoé"),))]
+    assert list(result.facts) == [Functor("p", (Str("Zoé"),))]
 
 
 def test_unknown_predicate_reported_once_as_diagnostic():
@@ -278,8 +278,8 @@ def test_fact_set_invariant_under_env_rule_permutation(rng):
         Rule(r.index, r.pattern, r.conditions, r.body, r.skipped, r.pos)
         for r in shuffled), rules.source_hash)
     result = evaluate_file(doc, permuted, "doc.xml")
-    assert sorted(f.term for f in result.facts) == \
-        sorted(f.term for f in baseline.facts)
+    assert sorted(result.facts) == \
+        sorted(baseline.facts)
     assert sorted((t.rule_index, t.pos.line) for t in result.tests) == \
         sorted((t.rule_index, t.pos.line) for t in baseline.tests)
 
@@ -302,8 +302,7 @@ def test_cache_round_trip_is_bit_exact():
     blob = serialize_pass1(result)
     parsed = parse_pass1(blob, "doc.xml", mini_ruleset())
     assert serialize_pass1(parsed) == blob
-    # fact origins are diagnostic-only and not serialized
-    assert [f.term for f in parsed.facts] == [f.term for f in result.facts]
+    assert parsed.facts == result.facts
     assert parsed.tests == result.tests
     assert parsed.input_digest == result.input_digest
     assert parsed.rules_digest == result.rules_digest

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from semlint import engine
 from semlint.builtins import make_registry, strip_accents
-from semlint.engine import (DelayedTest, Fact, FactStore, merge_facts,
-                            resolve_tests)
-from semlint.matcher import Bindings, SVal
-from semlint.rule_ast import Polarity
+from semlint.engine import DelayedTest, FactStore, merge_facts, resolve_tests
+from semlint.matcher import Bindings
+from semlint.rule_ast import Polarity, Test
 from semlint.terms import Functor, Str, Var, term_to_text
 from semlint.xml_frontend import SourcePos
 from stub_prober import StubProber
@@ -31,9 +30,9 @@ BUCKETS = [("personne", 3), ("personne", 2), ("pub", 2), ("pub", 3)]
 def ref_lookup(facts, name, arity):
     bucket = {}
     for fact in facts:
-        if fact.term.name == name and len(fact.term.args) == arity:
-            bucket.setdefault(fact.term, fact)
-    return sorted(bucket.values(), key=lambda f: term_to_text(f.term))
+        if fact.name == name and len(fact.args) == arity:
+            bucket.setdefault(fact)
+    return sorted(bucket, key=term_to_text)
 
 
 def ref_personne1(facts, wanted, normalize):
@@ -41,7 +40,7 @@ def ref_personne1(facts, wanted, normalize):
     wanted = tuple(fold(w) for w in wanted)
     for fact in ref_lookup(facts, "personne", 3):
         got = tuple(fold(a.value if isinstance(a, Str) else "")
-                    for a in fact.term.args)
+                    for a in fact.args)
         if got == wanted:
             return [B0]
     return []
@@ -50,11 +49,11 @@ def ref_personne1(facts, wanted, normalize):
 def ref_pubbyotherproject(facts, title, project):
     out = []
     for fact in ref_lookup(facts, "pub", 2):
-        fact_title, fact_proj = fact.term.args
+        fact_title, fact_proj = fact.args
         if not isinstance(fact_title, Str) or not isinstance(fact_proj, Str):
             continue
         if fact_title.value == title and fact_proj.value != project:
-            out.append(B0.bind("O", SVal(fact_proj.value)))
+            out.append(B0.bind("O", Str(fact_proj.value)))
     return out
 
 
@@ -114,19 +113,18 @@ def test_indexed_store_matches_full_scan(first, later, people, pubs,
     # every term is added twice, and later ones only after the first queries
     for batch in (first + first, later + later):
         for term in batch:
-            fact = Fact(term, SourcePos("f.xml", len(facts) + 1))
-            store.add(fact)
-            facts.append(fact)
+            store.add(term)
+            facts.append(term)
         check_against_scan(store, facts, registry, people, pubs, normalize)
         # queried people and titles also come from the stored facts, with
         # variants that match only when names are normalised
-        people_in = [tuple(vary(a.value) for a in f.term.args)
+        people_in = [tuple(vary(a.value) for a in f.args)
                      for f in ref_lookup(facts, "personne", 3)
-                     if all(isinstance(a, Str) for a in f.term.args)
+                     if all(isinstance(a, Str) for a in f.args)
                      for vary in (str, str.upper, strip_accents)]
-        pubs_in = [(f.term.args[0].value, p)
+        pubs_in = [(f.args[0].value, p)
                    for f in ref_lookup(facts, "pub", 2)
-                   if isinstance(f.term.args[0], Str) for p in PROJECTS]
+                   if isinstance(f.args[0], Str) for p in PROJECTS]
         check_against_scan(store, facts, registry, people_in, pubs_in,
                            normalize)
 
@@ -140,8 +138,8 @@ def goal_tests(n):
         Functor("pubbyotherproject", (Str("Title2"), Str("p0"), Var("O"))),
         Functor("member", (Var("M"),)),
     ]
-    return [DelayedTest(i, Polarity.IF_ABSENT, goals[i % len(goals)], B0,
-                        Str("warn"), SourcePos("f.xml", i + 1))
+    return [DelayedTest(i, Test(Polarity.IF_ABSENT, goals[i % len(goals)],
+                                Str("warn")), B0, SourcePos("f.xml", i + 1))
             for i in range(n)]
 
 
@@ -153,7 +151,7 @@ def test_pass2_renders_each_fact_at_most_once(monkeypatch, n_tests):
                  for i in range(30)]
               + [Functor("member", (Str(f"m{i}"),)) for i in range(20)])
     store = merge_facts([engine.PassOneResult(
-        "f.xml", tuple(Fact(t, SourcePos("f.xml", 1)) for t in terms_),
+        "f.xml", tuple(terms_),
         (), (), "", "")])
     renders = 0
     real = engine.term_to_text

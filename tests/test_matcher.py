@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlint.matcher import (Bindings, NodeListVal, NodeVal, SVal, TermVal,
-                             TypeMismatch, deep_contains, match_children,
-                             match_node, string_projection, unify)
+import legacy_unify
+from semlint.matcher import (Bindings, TypeMismatch, deep_contains,
+                             match_children, match_node, string_projection,
+                             unify)
 from semlint.rule_ast import AttrPattern, PAnon, PElem, PEmptyElem, PText, PVar
 from semlint.terms import Functor, Str, Var
 from semlint.xml_frontend import Element, MalformedXml, Text, parse_xml, walk
@@ -36,11 +37,11 @@ CITATION_PATTERN = PElem("citation",
 def test_worked_citation_example():
     b = match_node(CITATION_PATTERN, CITATION, B0)
     assert b is not None
-    assert b["Y"] == SVal("2003")
-    assert b["T"] == NodeVal(CITATION.children[0])
-    assert b["T"].node.name == "title"
-    assert b["R"] == NodeListVal(CITATION.children[1:])
-    assert len(b["R"].nodes) == 3
+    assert b["Y"] == Str("2003")
+    assert b["T"] is CITATION.children[0]
+    assert b["T"].name == "title"
+    assert b["R"] == CITATION.children[1:]
+    assert len(b["R"]) == 3
 
 
 def test_empty_element_pattern_matches_empty_element():
@@ -55,7 +56,7 @@ def test_nonlinear_attribute_pattern():
                          AttrPattern("y", Var("V"))))
     assert match_node(p, parse_xml(b'<p x="1" y="2"/>', "f"), B0) is None
     b = match_node(p, parse_xml(b'<p x="1" y="1"/>', "f"), B0)
-    assert b is not None and b["V"] == SVal("1")
+    assert b is not None and b["V"] == Str("1")
 
 
 def test_attribute_subset_matching():
@@ -80,15 +81,15 @@ def test_text_pattern_trims_whitespace():
 def test_children_last_var_takes_tail():
     ns = list(parse_xml(b"<r><e1/><e2/><e3/></r>", "f").children)
     b = match_children([PVar("A"), PVar("B")], ns, B0)
-    assert b["A"] == NodeVal(ns[0])
-    assert b["B"] == NodeListVal(tuple(ns[1:]))
+    assert b["A"] is ns[0]
+    assert b["B"] == tuple(ns[1:])
 
 
 def test_children_tail_may_be_empty():
     ns = list(parse_xml(b"<r><e1/></r>", "f").children)
     b = match_children([PVar("A"), PVar("B")], ns, B0)
-    assert b["A"] == NodeVal(ns[0])
-    assert b["B"] == NodeListVal(())
+    assert b["A"] is ns[0]
+    assert b["B"] == ()
 
 
 def test_empty_pattern_list_requires_empty_content():
@@ -111,22 +112,22 @@ def test_deep_contains_title():
 
 
 def test_deep_contains_no_match_is_empty():
-    sols = deep_contains(NodeVal(CITATION), PElem("nosuch", (), ()), B0)
+    sols = deep_contains(CITATION, PElem("nosuch", (), ()), B0)
     assert sols == []
 
 
 def test_deep_contains_rejects_string_roots():
     with pytest.raises(TypeMismatch):
-        deep_contains(SVal("x"), PElem("a", (), ()), B0)
+        deep_contains(Str("x"), PElem("a", (), ()), B0)
 
 
 def test_string_projection_flattens_and_normalizes():
     root = parse_xml(b"<a> one <b> two\n three </b> four </a>", "f")
-    assert string_projection(NodeVal(root)) == "one two three four"
-    assert string_projection(NodeListVal(root.children)) == \
+    assert string_projection(root) == "one two three four"
+    assert string_projection(root.children) == \
         "one two three four"
-    assert string_projection(SVal(" raw ")) == " raw "
-    assert string_projection(TermVal(Functor("f", (Str("x"),)))) == 'f("x")'
+    assert string_projection(Str(" raw ")) == " raw "
+    assert string_projection(Functor("f", (Str("x"),))) == 'f("x")'
 
 
 # -- unification --------------------------------------------------------------
@@ -135,8 +136,8 @@ def test_unify_flat_ground():
     goal = Functor("head", (Var("P"), Var("X")))
     fact = Functor("head", (Str("Smith"), Str("CS")))
     b = unify(goal, fact, B0)
-    assert b["P"] == SVal("Smith")
-    assert b["X"] == SVal("CS")
+    assert b["P"] == Str("Smith")
+    assert b["X"] == Str("CS")
 
 
 def test_unify_functor_clash():
@@ -146,11 +147,11 @@ def test_unify_functor_clash():
 
 def test_unify_with_prebound_variable():
     title = "Three knowledge representation formalisms"
-    b = B0.bind("T", SVal(title))
+    b = B0.bind("T", Str(title))
     goal = Functor("pub", (Var("T"), Var("O")))
     fact = Functor("pub", (Str(title), Str("orpailleur")))
     b2 = unify(goal, fact, b)
-    assert b2["O"] == SVal("orpailleur")
+    assert b2["O"] == Str("orpailleur")
     wrong = Functor("pub", (Str("other"), Str("x")))
     assert unify(goal, wrong, b) is None
 
@@ -158,17 +159,17 @@ def test_unify_with_prebound_variable():
 def test_unify_nested():
     b = unify(Functor("f", (Functor("g", (Var("X"),)), Str("1"))),
               Functor("f", (Functor("g", (Str("v"),)), Str("1"))), B0)
-    assert b["X"] == SVal("v")
+    assert b["X"] == Str("v")
 
 
 def test_unify_node_values_require_identity():
     node = parse_xml(b"<a/>", "f")
     other = parse_xml(b"<b/>", "f")
-    b = B0.bind("X", NodeVal(node))
-    assert unify(Var("X"), Var("Y"), b)["Y"] == NodeVal(node)
-    assert unify(Var("X"), NodeVal(node), B0.bind("X", NodeVal(node))) \
+    b = B0.bind("X", node)
+    assert unify(Var("X"), Var("Y"), b)["Y"] == node
+    assert unify(Var("X"), node, B0.bind("X", node)) \
         is not None
-    assert unify(Var("X"), NodeVal(other), b) is None
+    assert unify(Var("X"), other, b) is None
     assert unify(Var("X"), Str("a"), b) is None
 
 
@@ -210,10 +211,10 @@ def random_pattern(rng):
 
 
 def oracle_contains(root_value, pattern, b):
-    if isinstance(root_value, NodeVal):
-        nodes = [root_value.node]
+    if isinstance(root_value, tuple):
+        nodes = list(root_value)
     else:
-        nodes = list(root_value.nodes)
+        nodes = [root_value]
     all_nodes = [d for n in nodes for d in walk(n)]
     return [r for r in (match_node(pattern, n, b) for n in all_nodes)
             if r is not None]
@@ -224,8 +225,7 @@ def test_deep_contains_matches_oracle_on_random_trees():
     for _ in range(300):
         tree = random_tree(rng, 60)
         pattern = random_pattern(rng)
-        root = NodeVal(tree) if rng.random() < 0.5 \
-            else NodeListVal(tree.children)
+        root = tree if rng.random() < 0.5 else tree.children
         assert deep_contains(root, pattern, B0) == \
             oracle_contains(root, pattern, B0)
 
@@ -280,10 +280,10 @@ def test_match_bindings_are_monotone(pattern, xml):
     b = match_node(pattern, node, B0)
     if b is not None:
         assert all(name in b for name in B0)
-    seeded = Bindings().bind("Zpre", SVal("kept"))
+    seeded = Bindings().bind("Zpre", Str("kept"))
     b2 = match_node(pattern, node, seeded)
     if b2 is not None:
-        assert b2["Zpre"] == SVal("kept")
+        assert b2["Zpre"] == Str("kept")
 
 
 @given(patterns(), xml_trees(), st.randoms())
@@ -338,10 +338,78 @@ def test_unify_success_symmetry(t1, t2):
 @given(terms, terms)
 @settings(max_examples=300, deadline=None)
 def test_unify_extends_input_bindings(t1, t2):
-    seeded = Bindings().bind("Pre", SVal("v"))
+    seeded = Bindings().bind("Pre", Str("v"))
     b = unify(t1, t2, seeded)
     if b is not None:
-        assert b["Pre"] == SVal("v")
+        assert b["Pre"] == Str("v")
+
+
+# -- unify against the wrapper-based unify it replaced -------------------------
+
+POOL_ROOT = parse_xml(b"<r><a>x</a><a>x</a><b/>y</r>", "pool.xml")
+# the two <a> elements are distinct objects with equal content
+POOL_NODES = (POOL_ROOT, *POOL_ROOT.children)
+POOL_TAILS = tuple(POOL_ROOT.children[i:]
+                   for i in range(len(POOL_ROOT.children) + 1))
+WRAPPERS = (legacy_unify.SVal, legacy_unify.TermVal, legacy_unify.NodeVal,
+            legacy_unify.NodeListVal)
+
+ground_terms = st.recursive(
+    st.builds(Str, st.sampled_from(["0", "1", "2"])),
+    lambda sub: st.builds(Functor, st.sampled_from(["f", "g"]),
+                          st.lists(sub, max_size=3).map(tuple)),
+    max_leaves=6)
+
+
+def wrapped_values():
+    """A bound value other than an alias, as the old matcher held it."""
+    return st.one_of(
+        st.sampled_from(["0", "1", "2"]).map(legacy_unify.SVal),
+        st.builds(Functor, st.sampled_from(["f", "g"]),
+                  st.lists(ground_terms, max_size=2).map(tuple))
+        .map(legacy_unify.TermVal),
+        st.sampled_from(POOL_NODES).map(legacy_unify.NodeVal),
+        st.sampled_from(POOL_TAILS).map(legacy_unify.NodeListVal))
+
+
+@st.composite
+def wrapped_bindings(draw):
+    """Seeded bindings of X, Y and Z; an alias points only to a later name,
+    so no alias chain is a cycle."""
+    names = ["X", "Y", "Z"]
+    seeded = {}
+    for i, name in enumerate(names):
+        kind = draw(st.sampled_from(["unbound", "alias", "value"]))
+        if kind == "alias" and i + 1 < len(names):
+            later = draw(st.sampled_from(names[i + 1:]))
+            seeded[name] = legacy_unify.TermVal(Var(later))
+        elif kind == "value":
+            seeded[name] = draw(wrapped_values())
+    return seeded
+
+
+def plain(value):
+    if isinstance(value, WRAPPERS):
+        return legacy_unify.unwrap(value)
+    return value
+
+
+def plain_bindings(b):
+    return Bindings({name: plain(value) for name, value in b.items()})
+
+
+@given(terms, st.one_of(terms, wrapped_values()), wrapped_bindings(),
+       st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_unify_matches_the_wrapper_based_oracle(t1, t2, seeded, swap):
+    if swap:
+        t1, t2 = t2, t1
+    old = legacy_unify.unify(t1, t2, Bindings(seeded))
+    new = unify(plain(t1), plain(t2), plain_bindings(Bindings(seeded)))
+    if old is None:
+        assert new is None
+    else:
+        assert new == plain_bindings(old)
 
 
 # -- the iterative walks against the recursive definitions they replaced ------
@@ -372,9 +440,9 @@ def _parsed(docs):
 def test_walk_and_projection_match_recursive_references(doc):
     assert [id(n) for n in walk(doc)] == [id(n) for n in walk_reference(doc)]
     for node in walk_reference(doc):
-        assert string_projection(NodeVal(node)) == " ".join(
+        assert string_projection(node) == " ".join(
             " ".join(texts_reference(node)).split())
-    assert string_projection(NodeListVal(doc.children)) == " ".join(
+    assert string_projection(doc.children) == " ".join(
         " ".join(t for child in doc.children
                  for t in texts_reference(child)).split())
 
@@ -384,5 +452,5 @@ def test_walk_and_projection_at_any_depth():
     doc = parse_xml(b"<s>" * depth + b" x " + b"</s>" * depth, "f.xml")
     assert [type(n).__name__ for n in walk(doc)] == ["Element"] * depth + [
         "Text"]
-    assert string_projection(NodeVal(doc)) == "x"
-    assert deep_contains(NodeVal(doc), PText("x"), B0) == [B0]
+    assert string_projection(doc) == "x"
+    assert deep_contains(doc, PText("x"), B0) == [B0]

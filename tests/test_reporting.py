@@ -3,7 +3,7 @@ import json
 import pytest
 
 from semlint.dsl_parser import parse_rules
-from semlint.matcher import Bindings, SVal
+from semlint.matcher import Bindings
 from semlint.reporting import (Message, UnboundInConsequence, emit_report,
                                render_consequence)
 from semlint.terms import Functor, Str, Var
@@ -26,8 +26,8 @@ STAFF_RULE = """\
 
 
 def test_staff_warning_renders_to_one_line():
-    b = (Bindings().bind("P", SVal("J.")).bind("N", SVal("Doe"))
-         .bind("SourceLine", SVal("42")))
+    b = (Bindings().bind("P", Str("J.")).bind("N", Str("Doe"))
+         .bind("SourceLine", Str("42")))
     html, text = render_consequence(consequence_of(STAFF_RULE), b)
     assert text == ("Warning: J. Doe line 42 does not appear in the "
                     "current staff chart.")
@@ -38,7 +38,7 @@ def test_staff_warning_renders_to_one_line():
 def test_nested_markup_kept_in_html_dropped_in_text():
     c = consequence_of(
         "<a/> ? p($T) / <li> cite <i> \"<$T>\" </i> here <p> </p> </li> ;")
-    b = Bindings().bind("T", SVal("A Title"))
+    b = Bindings().bind("T", Str("A Title"))
     html, text = render_consequence(c, b)
     # sibling template parts are space-joined, so the quotes detach
     assert html == '<li> cite <i> " A Title " </i> here <p> </p> </li>'
@@ -47,7 +47,7 @@ def test_nested_markup_kept_in_html_dropped_in_text():
 
 def test_substituted_values_escaped_in_html_only():
     c = consequence_of("<a/> ? p($X) / <li> got <$X> </li> ;")
-    b = Bindings().bind("X", SVal("a <b> & c"))
+    b = Bindings().bind("X", Str("a <b> & c"))
     html, text = render_consequence(c, b)
     assert html == "<li> got a &lt;b&gt; &amp; c </li>"
     assert text == "got a <b> & c"
@@ -55,7 +55,7 @@ def test_substituted_values_escaped_in_html_only():
 
 def test_whitespace_normalized_across_template_lines():
     c = consequence_of("<a/> ? p($X) / <li>\n\tone\n\t  two <$X> </li> ;")
-    html, text = render_consequence(c, Bindings().bind("X", SVal("three")))
+    html, text = render_consequence(c, Bindings().bind("X", Str("three")))
     assert text == "one two three"
     assert "\n" not in html and "\t" not in html
 
@@ -70,7 +70,7 @@ def test_unbound_variable_raises():
 def test_term_consequence_renders_as_term_text():
     html, text = render_consequence(
         Functor("missing", (Var("P"), Str("x"))),
-        Bindings().bind("P", SVal("Doe")))
+        Bindings().bind("P", Str("Doe")))
     assert text == 'missing("Doe","x")'
     assert html == 'missing(&quot;Doe&quot;,&quot;x&quot;)'.replace(
         "&quot;", '"')  # quotes not escaped outside attributes

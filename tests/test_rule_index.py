@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from semlint import engine
 from semlint.dsl_parser import parse_rules
-from semlint.engine import (Fact, LocalEnv, _capture_test, _eval_condition,
+from semlint.engine import (LocalEnv, _capture_test, _eval_condition,
                             _ground_term, _ground_value, evaluate_file)
-from semlint.matcher import Bindings, SVal, match_node
-from semlint.rule_ast import Assign, EnvRule, PAnon, PVar, Rule, RuleSet
+from semlint.matcher import Bindings, match_node
+from semlint.rule_ast import Assign, EnvRule
+from semlint.terms import Str
 from semlint.xml_frontend import Element, SourcePos, Text, parse_xml
 
 
@@ -23,8 +24,8 @@ def scan_evaluate(doc, rules, file):
 
     def visit(node, env):
         seed = (Bindings()
-                .bind("SourceFile", SVal(file))
-                .bind("SourceLine", SVal(str(node.pos.line))))
+                .bind("SourceFile", Str(file))
+                .bind("SourceLine", Str(str(node.pos.line))))
         applicable = []
         for rule in rules.rules:
             if rule.skipped:
@@ -56,8 +57,7 @@ def scan_evaluate(doc, rules, file):
                     child_env = child_env.assign(
                         act.env_var, _ground_value(act.value, b, node.pos))
                 else:
-                    facts.append(Fact(_ground_term(act.fact, b, node.pos),
-                                      node.pos))
+                    facts.append(_ground_term(act.fact, b, node.pos))
         if isinstance(node, Element):
             for child in node.children:
                 visit(child, child_env)
@@ -69,22 +69,18 @@ def scan_evaluate(doc, rules, file):
 # -- random rule sets and documents --------------------------------------------
 
 NAMES = ["a", "b", "c"]
-# head kind -> (DSL head, binds $X); "var" and "anon" heads cannot be
-# written in the DSL, so they are parsed with a placeholder and replaced
+# head kind -> (DSL head, binds $X)
 HEADS = {
     "children": ("<{n}> <$X> </{n}>", True),
     "empty": ("<{n} x=$X/>", True),
     "attr": ('<{n} x="1"> <$_> </{n}>', False),
     "text": ('"t{i}"', False),
-    "var": ("<zz> <$X> </zz>", True),
-    "anon": ("<zz> <$_> </zz>", False),
 }
 
 
 @st.composite
 def rule_texts(draw):
-    kind = draw(st.sampled_from(sorted(HEADS)))
-    template, binds_x = HEADS[kind]
+    template, binds_x = HEADS[draw(st.sampled_from(sorted(HEADS)))]
     head = template.format(n=draw(st.sampled_from(NAMES)),
                            i=draw(st.integers(1, 2)))
     value = (st.sampled_from(['"v1"', '"v2"', "$X"]) if binds_x
@@ -101,20 +97,13 @@ def rule_texts(draw):
         text = (f"? g({draw(value)}) {arrow} "
                 f"<li> at <$SourceLine> in <$SourceFile> </li>")
     skip = "<* " if draw(st.booleans()) else ""
-    return kind, f"{skip}{head} {cond} {text};\n"
+    return f"{skip}{head} {cond} {text};\n"
 
 
 @st.composite
 def rulesets(draw):
     drawn = draw(st.lists(rule_texts(), min_size=1, max_size=8))
-    parsed = parse_rules("".join(text for _, text in drawn), "r.rules")
-    rules = []
-    for (kind, _), rule in zip(drawn, parsed.rules):
-        if kind in ("var", "anon"):
-            rule = Rule(rule.index, PVar("X") if kind == "var" else PAnon(),
-                        rule.conditions, rule.body, rule.skipped, rule.pos)
-        rules.append(rule)
-    return RuleSet(tuple(rules), parsed.source_hash)
+    return parse_rules("".join(drawn), "r.rules")
 
 
 @st.composite
