@@ -7,38 +7,44 @@ from __future__ import annotations
 import re
 import threading
 import unicodedata
-from typing import Optional, Union
+from typing import Optional
 
 from .engine import BuiltinError, BuiltinRegistry
-from .matcher import Bindings, Value, string_projection, unify
+from .matcher import Bindings, bind, string_projection, unify
 from .record import Record
-from .terms import Str, Term, Var
+from .terms import Term, Var
 
 
 class InstantiationError(BuiltinError):
     pass
 
 
-def _arg(t: Term, b: Bindings) -> Union[Value, str]:
-    """Resolve a goal argument: its value if bound, the var name if unbound."""
-    if isinstance(t, Var):
-        value = b.get(t.name)
-        return value if value is not None else t.name
-    return t
-
-
 def _bound_text(t: Term, b: Bindings, pred: str) -> str:
-    value = _arg(t, b)
-    if isinstance(value, str):
-        raise InstantiationError(f"{pred}: argument ${value} must be bound")
-    return string_projection(value)
+    if isinstance(t, Var):
+        if t.name not in b:
+            raise InstantiationError(f"{pred}: argument ${t.name} must be "
+                                     f"bound")
+        t = b[t.name]
+    return string_projection(t)
 
 
 def _unbound_name(t: Term, b: Bindings, pred: str) -> str:
-    value = _arg(t, b)
-    if not isinstance(value, str):
+    if not isinstance(t, Var) or t.name in b:
         raise InstantiationError(f"{pred}: output argument must be unbound")
-    return value
+    return t.name
+
+
+def urls_to_probe(tests) -> list[str]:
+    """The URL of every testurl test whose URL argument is bound."""
+    urls = []
+    for dt in tests:
+        goal = dt.test.goal
+        if goal.name == "testurl" and len(goal.args) == 3:
+            try:
+                urls.append(_bound_text(goal.args[0], dt.captured, "testurl"))
+            except InstantiationError:
+                pass
+    return urls
 
 
 # -- URL probing ---------------------------------------------------------------
@@ -199,10 +205,10 @@ def strip_accents(s: str) -> str:
 
 
 def _title_key(fact) -> Optional[str]:
-    """A pub fact's title; None (never asked for) unless both args are Str."""
+    """A pub fact's title; None (never asked for) unless both args are str."""
     title, project = fact.args
-    if isinstance(title, Str) and isinstance(project, Str):
-        return title.value
+    if isinstance(title, str) and isinstance(project, str):
+        return title
     return None
 
 
@@ -222,7 +228,7 @@ def make_registry(prober=None, offline: bool = False,
     fold = strip_accents if normalize_names else (lambda s: s)
 
     def name_key(fact):
-        return tuple(fold(a.value if isinstance(a, Str) else "")
+        return tuple(fold(a if isinstance(a, str) else "")
                      for a in fact.args)
 
     def personne1(args, b, store):
@@ -233,9 +239,9 @@ def make_registry(prober=None, offline: bool = False,
         title = _bound_text(args[0], b, "pubbyotherproject")
         project = _bound_text(args[1], b, "pubbyotherproject")
         other = _unbound_name(args[2], b, "pubbyotherproject")
-        return [b.bind(other, fact.args[1])
+        return [bind(b, other, fact.args[1])
                 for fact in store.index("pub", 2, _title_key).get(title, ())
-                if fact.args[1].value != project]
+                if fact.args[1] != project]
 
     def testurl(args, b, store):
         url = _bound_text(args[0], b, "testurl")
@@ -248,8 +254,7 @@ def make_registry(prober=None, offline: bool = False,
             return []
         # the second output may be the first one's variable again, as in
         # testurl($U, $A, $A): then there is a solution only if they agree
-        solution = unify(args[2], Str(answers[1]),
-                         b.bind(a1, Str(answers[0])))
+        solution = unify(args[2], answers[1], bind(b, a1, answers[0]))
         return [] if solution is None else [solution]
 
     return {

@@ -19,11 +19,9 @@ from . import builtins as builtins_mod
 from .dsl_parser import LexError, ParseError, parse_rule_texts
 from .engine import (EngineError, PassOneResult, evaluate_file, merge_facts,
                      parse_pass1, resolve_tests, serialize_pass1)
-from .matcher import string_projection
 from .record import Record
 from .reporting import FORMATS, Message, emit_report
 from .rule_ast import RuleSet
-from .terms import Str, Var
 from .xml_frontend import EncodingError, MalformedXml, parse_xml
 
 CACHE_DIR_ENV = "SEMLINT_CACHE_DIR"
@@ -114,13 +112,11 @@ def _cache_path(cache_dir: str, input_path: str) -> Path:
 def _cached_result(cache_dir: str, input_path: str, input_digest: str,
                    ruleset: RuleSet) -> PassOneResult | None:
     """None on any miss: absent, damaged, older-format or other content."""
-    path = _cache_path(cache_dir, input_path)
     try:
-        text = path.read_text(encoding="utf-8")
-        result = parse_pass1(text, input_path, ruleset)
+        text = _cache_path(cache_dir, input_path).read_text(encoding="utf-8")
+        return parse_pass1(text, input_path, input_digest, ruleset)
     except (OSError, ValueError):
         return None
-    return result if result.input_digest == input_digest else None
 
 
 def _write_cache(path: Path, text: str) -> None:
@@ -164,9 +160,9 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
         digest = _sha256(data)
         result = _cached_result(cfg.cache_dir, path, digest, ruleset)
         if result is None:
-            result = evaluate_file(parse_xml(data, path), ruleset, path, digest)
+            result = evaluate_file(parse_xml(data, path), ruleset, path)
             _write_cache(_cache_path(cfg.cache_dir, path),
-                         serialize_pass1(result))
+                         serialize_pass1(result, digest, ruleset))
             evaluated.append(path)
         else:
             cached.append(path)
@@ -179,7 +175,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     if prober is None:
         prober = builtins_mod.HttpProber(cfg.url_timeout, cfg.max_probes)
     if not cfg.offline:
-        prober.prefetch(_test_urls(tests))
+        prober.prefetch(builtins_mod.urls_to_probe(tests))
     registry = builtins_mod.make_registry(
         prober=prober, offline=cfg.offline,
         normalize_names=cfg.normalize_names)
@@ -195,20 +191,6 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
         exit_code = 0
     return RunOutcome(report, messages, diagnostics, exit_code,
                       evaluated=evaluated, cached=cached)
-
-
-def _test_urls(tests) -> list[str]:
-    urls = []
-    for dt in tests:
-        goal = dt.test.goal
-        if goal.name != "testurl" or len(goal.args) != 3:
-            continue
-        arg = goal.args[0]
-        if isinstance(arg, Str):
-            urls.append(arg.value)
-        elif isinstance(arg, Var) and arg.name in dt.captured:
-            urls.append(string_projection(dt.captured[arg.name]))
-    return urls
 
 
 def run(cfg: RunConfig, prober=None,

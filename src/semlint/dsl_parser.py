@@ -15,7 +15,7 @@ from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
                        EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
                        Pattern, Polarity, Rule, RuleSet, Test, TestRule,
                        consequence_vars, pattern_vars)
-from .terms import Functor, Str, Term, Var, term_vars
+from .terms import Functor, Term, Var, term_vars
 from .xml_frontend import SourcePos
 
 PREDEFINED_VARS = frozenset({"SourceFile", "SourceLine"})
@@ -320,7 +320,7 @@ class _Parser:
     def parse_term(self) -> Term:
         tok = self.cur
         if self.accept("STRING"):
-            return Str(tok.lexeme)
+            return tok.lexeme
         if self.accept("$"):
             return Var(self.expect("NAME", "variable name").lexeme)
         name = self.expect("NAME", "term").lexeme
@@ -376,7 +376,7 @@ class _Parser:
                 var = self.expect("NAME", "variable name").lexeme
                 value = None if var == ANON else Var(var)
             else:
-                value = Str(self.expect("STRING", "attribute value").lexeme)
+                value = self.expect("STRING", "attribute value").lexeme
             attrs.append(AttrPattern(name_tok.lexeme, value))
         return tuple(attrs)
 

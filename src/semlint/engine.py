@@ -16,12 +16,12 @@ import json
 from typing import Callable, Optional
 
 from . import reporting
-from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
+from .matcher import (Bindings, TypeMismatch, Value, bind, deep_contains,
                       match_node, string_projection, unify)
 from .record import Record
 from .rule_ast import (Assign, EnvRule, Eq, Polarity, PText, Rule, RuleSet,
                        Test, TestRule, consequence_vars)
-from .terms import Functor, Str, Term, Var, term_to_text, term_vars
+from .terms import Functor, Term, Var, term_to_text, term_vars
 from .xml_frontend import Element, SourcePos, Text, XmlNode
 
 
@@ -56,23 +56,6 @@ BuiltinFn = Callable[[tuple[Term, ...], Bindings, "FactStore"],
 BuiltinRegistry = dict[tuple[str, int], BuiltinFn]
 
 
-class LocalEnv:
-    """Immutable name -> Value map; child scopes shadow their parent."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, entries: dict[str, Value] | None = None):
-        self._map = dict(entries) if entries else {}
-
-    def get(self, name: str) -> Optional[Value]:
-        return self._map.get(name)
-
-    def assign(self, name: str, value: Value) -> "LocalEnv":
-        child = LocalEnv(self._map)
-        child._map[name] = value
-        return child
-
-
 class DelayedTest(Record, frozen=True):
     __slots__ = ("rule_index", "test", "captured", "pos")
 
@@ -86,34 +69,27 @@ class DelayedTest(Record, frozen=True):
 
 
 class PassOneResult(Record, frozen=True):
-    __slots__ = ("source_file", "facts", "tests", "diagnostics",
-                 "input_digest", "rules_digest")
+    __slots__ = ("facts", "tests", "diagnostics")
 
-    def __init__(self, source_file: str, facts: tuple[Functor, ...],
-                 tests: tuple[DelayedTest, ...], diagnostics: tuple[str, ...],
-                 input_digest: str, rules_digest: str):
-        self.source_file = source_file
+    def __init__(self, facts: tuple[Functor, ...],
+                 tests: tuple[DelayedTest, ...], diagnostics: tuple[str, ...]):
         self.facts = facts
         self.tests = tests
         self.diagnostics = diagnostics
-        self.input_digest = input_digest
-        self.rules_digest = rules_digest
 
 
-def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
-                  input_digest: str = "") -> PassOneResult:
+def evaluate_file(doc: XmlNode, rules: RuleSet, file: str) -> PassOneResult:
     facts: list[Functor] = []
     tests: list[DelayedTest] = []
     diagnostics: list[str] = []
 
     by_name, text_rules = _rules_by_head(rules)
-    source_file = Str(file)
 
+    # an environment maps names to values; an assignment extends a copy
     def apply(node: XmlNode, candidates: list[Rule],
-              env: LocalEnv) -> LocalEnv:
+              env: dict[str, Value]) -> dict[str, Value]:
         """Fire the candidates that match node; the env its children see."""
-        seed = Bindings({"SourceFile": source_file,
-                         "SourceLine": Str(str(node.pos.line))})
+        seed = {"SourceFile": file, "SourceLine": str(node.pos.line)}
         applicable: list[tuple[Rule, Bindings]] = []
         for rule in candidates:
             # looked up in this module on each call, where it can be wrapped
@@ -147,9 +123,8 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
                                 f"{rule.index} overrides rule "
                                 f"{assigned_by[act.env_var]})")
                         assigned_by[act.env_var] = rule.index
-                        child_env = child_env.assign(
-                            act.env_var, _ground_value(act.value, b,
-                                                       node.pos))
+                        child_env = {**child_env, act.env_var: _ground_value(
+                            act.value, b, node.pos)}
                     else:
                         term = _ground_term(act.fact, b, node.pos)
                         assert isinstance(term, Functor)
@@ -160,7 +135,7 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
 
     # pre-order with an explicit stack, so depth is bounded by memory only:
     # each entry is an open element's child iterator and the env they inherit
-    stack = [(iter((doc,)), LocalEnv())]
+    stack = [(iter((doc,)), {})]
     while stack:
         siblings, env = stack[-1]
         node = next(siblings, None)
@@ -175,8 +150,7 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str,
         elif text_rules:
             apply(node, text_rules, env)
 
-    return PassOneResult(file, tuple(facts), tuple(tests),
-                         tuple(diagnostics), input_digest, rules.source_hash)
+    return PassOneResult(tuple(facts), tuple(tests), tuple(diagnostics))
 
 
 def _rules_by_head(rules: RuleSet):
@@ -198,7 +172,8 @@ def _rules_by_head(rules: RuleSet):
     return by_name, text_rules
 
 
-def _eval_condition(cond, b: Bindings, env: LocalEnv) -> Optional[Bindings]:
+def _eval_condition(cond, b: Bindings,
+                    env: dict[str, Value]) -> Optional[Bindings]:
     if isinstance(cond, Eq):
         value = env.get(cond.env_var)
         if value is None:
@@ -215,7 +190,7 @@ def _ground_term(term: Term, b: Bindings, pos: SourcePos,
                  toplevel: Term | None = None) -> Term:
     """Substitute bindings into term, projecting node values to strings."""
     top = toplevel if toplevel is not None else term
-    if isinstance(term, Str):
+    if isinstance(term, str):
         return term
     if isinstance(term, Functor):
         return Functor(term.name, tuple(
@@ -229,7 +204,7 @@ def _ground_term(term: Term, b: Bindings, pos: SourcePos,
 def _project_nodes(value: Value) -> Value:
     """A node or node list as the string it projects to; a term as itself."""
     if isinstance(value, (Element, Text, tuple)):
-        return Str(string_projection(value))
+        return string_projection(value)
     return value
 
 
@@ -248,12 +223,8 @@ def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
     wanted = (set(term_vars(test.goal))
               | set(consequence_vars(test.consequence))
               | {"SourceFile", "SourceLine"})
-    captured = Bindings()
-    for name in sorted(wanted):
-        value = b.get(name)
-        if value is None:
-            continue
-        captured = captured.bind(name, _project_nodes(value))
+    captured = {name: _project_nodes(b[name])
+                for name in sorted(wanted) if name in b}
     return DelayedTest(rule.index, test, captured, pos)
 
 
@@ -389,7 +360,7 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 
 # -- pass-1 result cache ------------------------------------------------------
 #
-# One JSON document per input file.  A term is a string (Str) or a list
+# One JSON document per input file.  A term is a string or a list
 # [name, *args] (Functor); a fact and a captured value are such terms.
 # A delayed test is stored as [rule_index, line, {var: value}]: its goal and
 # consequence are read back from the ruleset, whose digest is in the entry.
@@ -400,11 +371,12 @@ CACHE_FORMAT = 3
 _POSITION_VARS = ("SourceFile", "SourceLine")
 
 
-def serialize_pass1(result: PassOneResult) -> str:
+def serialize_pass1(result: PassOneResult, input_digest: str,
+                    rules: RuleSet) -> str:
     return json.dumps({
         "format": CACHE_FORMAT,
-        "input": result.input_digest,
-        "rules": result.rules_digest,
+        "input": input_digest,
+        "rules": rules.source_hash,
         "facts": [_term_to_json(fact) for fact in result.facts],
         "tests": [[dt.rule_index, dt.pos.line,
                    {name: _term_to_json(value)
@@ -415,14 +387,17 @@ def serialize_pass1(result: PassOneResult) -> str:
     }, separators=(",", ":"))
 
 
-def parse_pass1(text: str, source_file: str,
+def parse_pass1(text: str, source_file: str, input_digest: str,
                 rules: RuleSet) -> PassOneResult:
-    """ValueError unless text is a complete entry for this ruleset."""
+    """ValueError unless text is a complete entry for this input and
+    ruleset; the digests are checked before any fact is decoded."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
         raise ValueError("not a current pass-1 cache entry")
     if doc.get("rules") != rules.source_hash:
         raise ValueError("cache entry was written for another ruleset")
+    if doc.get("input") != input_digest:
+        raise ValueError("cache entry was written for other input content")
     facts = []
     for item in _typed(doc.get("facts"), list):
         term = _term_from_json(item)
@@ -433,8 +408,7 @@ def parse_pass1(text: str, source_file: str,
                   for item in _typed(doc.get("tests"), list))
     diagnostics = tuple(_typed(d, str)
                         for d in _typed(doc.get("diags"), list))
-    return PassOneResult(source_file, tuple(facts), tests, diagnostics,
-                         _typed(doc.get("input"), str), rules.source_hash)
+    return PassOneResult(tuple(facts), tests, diagnostics)
 
 
 def _typed(value, kind: type):
@@ -445,8 +419,8 @@ def _typed(value, kind: type):
 
 
 def _term_to_json(t: Term):
-    if isinstance(t, Str):
-        return t.value
+    if isinstance(t, str):
+        return t
     if isinstance(t, Functor):
         return [t.name, *(_term_to_json(a) for a in t.args)]
     raise ValueError(f"non-ground term not serializable: {t!r}")
@@ -454,7 +428,7 @@ def _term_to_json(t: Term):
 
 def _term_from_json(item) -> Term:
     if type(item) is str:
-        return Str(item)
+        return item
     if type(item) is list and item and type(item[0]) is str:
         return Functor(item[0], tuple(_term_from_json(a) for a in item[1:]))
     raise ValueError(f"bad cached term {item!r}")
@@ -468,9 +442,10 @@ def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
     if rule is None or not isinstance(rule.body, TestRule):
         raise ValueError(f"cached test names rule {index}, not a test rule")
-    bindings = (Bindings({name: _term_from_json(value)
-                          for name, value in captured.items()})
-                .bind("SourceFile", Str(source_file))
-                .bind("SourceLine", Str(str(line))))
+    # bind raises on an entry holding another $SourceFile or $SourceLine
+    bindings = bind(bind({name: _term_from_json(value)
+                          for name, value in captured.items()},
+                         "SourceFile", source_file),
+                    "SourceLine", str(line))
     return DelayedTest(index, rule.body.test, bindings,
                        SourcePos(source_file, line))

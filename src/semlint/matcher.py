@@ -1,7 +1,8 @@
 """Pattern matching against XML nodes and term unification.
 
-All operations are pure: bindings are extended, never mutated, and a failed
-match is the ordinary ``None`` outcome rather than an error.
+All operations are pure: bindings are plain dicts that are extended into
+new dicts, never mutated, and a failed match is the ordinary ``None``
+outcome rather than an error.
 """
 
 from __future__ import annotations
@@ -9,14 +10,14 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from .rule_ast import AttrPattern, PAnon, PEmptyElem, PText, PVar, Pattern
-from .terms import Functor, Str, Var, is_ground, term_to_text
+from .terms import Functor, Var, is_ground, term_to_text
 from .xml_frontend import Element, Text, XmlNode, walk
 
 
-# A bound value is the term or node it denotes: a Str, a ground Functor, a
+# A bound value is the term or node it denotes: a str, a ground Functor, a
 # Var (an alias of another variable), an Element or Text node, or a tuple of
 # nodes (the rest of a child list).
-Value = Union[Str, Functor, Var, XmlNode, tuple[XmlNode, ...]]
+Value = Union[str, Functor, Var, XmlNode, tuple[XmlNode, ...]]
 
 
 class TypeMismatch(Exception):
@@ -25,46 +26,16 @@ class TypeMismatch(Exception):
         self.kind = kind
 
 
-class Bindings:
-    """Immutable variable-name -> Value map; bind() returns an extension."""
+# variable name -> Value; never changed once built, bind() extends a copy
+Bindings = dict[str, Value]
 
-    __slots__ = ("_map",)
 
-    def __init__(self, entries: dict[str, Value] | None = None):
-        self._map: dict[str, Value] = dict(entries) if entries else {}
-
-    def bind(self, name: str, value: Value) -> "Bindings":
-        existing = self._map.get(name)
-        if existing is not None and existing != value:
-            raise ValueError(f"rebinding {name!r} to a different value")
-        new = Bindings(self._map)
-        new._map[name] = value
-        return new
-
-    def get(self, name: str) -> Optional[Value]:
-        return self._map.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
-
-    def __getitem__(self, name: str) -> Value:
-        return self._map[name]
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Bindings) and self._map == other._map
-
-    def items(self):
-        return self._map.items()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._map.items()))
-        return f"Bindings({inner})"
+def bind(b: Bindings, name: str, value: Value) -> Bindings:
+    """b extended by name; ValueError if name already holds another value."""
+    existing = b.get(name)
+    if existing is not None and existing != value:
+        raise ValueError(f"rebinding {name!r} to a different value")
+    return {**b, name: value}
 
 
 def normalize_ws(s: str) -> str:
@@ -73,8 +44,8 @@ def normalize_ws(s: str) -> str:
 
 def string_projection(value: Value) -> str:
     """Flattened, whitespace-normalized textual content of a value."""
-    if isinstance(value, Str):
-        return value.value
+    if isinstance(value, str):
+        return value
     if isinstance(value, (Element, Text)):
         return normalize_ws(" ".join(_texts(value)))
     if isinstance(value, tuple):
@@ -116,11 +87,11 @@ def _match_attrs(attrs: tuple[AttrPattern, ...], n: Element,
         if ap.value is None:
             continue
         actual = present[ap.name]
-        if isinstance(ap.value, Str):
-            if ap.value.value != actual:
+        if isinstance(ap.value, str):
+            if ap.value != actual:
                 return None
         else:
-            b2 = _bind_value(ap.value.name, Str(actual), b)
+            b2 = _bind_value(ap.value.name, actual, b)
             if b2 is None:
                 return None
             b = b2
@@ -156,7 +127,7 @@ def _bind_value(name: str, value: Value, b: Bindings) -> Optional[Bindings]:
     existing = b.get(name)
     if existing is not None:
         return b if existing == value else None
-    return b.bind(name, value)
+    return {**b, name: value}
 
 
 def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
@@ -166,7 +137,7 @@ def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
     elif isinstance(root, tuple):
         nodes = (d for n in root for d in walk(n))
     else:
-        raise TypeMismatch("a string" if isinstance(root, Str) else "a term")
+        raise TypeMismatch("a string" if isinstance(root, str) else "a term")
     out = []
     for node in nodes:
         b2 = match_node(p, node, b)
@@ -200,7 +171,7 @@ def unify(t1: Value, t2: Value, b: Bindings) -> Optional[Bindings]:
         # a variable holds anything but a functor with variables in it
         if isinstance(a, Functor) and not is_ground(a):
             return None
-        return b.bind(c.name, a)
+        return bind(b, c.name, a)
     if isinstance(a, Functor) and isinstance(c, Functor):
         if a.name != c.name or len(a.args) != len(c.args):
             return None

@@ -15,7 +15,7 @@ from typing import Union
 from .matcher import Bindings, normalize_ws, string_projection
 from .record import Record
 from .rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
-from .terms import Functor, Str, Term, Var, term_to_text
+from .terms import Functor, Term, Var, term_to_text
 from .xml_frontend import SourcePos
 
 
@@ -48,7 +48,7 @@ class Message(Record, frozen=True):
 def render_consequence(c: Union[Pattern, Term],
                        b: Bindings) -> tuple[str, str]:
     """Render a test consequence into (html, text) forms."""
-    if isinstance(c, (Var, Str, Functor)):
+    if isinstance(c, (Var, str, Functor)):
         text = term_to_text(_subst_term(c, b))
         return html_mod.escape(text, quote=False), text
     html, text = _render_pattern(c, b)
@@ -60,7 +60,7 @@ def _subst_term(t: Term, b: Bindings) -> Term:
         value = b.get(t.name)
         if value is None:
             raise UnboundInConsequence(t.name)
-        return Str(string_projection(value))
+        return string_projection(value)
     if isinstance(t, Functor):
         return Functor(t.name, tuple(_subst_term(a, b) for a in t.args))
     return t
@@ -89,8 +89,8 @@ def _render_pattern(p: Pattern, b: Bindings) -> tuple[str, str]:
 def _attr_value(a, b: Bindings) -> str:
     if a.value is None:
         raise UnboundInConsequence("_")
-    if isinstance(a.value, Str):
-        return html_mod.escape(a.value.value, quote=True)
+    if isinstance(a.value, str):
+        return html_mod.escape(a.value, quote=True)
     value = b.get(a.value.name)
     if value is None:
         raise UnboundInConsequence(a.value.name)
@@ -109,8 +109,10 @@ def emit_report(msgs: list[Message], diagnostics: list[str],
                          f'{html_mod.escape(d, quote=False)}</p>')
         lines.append("<ul>")
         for m in ordered:
-            item = m.html if m.html.startswith("<li") else f"<li>{m.html}</li>"
-            lines.append(item)
+            # a message whose root element is li is already a list item;
+            # <list> or <link/> merely starts with the same letters
+            is_item = m.html.startswith(("<li>", "<li ", "<li/"))
+            lines.append(m.html if is_item else f"<li>{m.html}</li>")
         lines.append("</ul>")
         lines.append(f"<p>{len(ordered)} messages</p>")
     elif format == "text":

@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Iterator, Union
 
 from .record import Record
-from .terms import Functor, Str, Term, Var, term_vars
+from .terms import Functor, Term, Var, term_vars
 from .xml_frontend import SourcePos
 
 ANON = "_"
@@ -20,9 +20,9 @@ ANON = "_"
 class AttrPattern(Record, frozen=True):
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str, value: Union[Str, Var, None]):
+    def __init__(self, name: str, value: Union[str, Var, None]):
         self.name = name
-        # Str (exact match), Var (bind/check) or None for $_ (presence only)
+        # str (exact match), Var (bind/check) or None for $_ (presence only)
         self.value = value
 
 

@@ -19,13 +19,6 @@ class Var(Record, frozen=True):
         self.name = name
 
 
-class Str(Record, frozen=True):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-
 class Functor(Record, frozen=True):
     __slots__ = ("name", "args")
 
@@ -34,7 +27,8 @@ class Functor(Record, frozen=True):
         self.args = args
 
 
-Term = Union[Var, Str, Functor]
+# a string term is a Python str, as a string is an atom in Prolog
+Term = Union[Var, str, Functor]
 
 
 def is_ground(t: Term) -> bool:
@@ -63,7 +57,7 @@ def quote_string(s: str) -> str:
 def term_to_text(t: Term) -> str:
     if isinstance(t, Var):
         return "$" + t.name
-    if isinstance(t, Str):
-        return quote_string(t.value)
+    if isinstance(t, str):
+        return quote_string(t)
     return t.name + "(" + ",".join(term_to_text(a) for a in t.args) + ")"
 

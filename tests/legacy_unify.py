@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from semlint.matcher import Bindings
+from semlint.matcher import Bindings, bind
 from semlint.record import Record
-from semlint.terms import Functor, Str, Term, Var, is_ground
+from semlint.terms import Functor, Term, Var, is_ground
 from semlint.xml_frontend import XmlNode
 
 
@@ -52,7 +52,7 @@ Value = Union[SVal, NodeVal, NodeListVal, TermVal]
 def unwrap(value: Value):
     """The bound value the current matcher holds for a wrapped one."""
     if isinstance(value, SVal):
-        return Str(value.value)
+        return value.value
     if isinstance(value, NodeVal):
         return value.node
     if isinstance(value, NodeListVal):
@@ -80,8 +80,8 @@ def _resolve(t: Union[Term, Value], b: Bindings) -> Union[Term, Value]:
 def _as_value(t: Union[Term, Value]) -> Optional[Value]:
     if isinstance(t, (SVal, NodeVal, NodeListVal, TermVal)):
         return t
-    if isinstance(t, Str):
-        return SVal(t.value)
+    if isinstance(t, str):
+        return SVal(t)
     if isinstance(t, Functor):
         return TermVal(t) if is_ground(t) else None
     return TermVal(t)  # unbound Var: alias
@@ -95,10 +95,10 @@ def unify(t1: Union[Term, Value], t2: Union[Term, Value],
         return b
     if isinstance(a, Var):
         value = _as_value(c)
-        return None if value is None else b.bind(a.name, value)
+        return None if value is None else bind(b, a.name, value)
     if isinstance(c, Var):
         value = _as_value(a)
-        return None if value is None else b.bind(c.name, value)
+        return None if value is None else bind(b, c.name, value)
 
     fa, fc = _as_functor(a), _as_functor(c)
     if fa is not None or fc is not None:
@@ -128,8 +128,8 @@ def _as_functor(t) -> Optional[Functor]:
 
 
 def _as_string(t) -> Optional[str]:
-    if isinstance(t, Str):
-        return t.value
+    if isinstance(t, str):
+        return t
     if isinstance(t, SVal):
         return t.value
     return None

@@ -9,16 +9,16 @@ import time
 
 from semlint.cli import RunConfig, _cache_path, execute
 from semlint.dsl_parser import parse_rules
-from semlint.matcher import (Bindings, deep_contains, match_children,
-                             match_node, string_projection, unify)
+from semlint.matcher import (deep_contains, match_children, match_node,
+                             string_projection, unify)
 from semlint.rule_ast import (AttrPattern, EnvRule, PAnon, PElem, PVar,
                               TestRule)
-from semlint.terms import Functor, Str, Var
+from semlint.terms import Functor, Var
 from semlint.xml_frontend import Element, parse_xml
 
 from test_matcher import oracle_contains, random_pattern, random_tree
 
-B0 = Bindings()
+B0 = {}
 
 
 def corpus_config(corpus, cache=None, **kw):
@@ -51,7 +51,7 @@ def test_criterion_2_citation_worked_example():
                     (PVar("T"), PVar("R")))
     b = match_node(pattern, doc, B0)
     assert b is not None
-    assert b["Y"] == Str("2003")
+    assert b["Y"] == "2003"
     t = b["T"]
     assert isinstance(t, Element) and t.name == "title"
     r = b["R"]
@@ -106,7 +106,7 @@ def test_criterion_4_environment_scoping():
     for _ in range(3):  # deterministic across repeated evaluations
         result = evaluate_file(doc, rules, "doc.xml")
         assert list(result.facts) == [
-            Functor("personne", (Str("Anne"), Str("Martin"), Str("demo")))]
+            Functor("personne", ("Anne", "Martin", "demo"))]
         assert [(t.test.goal.name, t.pos.line) for t in result.tests] == [
             ("personne1", 6)]
 
@@ -181,7 +181,7 @@ def test_criterion_8_matching_invariants():
     def rand_term(depth=0):
         k = rng.random()
         if k < 0.35 or depth >= 3:
-            return rng.choice([Var("X"), Var("Y"), Str("0"), Str("1")])
+            return rng.choice([Var("X"), Var("Y"), "0", "1"])
         return Functor(rng.choice("fg"), tuple(
             rand_term(depth + 1) for _ in range(rng.randint(0, 3))))
 
@@ -194,11 +194,11 @@ def test_criterion_8_matching_invariants():
         pattern = random_pattern(rng)
 
         # binding monotonicity: matching only ever extends the input
-        seeded = B0.bind("Pre", Str("kept"))
+        seeded = {"Pre": "kept"}
         b = match_node(pattern, tree, seeded)
         if b is not None:
             checked["monotone"] += 1
-            assert b["Pre"] == Str("kept")
+            assert b["Pre"] == "kept"
 
         # attribute-order invariance
         def permute(n):

@@ -7,13 +7,14 @@ import pytest
 from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
                               UNREACHABLE, HttpProber, InstantiationError,
                               UrlProbeResult, _iri_to_uri, make_registry,
-                              probe_answers, strip_accents)
-from semlint.engine import FactStore
-from semlint.matcher import Bindings
-from semlint.terms import Functor, Str, Var
+                              probe_answers, strip_accents, urls_to_probe)
+from semlint.engine import DelayedTest, FactStore
+from semlint.rule_ast import Polarity, Test
+from semlint.terms import Functor, Var
+from semlint.xml_frontend import SourcePos, parse_xml
 from stub_prober import StubProber
 
-B0 = Bindings()
+B0 = {}
 OFFLINE = make_registry(StubProber(), offline=True)
 
 
@@ -39,45 +40,45 @@ def call(registry, name, arity, args, b=B0, store=None):
     ("MMII", "2002", False),
 ])
 def test_sameyear(a, b, match):
-    sols = call(OFFLINE, "sameyear", 2, (Str(a), Str(b)))
+    sols = call(OFFLINE, "sameyear", 2, (a, b))
     assert bool(sols) is match
 
 
 def test_sameyear_requires_bound_arguments():
     with pytest.raises(InstantiationError):
-        call(OFFLINE, "sameyear", 2, (Var("Y"), Str("2002")))
+        call(OFFLINE, "sameyear", 2, (Var("Y"), "2002"))
 
 
 # -- personne1 ------------------------------------------------------------------
 
 PEOPLE = store_with(
-    Functor("personne", (Str("Anne"), Str("Martin"), Str("acacia"))),
-    Functor("personne", (Str("Jean"), Str("Dupónt"), Str("acacia"))),
+    Functor("personne", ("Anne", "Martin", "acacia")),
+    Functor("personne", ("Jean", "Dupónt", "acacia")),
 )
 
 
 def test_personne1_exact_match():
     sols = call(OFFLINE, "personne1", 3,
-                (Str("Anne"), Str("Martin"), Str("acacia")), store=PEOPLE)
+                ("Anne", "Martin", "acacia"), store=PEOPLE)
     assert sols == [B0]
 
 
 def test_personne1_no_match_wrong_project():
     assert call(OFFLINE, "personne1", 3,
-                (Str("Anne"), Str("Martin"), Str("other")),
+                ("Anne", "Martin", "other"),
                 store=PEOPLE) == []
 
 
 def test_personne1_strict_by_default():
     assert call(OFFLINE, "personne1", 3,
-                (Str("Jean"), Str("Dupont"), Str("acacia")),
+                ("Jean", "Dupont", "acacia"),
                 store=PEOPLE) == []
 
 
 def test_personne1_accent_and_case_normalization():
     reg = make_registry(StubProber(), offline=True, normalize_names=True)
     sols = call(reg, "personne1", 3,
-                (Str("jean"), Str("DUPONT"), Str("Acacia")), store=PEOPLE)
+                ("jean", "DUPONT", "Acacia"), store=PEOPLE)
     assert len(sols) == 1
 
 
@@ -89,29 +90,29 @@ def test_strip_accents():
 # -- pubbyotherproject ----------------------------------------------------------
 
 PUBS = store_with(
-    Functor("pub", (Str("Shared Paper"), Str("acacia"))),
-    Functor("pub", (Str("Shared Paper"), Str("orpailleur"))),
-    Functor("pub", (Str("Shared Paper"), Str("miro"))),
-    Functor("pub", (Str("Solo Paper"), Str("acacia"))),
+    Functor("pub", ("Shared Paper", "acacia")),
+    Functor("pub", ("Shared Paper", "orpailleur")),
+    Functor("pub", ("Shared Paper", "miro")),
+    Functor("pub", ("Solo Paper", "acacia")),
 )
 
 
 def test_pubbyotherproject_no_solutions_for_solo_work():
     assert call(OFFLINE, "pubbyotherproject", 3,
-                (Str("Solo Paper"), Str("acacia"), Var("O")),
+                ("Solo Paper", "acacia", Var("O")),
                 store=PUBS) == []
 
 
 def test_pubbyotherproject_excludes_own_project():
     sols = call(OFFLINE, "pubbyotherproject", 3,
-                (Str("Shared Paper"), Str("acacia"), Var("O")), store=PUBS)
-    assert sorted(s["O"].value for s in sols) == ["miro", "orpailleur"]
+                ("Shared Paper", "acacia", Var("O")), store=PUBS)
+    assert sorted(s["O"] for s in sols) == ["miro", "orpailleur"]
 
 
 def test_pubbyotherproject_output_must_be_unbound():
     with pytest.raises(InstantiationError):
         call(OFFLINE, "pubbyotherproject", 3,
-             (Str("Shared Paper"), Str("acacia"), Str("miro")), store=PUBS)
+             ("Shared Paper", "acacia", "miro"), store=PUBS)
 
 
 # -- testurl --------------------------------------------------------------------
@@ -120,40 +121,73 @@ def test_testurl_live_url_yields_no_solutions():
     prober = StubProber({"http://x/": UrlProbeResult("http://x/", OK, 200)})
     reg = make_registry(prober)
     assert call(reg, "testurl", 3,
-                (Str("http://x/"), Var("A1"), Var("A2"))) == []
+                ("http://x/", Var("A1"), Var("A2"))) == []
 
 
 def test_testurl_http_error_binds_answers():
     prober = StubProber({"http://x/d": UrlProbeResult(
         "http://x/d", HTTP_ERROR, 404, "Not Found")})
     reg = make_registry(prober)
-    sols = call(reg, "testurl", 3, (Str("http://x/d"), Var("A1"), Var("A2")))
+    sols = call(reg, "testurl", 3, ("http://x/d", Var("A1"), Var("A2")))
     assert len(sols) == 1
-    assert sols[0]["A1"] == Str("http://x/d:")
-    assert sols[0]["A2"] == Str("ERROR 404: Not Found")
+    assert sols[0]["A1"] == "http://x/d:"
+    assert sols[0]["A2"] == "ERROR 404: Not Found"
 
 
 def test_testurl_unreachable_binds_generic_answer():
     prober = StubProber()
     reg = make_registry(prober)
-    sols = call(reg, "testurl", 3, (Str("http://gone/"), Var("A"), Var("B")))
-    assert sols[0]["A"] == Str("No answer or time out,")
-    assert "down or does not exist" in sols[0]["B"].value
+    sols = call(reg, "testurl", 3, ("http://gone/", Var("A"), Var("B")))
+    assert sols[0]["A"] == "No answer or time out,"
+    assert "down or does not exist" in sols[0]["B"]
 
 
 def test_testurl_answers_for_one_variable_must_agree():
     reg = make_registry(StubProber())
     # the two answers differ, so one variable cannot hold both
     assert call(reg, "testurl", 3,
-                (Str("http://gone/"), Var("A"), Var("A"))) == []
+                ("http://gone/", Var("A"), Var("A"))) == []
+
+
+@pytest.mark.parametrize("name, args", [
+    ("testurl", ("http://gone/", Var("A"), Var("B"))),
+    ("pubbyotherproject", ("Shared Paper", "acacia", Var("A"))),
+])
+def test_output_variable_already_bound_is_an_instantiation_error(name, args):
+    reg = make_registry(StubProber())
+    with pytest.raises(InstantiationError, match="must be unbound"):
+        call(reg, name, 3, args, b={"A": "x"}, store=PUBS)
 
 
 def test_testurl_offline_mode_never_probes():
     prober = StubProber()
     reg = make_registry(prober, offline=True)
     assert call(reg, "testurl", 3,
-                (Str("http://x/"), Var("A1"), Var("A2"))) == []
+                ("http://x/", Var("A1"), Var("A2"))) == []
     assert prober.calls == []
+
+
+def test_urls_to_probe_projects_bound_url_arguments():
+    def delayed(goal, captured):
+        return DelayedTest(0, Test(Polarity.IF_PRESENT, goal, "m"), captured,
+                           SourcePos("f.xml", 1))
+    node = parse_xml(b"<u> http://x/n </u>", "f.xml")
+    tests = [
+        delayed(Functor("testurl", ("http://x/s", Var("A"), Var("B"))), {}),
+        delayed(Functor("testurl", (Var("U"), Var("A"), Var("B"))),
+                {"U": node}),
+        delayed(Functor("testurl", (Functor("f", ("x",)), Var("A"),
+                                    Var("B"))), {}),
+        # unbound, another predicate, another arity: nothing to probe
+        delayed(Functor("testurl", (Var("U"), Var("A"), Var("B"))), {}),
+        delayed(Functor("sameyear", ("http://x/no", "1")), {}),
+        delayed(Functor("testurl", ("http://x/no",)), {}),
+    ]
+    assert urls_to_probe(tests) == ["http://x/s", "http://x/n", 'f("x")']
+    # a functor's text is malformed without a request, as testurl finds it
+    prober = HttpProber()
+    assert prober.probe('f("x")').kind == MALFORMED
+    assert prober.probe_count == 0
 
 
 def test_probe_answers_malformed():

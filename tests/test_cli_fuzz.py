@@ -1,0 +1,235 @@
+"""Random rule files from the DSL grammar, run on random documents by cli.run.
+
+Whatever the rules and the document, a run ends with exit code 0, 2 (a
+rules, input or engine error), or 1 only under --fail-on-warnings; no
+exception escapes and no traceback is printed.  A warm run repeats the
+cold run's output exactly.
+
+The generator mostly draws variables that are already bound, so that most
+rule files pass validation and reach both passes; now and then it draws
+any variable, which the parser may reject with a clean exit 2.
+"""
+
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semlint.builtins import OK, UrlProbeResult
+from semlint.cli import RunConfig, run
+from semlint.reporting import FORMATS
+from stub_prober import StubProber
+
+ELEMENTS = ["a", "b", "c"]
+ATTRS = ["x", "y"]
+VARS = ["X", "Y", "Z"]
+ENV_VARS = ["e", "f"]
+STRINGS = ["", "0", "2002", "http://h/live", "http://h/dead", "Anne"]
+# goals and their argument modes (i: bound, o: fresh): the builtins,
+# predicates that rules assert, and one that is never asserted
+GOALS = [("sameyear", "ii"), ("personne1", "iii"),
+         ("pubbyotherproject", "iio"), ("testurl", "ioo"), ("p", "i"),
+         ("q", "io"), ("r", "i")]
+FACTS = [("p", 1), ("q", 2)]
+ROOTS = ["li", "list", "ul"]
+TEXTS = ["w", "0", "http://h/live"]
+
+
+def quoted(s):
+    return '"' + s + '"'
+
+
+@st.composite
+def variable(draw, bound):
+    """A bound variable; any variable one time in ten, or if none is bound."""
+    if bound and draw(st.integers(0, 9)):
+        return draw(st.sampled_from(sorted(bound)))
+    return draw(st.sampled_from(VARS))
+
+
+@st.composite
+def term(draw, bound, depth=0):
+    kind = draw(st.sampled_from(["string", "var", "functor"] if depth < 2
+                                else ["string", "var"]))
+    if kind == "string":
+        return quoted(draw(st.sampled_from(STRINGS)))
+    if kind == "var":
+        return "$" + draw(variable(bound))
+    args = draw(st.lists(term(bound, depth + 1), max_size=2))
+    return f"f({', '.join(args)})"
+
+
+@st.composite
+def pattern(draw, binds, depth=0, child=False):
+    """An XML-shaped pattern and a piece of XML that it matches.
+
+    The variables the pattern binds are added to binds.  A head is an
+    element; a contains pattern may also be a variable; a child may also be
+    text."""
+    kinds = ["element", "empty"]
+    if depth:
+        kinds += ["var", "anon"] + (["text"] if child else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("var", "anon"):
+        name = "_"
+        if kind == "var":
+            name = draw(st.sampled_from(VARS))
+            binds.add(name)
+        return f"<${name}>", draw(document(depth=2))
+    if kind == "text":
+        text = draw(st.sampled_from(TEXTS))
+        return text, text
+    name = draw(st.sampled_from(ELEMENTS))
+    attrs, instance_attrs = "", ""
+    for attr in draw(st.lists(st.sampled_from(ATTRS), max_size=2,
+                              unique=True)):
+        value = draw(st.sampled_from(STRINGS))
+        kind_of_value = draw(st.sampled_from(["var", "anon", "string"]))
+        if kind_of_value == "var":
+            var = draw(st.sampled_from(VARS))
+            binds.add(var)
+            attrs += f" {attr}=${var}"
+        elif kind_of_value == "anon":
+            attrs += f" {attr}=$_"
+        else:
+            attrs += f" {attr}={quoted(value)}"
+        instance_attrs += f" {attr}={quoted(value)}"
+    if kind == "empty" or depth >= 2:
+        return f"<{name}{attrs}/>", f"<{name}{instance_attrs}/>"
+    children = draw(st.lists(pattern(binds, depth + 1, child=True),
+                             max_size=3))
+    if draw(st.booleans()):
+        # the rest of the content, whatever it is
+        children.append(("<$_>", "\n".join(draw(st.lists(
+            document(depth=2), max_size=2)))))
+    return (f"<{name}{attrs}> {' '.join(p for p, _ in children)} </{name}>",
+            f"<{name}{instance_attrs}>" + "\n".join(i for _, i in children)
+            + f"</{name}>")
+
+
+@st.composite
+def consequence(draw, bound):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(term(bound))
+    root = draw(st.sampled_from(ROOTS))
+    if draw(st.booleans()):
+        return f"<{root} x=${draw(variable(bound))}/>"
+    parts = draw(st.lists(st.one_of(
+        st.just("at"), st.builds(lambda v: f"<${v}>", variable(bound))),
+        max_size=3))
+    return f"<{root}> {' '.join(parts)} </{root}>"
+
+
+@st.composite
+def rule(draw):
+    bound = {"SourceFile", "SourceLine"}
+    skipped = "<* " if draw(st.integers(0, 5)) == 0 else ""
+    if draw(st.integers(0, 7)) == 0:
+        instance = draw(st.sampled_from(TEXTS))
+        head = quoted(instance)
+    else:
+        head, instance = draw(pattern(bound))
+    conditions = ""
+    # an env condition holds only under an ancestor's assignment: few of them
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        node_vars = bound - {"SourceFile", "SourceLine"}
+        if node_vars and draw(st.booleans()):
+            var = draw(variable(node_vars))
+            conditions += f" & ${var} contains {draw(pattern(bound, 1))[0]}"
+        else:
+            rhs = draw(term(bound | set(VARS)))
+            conditions += f" & {draw(st.sampled_from(ENV_VARS))} = {rhs}"
+            bound |= {v for v in VARS if "$" + v in rhs}
+    if draw(st.booleans()):
+        actions = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                actions.append(f"{draw(st.sampled_from(ENV_VARS))} := "
+                               f"{draw(term(bound))}")
+            else:
+                name, arity = draw(st.sampled_from(FACTS))
+                args = [draw(term(bound)) for _ in range(arity)]
+                actions.append(f"{name}({', '.join(args)})")
+        body = "=> " + " & ".join(actions)
+    else:
+        name, modes = draw(st.sampled_from(GOALS))
+        # one argument in ten is given the other mode
+        args = [draw(st.sampled_from(["$A", "$B", "$O"])
+                     if (mode == "o") == bool(draw(st.integers(0, 9)))
+                     else term(bound))
+                for mode in modes]
+        polarity = draw(st.sampled_from(["/", "->"]))
+        goal_vars = {v for v in ("A", "B", "O") if any(
+            a == "$" + v for a in args)}
+        body = (f"? {name}({', '.join(args)}) {polarity} "
+                f"{draw(consequence(bound | goal_vars))}")
+    return f"{skipped}{head}{conditions}\n  {body};\n", instance
+
+
+@st.composite
+def document(draw, depth=0):
+    name = draw(st.sampled_from(ELEMENTS))
+    attrs = "".join(
+        f' {attr}="{draw(st.sampled_from(STRINGS))}"'
+        for attr in draw(st.lists(st.sampled_from(ATTRS), max_size=2,
+                                  unique=True)))
+    children = [] if depth >= 3 else draw(st.lists(
+        st.one_of(document(depth + 1), st.sampled_from(TEXTS)), max_size=3))
+    return f"<{name}{attrs}>" + "\n".join(children) + f"</{name}>"
+
+
+@st.composite
+def corpus(draw):
+    """Rules, and a document holding an instance of each head among random
+    content, at random depths."""
+    rules = draw(st.lists(rule(), min_size=1, max_size=4))
+    parts = [instance for _, instance in rules]
+    parts += draw(st.lists(document(depth=1), max_size=3))
+    parts = draw(st.permutations(parts))
+    while len(parts) > 1:
+        # wrap a random run of the parts in a new element
+        i = draw(st.integers(0, len(parts) - 1))
+        j = draw(st.integers(i + 1, len(parts)))
+        name = draw(st.sampled_from(ELEMENTS))
+        parts[i:j] = [f"<{name}>" + "\n".join(parts[i:j]) + f"</{name}>"]
+    return "".join(rule for rule, _ in rules), f"<a>{parts[0]}</a>"
+
+
+PROBER_RESULTS = {"http://h/live": UrlProbeResult("http://h/live", OK, 200)}
+
+
+def run_once(root, rules, doc, offline, fail_on_warnings, format):
+    cfg = RunConfig(rule_files=[str(rules)], inputs=[str(doc)],
+                    cache_dir=str(root / ("cache-off" if offline
+                                          else "cache-on")),
+                    format=format, offline=offline,
+                    fail_on_warnings=fail_on_warnings)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(cfg, prober=StubProber(PROBER_RESULTS), stdout=out,
+               stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(corpus(), st.booleans(), st.sampled_from(FORMATS))
+@settings(max_examples=250, deadline=None)
+def test_any_rules_on_any_document_end_in_a_clean_exit(drawn,
+                                                       fail_on_warnings,
+                                                       format):
+    rules_text, doc_text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        rules_path = root / "fuzz.rules"
+        rules_path.write_text(rules_text, encoding="utf-8")
+        doc_path = root / "doc.xml"
+        doc_path.write_text(doc_text, encoding="utf-8")
+        for offline in (True, False):
+            cold = run_once(root, rules_path, doc_path, offline,
+                            fail_on_warnings, format)
+            code, _, stderr = cold
+            assert code in ((0, 1, 2) if fail_on_warnings else (0, 2)), cold
+            assert "Traceback" not in stderr
+            warm = run_once(root, rules_path, doc_path, offline,
+                            fail_on_warnings, format)
+            assert warm == cold

@@ -5,7 +5,7 @@ from semlint.dsl_parser import LexError, ParseError, parse_rule_texts, \
 from semlint.rule_ast import (Assert, Assign, Contains, EnvRule, Eq, PAnon,
                               PElem, PEmptyElem, PText, PVar, Polarity,
                               TestRule)
-from semlint.terms import Functor, Str, Var
+from semlint.terms import Functor, Var
 
 
 def kinds(text):

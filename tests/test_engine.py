@@ -1,16 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlint.dsl_parser import parse_rules
+from semlint.builtins import HttpProber, make_registry
+from semlint.dsl_parser import parse_rule_texts, parse_rules
 from semlint.engine import (DelayedTest, FactStore, UnknownPredicate,
                             evaluate_file, merge_facts, parse_pass1,
                             resolve_tests, serialize_pass1, solve)
-from semlint.matcher import Bindings
 from semlint.rule_ast import Polarity, Rule, RuleSet
-from semlint.terms import Functor, Str, Var
+from semlint.terms import Functor, Var
 from semlint.xml_frontend import parse_xml
 
 NO_BUILTINS = {}
@@ -49,10 +50,10 @@ MINI_DOC = """\
 
 def mini_builtins():
     def personne1(args, b, store):
-        want = tuple(b.get(a.name) if isinstance(a, Var) else Str(a.value)
+        want = tuple(b.get(a.name) if isinstance(a, Var) else a
                      for a in args)
         for fact in store.lookup("personne", 3):
-            if tuple(Str(x.value) for x in fact.args) == want:
+            if fact.args == want:
                 return [b]
         return []
     return {("personne1", 3): personne1}
@@ -61,7 +62,7 @@ def mini_builtins():
 def test_mini_report_end_to_end():
     result = ev(MINI_RULES, MINI_DOC)
     assert list(result.facts) == [
-        Functor("personne", (Str("Anne"), Str("Martin"), Str("acacia")))]
+        Functor("personne", ("Anne", "Martin", "acacia"))]
     assert len(result.tests) == 2
     store = merge_facts([result])
     msgs, diags = resolve_tests(list(result.tests), store, mini_builtins())
@@ -88,7 +89,7 @@ def test_assignments_scope_to_subtree_only():
     result = ev(rules, xml)
     # the sibling probe outside <a> sees no binding for x at all
     assert list(result.facts) == [
-        Functor("seen", (Str("in-a"),))]
+        Functor("seen", ("in-a",))]
 
 
 def test_assignment_invisible_to_assigning_node_itself():
@@ -110,7 +111,7 @@ def test_rules_at_same_node_share_pre_update_snapshot():
     # the condition reads the environment inherited from <root>,
     # not the sibling assignment made at the same <a/> node
     assert list(result.facts) == [
-        Functor("saw", (Str("outer"),))]
+        Functor("saw", ("outer",))]
 
 
 def test_conflicting_assignments_last_rule_wins_with_diagnostic():
@@ -124,14 +125,14 @@ def test_conflicting_assignments_last_rule_wins_with_diagnostic():
     assert "conflicting assignments to 'x'" in result.diagnostics[0]
     result2 = ev(rules, "<root><a><probe/></a></root>")
     assert list(result2.facts) == [
-        Functor("seen", (Str("second"),))]
+        Functor("seen", ("second",))]
 
 
 def test_predefined_source_bindings():
     rules = "<a/> => at($SourceFile,$SourceLine);"
     result = ev(rules, "<root>\n<a/>\n</root>", file="in.xml")
     assert list(result.facts) == [
-        Functor("at", (Str("in.xml"), Str("2")))]
+        Functor("at", ("in.xml", "2"))]
 
 
 def test_skipped_rules_do_not_fire():
@@ -150,7 +151,7 @@ def test_contains_condition_binds_first_solution():
            "<title>Second</title></citation>")
     result = ev(rules, xml)
     assert list(result.facts) == [
-        Functor("title", (Str("First"),))]
+        Functor("title", ("First",))]
 
 
 def test_contains_on_a_string_fails_with_a_diagnostic():
@@ -158,7 +159,7 @@ def test_contains_on_a_string_fails_with_a_diagnostic():
              '<a x=$X/> => q($X);\n')
     result = ev(rules, '<r>\n<a x="1"/></r>')
     assert list(result.facts) == [
-        Functor("q", (Str("1"),))]
+        Functor("q", ("1",))]
     assert result.diagnostics == (
         "doc.xml:2: $X holds a string, not a node: the contains condition "
         "of rule 0 fails",)
@@ -167,7 +168,7 @@ def test_contains_on_a_string_fails_with_a_diagnostic():
 def test_node_values_project_to_strings_in_facts():
     rules = "<a> <$X> </a> => got($X);"
     result = ev(rules, "<a><b> spaced  <c>text</c> </b></a>")
-    assert result.facts[0] == Functor("got", (Str("spaced text"),))
+    assert result.facts[0] == Functor("got", ("spaced text",))
 
 
 # -- fact store / pass 2 -------------------------------------------------------
@@ -197,26 +198,26 @@ def test_merge_is_idempotent_and_order_insensitive():
 
 def test_solve_against_facts():
     store = merge_facts([ev('<a/> => head("Smith","CS");', "<a/>")])
-    sols = solve(Functor("head", (Var("P"), Str("CS"))), Bindings(), store,
+    sols = solve(Functor("head", (Var("P"), "CS")), {}, store,
                  NO_BUILTINS)
-    assert [s["P"] for s in sols] == [Str("Smith")]
-    assert solve(Functor("head", (Var("P"), Str("EE"))), Bindings(), store,
+    assert [s["P"] for s in sols] == ["Smith"]
+    assert solve(Functor("head", (Var("P"), "EE")), {}, store,
                  NO_BUILTINS) == []
 
 
 def test_solve_unknown_predicate_raises():
     store = merge_facts([ev('<a/> => head("Smith","CS");', "<a/>")])
     with pytest.raises(UnknownPredicate):
-        solve(Functor("haed", (Var("P"), Var("X"))), Bindings(), store,
+        solve(Functor("haed", (Var("P"), Var("X"))), {}, store,
               NO_BUILTINS)
     # as in Prolog, the same name at another arity is another predicate
     with pytest.raises(UnknownPredicate):
-        solve(Functor("head", (Var("P"),)), Bindings(), store, NO_BUILTINS)
+        solve(Functor("head", (Var("P"),)), {}, store, NO_BUILTINS)
 
 
 def test_non_ascii_names_in_rules_match_non_ascii_elements():
     result = ev('<élève nom=$N/> => p($N);', '<r><élève nom="Zoé"/></r>')
-    assert list(result.facts) == [Functor("p", (Str("Zoé"),))]
+    assert list(result.facts) == [Functor("p", ("Zoé",))]
 
 
 def test_unknown_predicate_reported_once_as_diagnostic():
@@ -284,6 +285,22 @@ def test_fact_set_invariant_under_env_rule_permutation(rng):
         sorted((t.rule_index, t.pos.line) for t in baseline.tests)
 
 
+def test_resolving_tests_leaves_their_bindings_unchanged(seeded_corpus):
+    # bindings are plain dicts: pass 2 must extend copies, never change the
+    # bindings that a delayed test captured in pass 1
+    ruleset = parse_rule_texts([(Path(path).read_text(encoding="utf-8"), path)
+                                for path in seeded_corpus["rules"]])
+    results = [evaluate_file(parse_xml(Path(path).read_bytes(), path),
+                             ruleset, path)
+               for path in seeded_corpus["inputs"]]
+    tests = [dt for result in results for dt in result.tests]
+    before = [dict(dt.captured) for dt in tests]
+    messages, diagnostics = resolve_tests(
+        tests, merge_facts(results), make_registry(HttpProber(timeout=5.0)))
+    assert len(messages) == 4 and diagnostics == []
+    assert [dt.captured for dt in tests] == before
+
+
 def test_per_file_results_are_independent():
     r_both = [ev(MINI_RULES, MINI_DOC, file="a.xml"),
               ev(MINI_RULES, MINI_DOC.replace("Zoe", "Ada"), file="b.xml")]
@@ -293,24 +310,35 @@ def test_per_file_results_are_independent():
 
 # -- cache round-trip -----------------------------------------------------------
 
+DIGEST = "0" * 64
+
+
 def mini_ruleset():
     return parse_rules(MINI_RULES, "r.rules")
 
 
+def encode(result, rules=None):
+    return serialize_pass1(result, DIGEST, rules or mini_ruleset())
+
+
+def decode(text, rules=None):
+    return parse_pass1(text, "doc.xml", DIGEST, rules or mini_ruleset())
+
+
 def test_cache_round_trip_is_bit_exact():
     result = ev(MINI_RULES, MINI_DOC)
-    blob = serialize_pass1(result)
-    parsed = parse_pass1(blob, "doc.xml", mini_ruleset())
-    assert serialize_pass1(parsed) == blob
+    blob = encode(result)
+    parsed = decode(blob)
+    assert encode(parsed) == blob
     assert parsed.facts == result.facts
     assert parsed.tests == result.tests
-    assert parsed.input_digest == result.input_digest
-    assert parsed.rules_digest == result.rules_digest
+    with pytest.raises(ValueError, match="other input"):
+        parse_pass1(blob, "doc.xml", "1" * 64, mini_ruleset())
 
 
 def test_cached_tests_resolve_identically():
     result = ev(MINI_RULES, MINI_DOC)
-    parsed = parse_pass1(serialize_pass1(result), "doc.xml", mini_ruleset())
+    parsed = decode(encode(result))
     store = merge_facts([result])
     fresh = resolve_tests(list(result.tests), store, mini_builtins())
     cached = resolve_tests(list(parsed.tests), merge_facts([parsed]),
@@ -322,30 +350,29 @@ def test_cache_preserves_diagnostics():
     rules = '<a/> => x := "1";\n<a/> => x := "2";'
     result = ev(rules, "<a/>")
     assert result.diagnostics
-    parsed = parse_pass1(serialize_pass1(result), "doc.xml",
-                         parse_rules(rules, "r.rules"))
+    ruleset = parse_rules(rules, "r.rules")
+    parsed = decode(encode(result, ruleset), ruleset)
     assert parsed.diagnostics == result.diagnostics
 
 
 def test_cache_rejects_corrupt_input():
     with pytest.raises(ValueError):
-        parse_pass1("garbage\n", "doc.xml", mini_ruleset())
+        decode("garbage\n")
     with pytest.raises(ValueError):
-        parse_pass1("#input x\n#rules y\nnot a fact\n", "doc.xml",
-                    mini_ruleset())
+        decode("#input x\n#rules y\nnot a fact\n")
 
 
 def test_cache_rejects_every_truncation():
     result = ev(MINI_RULES, MINI_DOC)
     assert result.facts and result.tests
-    blob = serialize_pass1(result).rstrip()
+    blob = encode(result).rstrip()
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
-            parse_pass1(blob[:cut], "doc.xml", mini_ruleset())
+            decode(blob[:cut])
 
 
 def _mutated_entry(mutate):
-    entry = json.loads(serialize_pass1(ev(MINI_RULES, MINI_DOC)))
+    entry = json.loads(encode(ev(MINI_RULES, MINI_DOC)))
     mutate(entry)
     return json.dumps(entry)
 
@@ -366,4 +393,4 @@ def _mutated_entry(mutate):
 ])
 def test_cache_rejects_inconsistent_entries(text):
     with pytest.raises(ValueError):
-        parse_pass1(text, "doc.xml", mini_ruleset())
+        decode(text)

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from semlint import engine
 from semlint.builtins import make_registry, strip_accents
 from semlint.engine import DelayedTest, FactStore, merge_facts, resolve_tests
-from semlint.matcher import Bindings
 from semlint.rule_ast import Polarity, Test
-from semlint.terms import Functor, Str, Var, term_to_text
+from semlint.terms import Functor, Var, term_to_text
 from semlint.xml_frontend import SourcePos
 from stub_prober import StubProber
 
-B0 = Bindings()
+B0 = {}
 NAMES = ["Anne", "anne", "ANNE", "Dupónt", "Dupont", "Émile", "emile", ""]
 PROJECTS = ["acacia", "Acacia", "orpailleur", "éa"]
 TITLES = ["T1", "t1", "Thé", "The", ""]
@@ -39,7 +38,7 @@ def ref_personne1(facts, wanted, normalize):
     fold = strip_accents if normalize else (lambda s: s)
     wanted = tuple(fold(w) for w in wanted)
     for fact in ref_lookup(facts, "personne", 3):
-        got = tuple(fold(a.value if isinstance(a, Str) else "")
+        got = tuple(fold(a if isinstance(a, str) else "")
                     for a in fact.args)
         if got == wanted:
             return [B0]
@@ -50,10 +49,10 @@ def ref_pubbyotherproject(facts, title, project):
     out = []
     for fact in ref_lookup(facts, "pub", 2):
         fact_title, fact_proj = fact.args
-        if not isinstance(fact_title, Str) or not isinstance(fact_proj, Str):
+        if not isinstance(fact_title, str) or not isinstance(fact_proj, str):
             continue
-        if fact_title.value == title and fact_proj.value != project:
-            out.append(B0.bind("O", Str(fact_proj.value)))
+        if fact_title == title and fact_proj != project:
+            out.append({"O": fact_proj})
     return out
 
 
@@ -61,8 +60,8 @@ def ref_pubbyotherproject(facts, title, project):
 
 def args_from(pool):
     return st.one_of(
-        st.sampled_from(pool).map(Str),
-        st.sampled_from(pool).map(lambda s: Functor("f", (Str(s),))),
+        st.sampled_from(pool),
+        st.sampled_from(pool).map(lambda s: Functor("f", (s,))),
         st.just(Functor("nil", ())))
 
 
@@ -91,11 +90,11 @@ def check_against_scan(store, facts, registry, people, pubs, normalize):
                                                              arity)
     personne1 = registry[("personne1", 3)]
     for wanted in people:
-        got = personne1(tuple(Str(w) for w in wanted), B0, store)
+        got = personne1(tuple(wanted), B0, store)
         assert got == ref_personne1(facts, wanted, normalize)
     pubbyotherproject = registry[("pubbyotherproject", 3)]
     for title, project in pubs:
-        got = pubbyotherproject((Str(title), Str(project), Var("O")), B0,
+        got = pubbyotherproject((title, project, Var("O")), B0,
                                 store)
         assert got == ref_pubbyotherproject(facts, title, project)
 
@@ -118,13 +117,13 @@ def test_indexed_store_matches_full_scan(first, later, people, pubs,
         check_against_scan(store, facts, registry, people, pubs, normalize)
         # queried people and titles also come from the stored facts, with
         # variants that match only when names are normalised
-        people_in = [tuple(vary(a.value) for a in f.args)
+        people_in = [tuple(vary(a) for a in f.args)
                      for f in ref_lookup(facts, "personne", 3)
-                     if all(isinstance(a, Str) for a in f.args)
+                     if all(isinstance(a, str) for a in f.args)
                      for vary in (str, str.upper, strip_accents)]
-        pubs_in = [(f.args[0].value, p)
+        pubs_in = [(f.args[0], p)
                    for f in ref_lookup(facts, "pub", 2)
-                   if isinstance(f.args[0], Str) for p in PROJECTS]
+                   if isinstance(f.args[0], str) for p in PROJECTS]
         check_against_scan(store, facts, registry, people_in, pubs_in,
                            normalize)
 
@@ -133,26 +132,24 @@ def test_indexed_store_matches_full_scan(first, later, people, pubs,
 
 def goal_tests(n):
     goals = [
-        Functor("personne1", (Str("First3"), Str("Last3"), Str("p1"))),
-        Functor("personne1", (Str("Nobody"), Str("Last3"), Str("p1"))),
-        Functor("pubbyotherproject", (Str("Title2"), Str("p0"), Var("O"))),
+        Functor("personne1", ("First3", "Last3", "p1")),
+        Functor("personne1", ("Nobody", "Last3", "p1")),
+        Functor("pubbyotherproject", ("Title2", "p0", Var("O"))),
         Functor("member", (Var("M"),)),
     ]
     return [DelayedTest(i, Test(Polarity.IF_ABSENT, goals[i % len(goals)],
-                                Str("warn")), B0, SourcePos("f.xml", i + 1))
+                                "warn"), B0, SourcePos("f.xml", i + 1))
             for i in range(n)]
 
 
 @pytest.mark.parametrize("n_tests", [1, 40, 800])
 def test_pass2_renders_each_fact_at_most_once(monkeypatch, n_tests):
-    terms_ = ([Functor("personne", (Str(f"First{i}"), Str(f"Last{i}"),
-                                    Str(f"p{i % 2}"))) for i in range(30)]
-              + [Functor("pub", (Str(f"Title{i % 10}"), Str(f"p{i % 3}")))
+    terms_ = ([Functor("personne", (f"First{i}", f"Last{i}",
+                                    f"p{i % 2}")) for i in range(30)]
+              + [Functor("pub", (f"Title{i % 10}", f"p{i % 3}"))
                  for i in range(30)]
-              + [Functor("member", (Str(f"m{i}"),)) for i in range(20)])
-    store = merge_facts([engine.PassOneResult(
-        "f.xml", tuple(terms_),
-        (), (), "", "")])
+              + [Functor("member", (f"m{i}",)) for i in range(20)])
+    store = merge_facts([engine.PassOneResult(tuple(terms_), (), ())])
     renders = 0
     real = engine.term_to_text
 

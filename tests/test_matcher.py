@@ -5,16 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_unify
-from semlint.matcher import (Bindings, TypeMismatch, deep_contains,
-                             match_children, match_node, string_projection,
-                             unify)
+from semlint.matcher import (TypeMismatch, deep_contains, match_children,
+                             match_node, string_projection, unify)
 from semlint.rule_ast import AttrPattern, PAnon, PElem, PEmptyElem, PText, PVar
-from semlint.terms import Functor, Str, Var
+from semlint.terms import Functor, Var
 from semlint.xml_frontend import Element, MalformedXml, Text, parse_xml, walk
 from test_rule_index import trees
 from test_xml_frontend import _documents
 
-B0 = Bindings()
+B0 = {}
 
 
 def elem(name, *children, attrs=()):
@@ -37,7 +36,7 @@ CITATION_PATTERN = PElem("citation",
 def test_worked_citation_example():
     b = match_node(CITATION_PATTERN, CITATION, B0)
     assert b is not None
-    assert b["Y"] == Str("2003")
+    assert b["Y"] == "2003"
     assert b["T"] is CITATION.children[0]
     assert b["T"].name == "title"
     assert b["R"] == CITATION.children[1:]
@@ -56,11 +55,11 @@ def test_nonlinear_attribute_pattern():
                          AttrPattern("y", Var("V"))))
     assert match_node(p, parse_xml(b'<p x="1" y="2"/>', "f"), B0) is None
     b = match_node(p, parse_xml(b'<p x="1" y="1"/>', "f"), B0)
-    assert b is not None and b["V"] == Str("1")
+    assert b is not None and b["V"] == "1"
 
 
 def test_attribute_subset_matching():
-    p = PEmptyElem("a", (AttrPattern("x", Str("1")),))
+    p = PEmptyElem("a", (AttrPattern("x", "1"),))
     assert match_node(p, parse_xml(b'<a x="1" y="2"/>', "f"), B0) is not None
     assert match_node(p, parse_xml(b'<a y="2"/>', "f"), B0) is None
     assert match_node(p, parse_xml(b'<a x="9"/>', "f"), B0) is None
@@ -118,7 +117,7 @@ def test_deep_contains_no_match_is_empty():
 
 def test_deep_contains_rejects_string_roots():
     with pytest.raises(TypeMismatch):
-        deep_contains(Str("x"), PElem("a", (), ()), B0)
+        deep_contains("x", PElem("a", (), ()), B0)
 
 
 def test_string_projection_flattens_and_normalizes():
@@ -126,18 +125,18 @@ def test_string_projection_flattens_and_normalizes():
     assert string_projection(root) == "one two three four"
     assert string_projection(root.children) == \
         "one two three four"
-    assert string_projection(Str(" raw ")) == " raw "
-    assert string_projection(Functor("f", (Str("x"),))) == 'f("x")'
+    assert string_projection(" raw ") == " raw "
+    assert string_projection(Functor("f", ("x",))) == 'f("x")'
 
 
 # -- unification --------------------------------------------------------------
 
 def test_unify_flat_ground():
     goal = Functor("head", (Var("P"), Var("X")))
-    fact = Functor("head", (Str("Smith"), Str("CS")))
+    fact = Functor("head", ("Smith", "CS"))
     b = unify(goal, fact, B0)
-    assert b["P"] == Str("Smith")
-    assert b["X"] == Str("CS")
+    assert b["P"] == "Smith"
+    assert b["X"] == "CS"
 
 
 def test_unify_functor_clash():
@@ -147,30 +146,30 @@ def test_unify_functor_clash():
 
 def test_unify_with_prebound_variable():
     title = "Three knowledge representation formalisms"
-    b = B0.bind("T", Str(title))
+    b = {"T": title}
     goal = Functor("pub", (Var("T"), Var("O")))
-    fact = Functor("pub", (Str(title), Str("orpailleur")))
+    fact = Functor("pub", (title, "orpailleur"))
     b2 = unify(goal, fact, b)
-    assert b2["O"] == Str("orpailleur")
-    wrong = Functor("pub", (Str("other"), Str("x")))
+    assert b2["O"] == "orpailleur"
+    wrong = Functor("pub", ("other", "x"))
     assert unify(goal, wrong, b) is None
 
 
 def test_unify_nested():
-    b = unify(Functor("f", (Functor("g", (Var("X"),)), Str("1"))),
-              Functor("f", (Functor("g", (Str("v"),)), Str("1"))), B0)
-    assert b["X"] == Str("v")
+    b = unify(Functor("f", (Functor("g", (Var("X"),)), "1")),
+              Functor("f", (Functor("g", ("v",)), "1")), B0)
+    assert b["X"] == "v"
 
 
 def test_unify_node_values_require_identity():
     node = parse_xml(b"<a/>", "f")
     other = parse_xml(b"<b/>", "f")
-    b = B0.bind("X", node)
+    b = {"X": node}
     assert unify(Var("X"), Var("Y"), b)["Y"] == node
-    assert unify(Var("X"), node, B0.bind("X", node)) \
+    assert unify(Var("X"), node, {"X": node}) \
         is not None
     assert unify(Var("X"), other, b) is None
-    assert unify(Var("X"), Str("a"), b) is None
+    assert unify(Var("X"), "a", b) is None
 
 
 # -- randomized trees + oracle -----------------------------------------------
@@ -265,7 +264,7 @@ def patterns(draw, depth=0):
                                    max_size=2, unique=True)):
         v = draw(st.one_of(st.none(),
                            st.builds(Var, st.sampled_from(["V", "W"])),
-                           st.builds(Str, st.sampled_from(["0", "1"]))))
+                           st.sampled_from(["0", "1"])))
         attrs.append(AttrPattern(attr_name, v))
     if kind == 2:
         return PEmptyElem(name, tuple(attrs))
@@ -280,10 +279,10 @@ def test_match_bindings_are_monotone(pattern, xml):
     b = match_node(pattern, node, B0)
     if b is not None:
         assert all(name in b for name in B0)
-    seeded = Bindings().bind("Zpre", Str("kept"))
+    seeded = {"Zpre": "kept"}
     b2 = match_node(pattern, node, seeded)
     if b2 is not None:
-        assert b2["Zpre"] == Str("kept")
+        assert b2["Zpre"] == "kept"
 
 
 @given(patterns(), xml_trees(), st.randoms())
@@ -323,7 +322,7 @@ def test_tail_insertion_invariance(ps, xml):
 
 terms = st.recursive(
     st.one_of(st.builds(Var, st.sampled_from(["X", "Y", "Z"])),
-              st.builds(Str, st.sampled_from(["0", "1", "2"]))),
+              st.sampled_from(["0", "1", "2"])),
     lambda sub: st.builds(Functor, st.sampled_from(["f", "g"]),
                           st.lists(sub, max_size=3).map(tuple)),
     max_leaves=8)
@@ -338,10 +337,10 @@ def test_unify_success_symmetry(t1, t2):
 @given(terms, terms)
 @settings(max_examples=300, deadline=None)
 def test_unify_extends_input_bindings(t1, t2):
-    seeded = Bindings().bind("Pre", Str("v"))
+    seeded = {"Pre": "v"}
     b = unify(t1, t2, seeded)
     if b is not None:
-        assert b["Pre"] == Str("v")
+        assert b["Pre"] == "v"
 
 
 # -- unify against the wrapper-based unify it replaced -------------------------
@@ -355,7 +354,7 @@ WRAPPERS = (legacy_unify.SVal, legacy_unify.TermVal, legacy_unify.NodeVal,
             legacy_unify.NodeListVal)
 
 ground_terms = st.recursive(
-    st.builds(Str, st.sampled_from(["0", "1", "2"])),
+    st.sampled_from(["0", "1", "2"]),
     lambda sub: st.builds(Functor, st.sampled_from(["f", "g"]),
                           st.lists(sub, max_size=3).map(tuple)),
     max_leaves=6)
@@ -395,7 +394,7 @@ def plain(value):
 
 
 def plain_bindings(b):
-    return Bindings({name: plain(value) for name, value in b.items()})
+    return {name: plain(value) for name, value in b.items()}
 
 
 @given(terms, st.one_of(terms, wrapped_values()), wrapped_bindings(),
@@ -404,12 +403,30 @@ def plain_bindings(b):
 def test_unify_matches_the_wrapper_based_oracle(t1, t2, seeded, swap):
     if swap:
         t1, t2 = t2, t1
-    old = legacy_unify.unify(t1, t2, Bindings(seeded))
-    new = unify(plain(t1), plain(t2), plain_bindings(Bindings(seeded)))
+    old = legacy_unify.unify(t1, t2, seeded)
+    new = unify(plain(t1), plain(t2), plain_bindings(seeded))
     if old is None:
         assert new is None
     else:
         assert new == plain_bindings(old)
+
+
+# -- bindings are plain dicts that no operation changes ------------------------
+
+@given(patterns(), xml_trees(), terms, terms, wrapped_bindings(),
+       st.dictionaries(st.sampled_from(["P", "Q", "V", "W"]),
+                       wrapped_values().map(plain), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_operations_leave_the_given_bindings_unchanged(pattern, xml, t1, t2,
+                                                       seeded, pattern_vars):
+    b = {**plain_bindings(seeded), **pattern_vars}
+    before = dict(b)
+    node = parse_xml(xml.encode(), "h.xml")
+    match_node(pattern, node, b)
+    match_children([pattern, PVar("R")], list(node.children), b)
+    deep_contains(node, pattern, b)
+    unify(t1, t2, b)
+    assert b == before
 
 
 # -- the iterative walks against the recursive definitions they replaced ------

@@ -3,10 +3,9 @@ import json
 import pytest
 
 from semlint.dsl_parser import parse_rules
-from semlint.matcher import Bindings
 from semlint.reporting import (Message, UnboundInConsequence, emit_report,
                                render_consequence)
-from semlint.terms import Functor, Str, Var
+from semlint.terms import Functor, Var
 from semlint.xml_frontend import SourcePos
 
 
@@ -26,8 +25,7 @@ STAFF_RULE = """\
 
 
 def test_staff_warning_renders_to_one_line():
-    b = (Bindings().bind("P", Str("J.")).bind("N", Str("Doe"))
-         .bind("SourceLine", Str("42")))
+    b = {"P": "J.", "N": "Doe", "SourceLine": "42"}
     html, text = render_consequence(consequence_of(STAFF_RULE), b)
     assert text == ("Warning: J. Doe line 42 does not appear in the "
                     "current staff chart.")
@@ -38,7 +36,7 @@ def test_staff_warning_renders_to_one_line():
 def test_nested_markup_kept_in_html_dropped_in_text():
     c = consequence_of(
         "<a/> ? p($T) / <li> cite <i> \"<$T>\" </i> here <p> </p> </li> ;")
-    b = Bindings().bind("T", Str("A Title"))
+    b = {"T": "A Title"}
     html, text = render_consequence(c, b)
     # sibling template parts are space-joined, so the quotes detach
     assert html == '<li> cite <i> " A Title " </i> here <p> </p> </li>'
@@ -47,7 +45,7 @@ def test_nested_markup_kept_in_html_dropped_in_text():
 
 def test_substituted_values_escaped_in_html_only():
     c = consequence_of("<a/> ? p($X) / <li> got <$X> </li> ;")
-    b = Bindings().bind("X", Str("a <b> & c"))
+    b = {"X": "a <b> & c"}
     html, text = render_consequence(c, b)
     assert html == "<li> got a &lt;b&gt; &amp; c </li>"
     assert text == "got a <b> & c"
@@ -55,7 +53,7 @@ def test_substituted_values_escaped_in_html_only():
 
 def test_whitespace_normalized_across_template_lines():
     c = consequence_of("<a/> ? p($X) / <li>\n\tone\n\t  two <$X> </li> ;")
-    html, text = render_consequence(c, Bindings().bind("X", Str("three")))
+    html, text = render_consequence(c, {"X": "three"})
     assert text == "one two three"
     assert "\n" not in html and "\t" not in html
 
@@ -63,14 +61,14 @@ def test_whitespace_normalized_across_template_lines():
 def test_unbound_variable_raises():
     c = consequence_of("<a/> ? p($X) -> <li> got <$X> </li> ;")
     with pytest.raises(UnboundInConsequence) as exc:
-        render_consequence(c, Bindings())
+        render_consequence(c, {})
     assert exc.value.var == "X"
 
 
 def test_term_consequence_renders_as_term_text():
     html, text = render_consequence(
-        Functor("missing", (Var("P"), Str("x"))),
-        Bindings().bind("P", Str("Doe")))
+        Functor("missing", (Var("P"), "x")),
+        {"P": "Doe"})
     assert text == 'missing("Doe","x")'
     assert html == 'missing(&quot;Doe&quot;,&quot;x&quot;)'.replace(
         "&quot;", '"')  # quotes not escaped outside attributes
@@ -122,6 +120,23 @@ def test_emit_html_wraps_bare_fragments_and_escapes_diagnostics():
     lines = out.splitlines()
     assert lines[0] == '<p class="diagnostic">diag &lt;x&gt;</p>'
     assert "<li>plain html</li>" in lines
+
+
+@pytest.mark.parametrize("template, item", [
+    # a root element that only starts with "li" is wrapped
+    ("<list> hi </list>", "<li><list> hi </list></li>"),
+    ("<link/>", "<li><link/></li>"),
+    # an li root is already a list item, with or without attributes
+    ("<li> hi </li>", "<li> hi </li>"),
+    ('<li class="w"> hi </li>', '<li class="w"> hi </li>'),
+    ("<li/>", "<li/>"),
+])
+def test_emit_html_wraps_every_root_but_li(template, item):
+    html, text = render_consequence(
+        consequence_of(f"<a/> ? p() / {template} ;"), {})
+    out = emit_report([Message(SourcePos("a.xml", 1), 0, html, text, "")],
+                      [], "html")
+    assert out.splitlines()[1] == item
 
 
 def test_emit_machine_json_lines():

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from semlint import engine
 from semlint.dsl_parser import parse_rules
-from semlint.engine import (LocalEnv, _capture_test, _eval_condition,
-                            _ground_term, _ground_value, evaluate_file)
-from semlint.matcher import Bindings, match_node
+from semlint.engine import (_capture_test, _eval_condition, _ground_term,
+                            _ground_value, evaluate_file)
+from semlint.matcher import match_node
 from semlint.rule_ast import Assign, EnvRule
-from semlint.terms import Str
 from semlint.xml_frontend import Element, SourcePos, Text, parse_xml
 
 
@@ -23,9 +22,7 @@ def scan_evaluate(doc, rules, file):
     facts, tests, diagnostics = [], [], []
 
     def visit(node, env):
-        seed = (Bindings()
-                .bind("SourceFile", Str(file))
-                .bind("SourceLine", Str(str(node.pos.line))))
+        seed = {"SourceFile": file, "SourceLine": str(node.pos.line)}
         applicable = []
         for rule in rules.rules:
             if rule.skipped:
@@ -54,15 +51,15 @@ def scan_evaluate(doc, rules, file):
                             f"{rule.index} overrides rule "
                             f"{assigned_by[act.env_var]})")
                     assigned_by[act.env_var] = rule.index
-                    child_env = child_env.assign(
-                        act.env_var, _ground_value(act.value, b, node.pos))
+                    child_env = {**child_env, act.env_var: _ground_value(
+                        act.value, b, node.pos)}
                 else:
                     facts.append(_ground_term(act.fact, b, node.pos))
         if isinstance(node, Element):
             for child in node.children:
                 visit(child, child_env)
 
-    visit(doc, LocalEnv())
+    visit(doc, {})
     return facts, tests, diagnostics
 
 
