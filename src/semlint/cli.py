@@ -18,7 +18,7 @@ from pathlib import Path
 from . import builtins as builtins_mod
 from .dsl_parser import LexError, ParseError, parse_rule_texts
 from .engine import (EngineError, PassOneResult, evaluate_file, merge_facts,
-                     parse_pass1, resolve_tests, serialize_pass1)
+                     parse_pass1, projection, resolve_tests, serialize_pass1)
 from .record import Record
 from .reporting import FORMATS, Message, emit_report
 from .rule_ast import RuleSet
@@ -146,6 +146,8 @@ def _load_ruleset(cfg: RunConfig) -> RuleSet:
 
 def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     ruleset = _load_ruleset(cfg)
+    # a miss builds only the nodes that the rules can observe
+    projected = projection(ruleset)
     inputs = expand_inputs(cfg.inputs)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
@@ -160,7 +162,8 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
         digest = _sha256(data)
         result = _cached_result(cfg.cache_dir, path, digest, ruleset)
         if result is None:
-            result = evaluate_file(parse_xml(data, path), ruleset, path)
+            result = evaluate_file(parse_xml(data, path, projected),
+                                   ruleset, path)
             _write_cache(_cache_path(cfg.cache_dir, path),
                          serialize_pass1(result, digest, ruleset))
             evaluated.append(path)

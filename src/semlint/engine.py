@@ -5,9 +5,12 @@ Pass 1 is a depth-first pre-order walk.  At every node all applicable rules
 are matched against the same inherited environment snapshot; assignments
 only become visible to the node's children.  Rules are indexed by the
 element name of their head (like Rete alpha memories), so each node tries
-only the rules whose head can match it.  Facts and tests produced for a
-file can be cached on disk as a JSON document and replayed bit-exactly; a
-cached test refers to its rule by index instead of copying the rule.
+only the rules whose head can match it.  From the same rules, `projection`
+derives the nodes that pass 1 can observe, and the parser builds only those
+(XML projection, Marian and Simeon, VLDB 2003).  Facts and tests produced
+for a file can be cached on disk as a JSON document and replayed
+bit-exactly; a cached test refers to its rule by index instead of copying
+the rule.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from . import reporting
 from .matcher import (Bindings, TypeMismatch, Value, bind, deep_contains,
                       match_node, string_projection, unify)
 from .record import Record
-from .rule_ast import (Assign, EnvRule, Eq, Polarity, PText, Rule, RuleSet,
-                       Test, TestRule, consequence_vars)
+from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
+                       PEmptyElem, Polarity, PText, PVar, Rule, RuleSet, Test,
+                       TestRule, consequence_vars)
 from .terms import Functor, Term, Var, term_to_text, term_vars
-from .xml_frontend import Element, SourcePos, Text, XmlNode
+from .xml_frontend import (KEEP, SKIP, WHOLE, Element, Projection, SourcePos,
+                           Text, XmlNode)
 
 
 class EngineError(Exception):
@@ -170,6 +175,55 @@ def _rules_by_head(rules: RuleSet):
         else:
             by_name.setdefault(rule.pattern.name, []).append(rule)
     return by_name, text_rules
+
+
+# the kind of the child position that a child pattern aligns with
+_KIND = {PVar: WHOLE, PAnon: SKIP, PElem: KEEP, PEmptyElem: KEEP, PText: KEEP}
+
+
+def projection(rules: RuleSet) -> Projection | None:
+    """What parse_xml must build for pass 1 to see what a full tree shows;
+    None if that is every node, as under a text head.  This is sound:
+    - pass 1 fires rules only at elements whose name heads a live rule (the
+      DSL rejects $X and $_ heads), and such an element is always built;
+    - a rule reads only the nodes that its head pattern aligns with: a child
+      aligned with an element, empty-element or text pattern is built (KEEP),
+      one aligned with a $X with its whole subtree (WHOLE), and one aligned
+      only with $_, or where no pattern of its parent's name has a child, is
+      a placeholder in the same place (SKIP);
+    - contains, rendering, string projection and node comparison read only
+      values bound by a $X;
+    - environment assignments happen only at head-named elements, so a
+      placeholder passes its parent's environment through unchanged.
+    A row covers each element pattern of its name: heads, nested patterns
+    and, to be safe, contains patterns.
+    """
+    by_name, text_rules = _rules_by_head(rules)
+    if text_rules:
+        return None
+    live = [rule for named in by_name.values() for rule in named]
+    patterns = [rule.pattern for rule in live] + [
+        cond.pattern for rule in live for cond in rule.conditions
+        if isinstance(cond, Contains)]
+    shapes: dict[str, list] = {}
+    while patterns:
+        p = patterns.pop()
+        if isinstance(p, (PElem, PEmptyElem)):
+            ps = p.children if isinstance(p, PElem) else ()
+            patterns.extend(ps)
+            tail = ps[-1].__class__ if ps else None
+            fixed = ps[:-1] if tail in (PVar, PAnon) else ps
+            shapes.setdefault(p.name, []).append((
+                [_KIND[c.__class__] for c in fixed],
+                WHOLE if tail is PVar else SKIP))
+    rows = {}
+    for name, shape in shapes.items():
+        width = max(len(kinds) for kinds, _ in shape)
+        padded = [kinds + [rest] * (width - len(kinds))
+                  for kinds, rest in shape]
+        rows[name] = (tuple(map(max, zip(*padded))),
+                      max(rest for _, rest in shape))
+    return Projection(frozenset(by_name), rows)
 
 
 def _eval_condition(cond, b: Bindings,

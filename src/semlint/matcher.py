@@ -33,7 +33,7 @@ Bindings = dict[str, Value]
 def bind(b: Bindings, name: str, value: Value) -> Bindings:
     """b extended by name; ValueError if name already holds another value."""
     existing = b.get(name)
-    if existing is not None and existing != value:
+    if existing is not None and not _same(existing, value):
         raise ValueError(f"rebinding {name!r} to a different value")
     return {**b, name: value}
 
@@ -126,8 +126,32 @@ def match_children(ps: list[Pattern], ns: list[XmlNode],
 def _bind_value(name: str, value: Value, b: Bindings) -> Optional[Bindings]:
     existing = b.get(name)
     if existing is not None:
-        return b if existing == value else None
+        return b if _same(existing, value) else None
     return {**b, name: value}
+
+
+def _same(a: Value, c: Value) -> bool:
+    """a == c, except that nodes compare by content and not by line.
+
+    An explicit stack instead of recursion, as in Element.__eq__.
+    """
+    stack = [(a, c)]
+    while stack:
+        x, y = stack.pop()
+        if x.__class__ is Element and y.__class__ is Element:
+            if x.name != y.name or x.attrs != y.attrs:
+                return False
+            x, y = x.children, y.children
+        if x.__class__ is tuple and y.__class__ is tuple:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x.__class__ is Text and y.__class__ is Text:
+            if x.content != y.content:
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
@@ -180,4 +204,4 @@ def unify(t1: Value, t2: Value, b: Bindings) -> Optional[Bindings]:
             if b is None:
                 return None
         return b
-    return b if a == c else None
+    return b if _same(a, c) else None

@@ -5,6 +5,10 @@ defaults, and a reference to any entity but the five predefined ones is an
 error, in text and in attribute values alike.  Comments and PIs
 are dropped, CDATA becomes its own text node, whitespace-only text is
 dropped, and every node keeps the line of its opening construct.
+
+Given a Projection (engine.projection), a skipped element is a placeholder:
+it keeps its place, name, attributes and line, and holds only the elements
+inside it that head a rule.
 """
 
 from __future__ import annotations
@@ -82,6 +86,20 @@ class Element(Record):
 
 XmlNode = Union[Element, Text]
 
+
+# what a parse builds at a child position: a placeholder, the child (its
+# children as the row of its name says), or the child's whole subtree
+SKIP, KEEP, WHOLE = 0, 1, 2
+
+
+class Projection(Record):
+    __slots__ = ("heads", "rows")
+
+    def __init__(self, heads: frozenset[str],
+                 rows: dict[str, tuple[tuple[int, ...], int]]):
+        self.heads = heads  # always built
+        self.rows = rows  # name -> (kinds of the fixed positions, the rest's)
+
 _CODES = expat.errors.codes
 _TOKEN = re.compile(rb"[^\s>;]*;?")
 _START_TAG = re.compile(rb"""<[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
@@ -99,8 +117,14 @@ def _check_attr_refs(data: bytes, at: int, pos: SourcePos) -> None:
                            f"bad entity &{ref[1].decode('utf-8', 'replace')};")
 
 
-def parse_xml(data: bytes, file: str) -> Element:
-    """Parse a UTF-8 XML document into a position-annotated tree."""
+def parse_xml(data: bytes, file: str,
+              projection: Projection | None = None) -> Element:
+    """Parse a UTF-8 XML document into a position-annotated tree.
+
+    With a projection, the root is built, and so is a child of a built
+    element whose position is KEEP or WHOLE (then with its subtree), or
+    whose name is a head; any other element becomes a placeholder.
+    """
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -108,7 +132,9 @@ def parse_xml(data: bytes, file: str) -> Element:
     # "utf-8" overrides whatever encoding the XML declaration names
     parser = expat.ParserCreate("utf-8")
     parser.ordered_attributes = parser.specified_attributes = True
-    # open elements as (name, attrs, pos, the parent's child list);
+    # open elements as (name, attrs, pos, the parent's child list, resume),
+    # where resume is what end() restores (None inside a whole subtree): the
+    # parent's row, or the depth inside the enclosing placeholder;
     # `children` collects the innermost open element's children
     stack: list[tuple] = []
     children: list = []
@@ -116,6 +142,10 @@ def parse_xml(data: bytes, file: str) -> Element:
     text: list[str] = []
     text_pos = last_pos = SourcePos(file, 1)
     doctype: list[bool] = []
+    heads, rows = ((projection.heads, projection.rows) if projection
+                   else ((), {}))
+    row = ((), KEEP)  # the document's: the root is always built
+    depth = 0  # open elements inside the innermost placeholder
 
     def here() -> SourcePos:
         # events come in line order: one SourcePos per distinct line
@@ -138,7 +168,7 @@ def parse_xml(data: bytes, file: str) -> Element:
                         else here())
         text.append(data)
 
-    def start(name: str, attrs: list[str]) -> None:
+    def start(name: str, attrs: list[str], resume=None) -> None:
         nonlocal children
         if text:
             flush()
@@ -149,16 +179,66 @@ def parse_xml(data: bytes, file: str) -> Element:
         if doctype and attrs:
             _check_attr_refs(data, parser.CurrentByteIndex, pos)
         stack.append((name, tuple(zip(attrs[::2], attrs[1::2])) if attrs
-                      else (), pos, children))
+                      else (), pos, children, resume))
         children = []
 
     def end(_) -> None:
-        nonlocal children
+        nonlocal children, row, depth
         if text:
             flush()
-        name, attrs, pos, parent = stack.pop()
+        name, attrs, pos, parent, resume = stack.pop()
         parent.append(Element(name, attrs, tuple(children), pos))
         children = parent
+        if resume is None:  # in a whole subtree
+            pass
+        elif resume.__class__ is int:
+            depth = resume
+            mode(start_skipped, end_skipped, None)
+        else:
+            row = resume
+            if parser.StartElementHandler is not start_projected:
+                mode(start_projected, end, chars)
+
+    def start_projected(name: str, attrs: list[str]) -> None:
+        nonlocal row, depth
+        if text:
+            flush()
+        kinds, rest = row
+        kind = kinds[len(children)] if len(children) < len(kinds) else rest
+        start(name, attrs, row)
+        if kind == WHOLE:
+            mode(start, end, chars)
+        elif kind == KEEP or name in heads:
+            row = rows.get(name, ((), SKIP))
+        else:
+            depth = 0
+            mode(start_skipped, end_skipped, None)
+
+    def start_skipped(name: str, attrs: list[str]) -> None:
+        nonlocal row, depth
+        if name in heads:
+            start(name, attrs, depth)
+            row = rows.get(name, ((), SKIP))
+            mode(start_projected, end, chars)
+        else:
+            depth += 1
+            if doctype and attrs:
+                _check_attr_refs(data, parser.CurrentByteIndex, here())
+
+    def end_skipped(name: str) -> None:
+        nonlocal depth
+        if depth:
+            depth -= 1
+        else:
+            end(name)  # the placeholder itself
+
+    def mode(on_start, on_end, on_chars) -> None:
+        # set in a handler, a None text handler is pyexpat's no-op: skipped
+        # text costs no Python call and never reaches default() (where
+        # "&amp;" would fail the parse and leave it to the full one)
+        parser.StartElementHandler = on_start
+        parser.EndElementHandler = on_end
+        parser.CharacterDataHandler = on_chars
 
     def default(data: str) -> None:
         # with a default handler set, expat passes references to internal
@@ -167,7 +247,9 @@ def parse_xml(data: bytes, file: str) -> Element:
         if data.startswith("&"):
             raise MalformedXml(here(), f"bad entity {data}")
 
-    handlers = {"StartElementHandler": start, "EndElementHandler": end,
+    handlers = {"StartElementHandler": start if projection is None
+                else start_projected,
+                "EndElementHandler": end,
                 "CharacterDataHandler": chars, "CommentHandler": flush,
                 "ProcessingInstructionHandler": flush,
                 "StartCdataSectionHandler": flush,
@@ -177,29 +259,38 @@ def parse_xml(data: bytes, file: str) -> Element:
         setattr(parser, name, handler)
     try:
         parser.Parse(data, True)
+        return top[0]
+    except MalformedXml:
+        if projection is None:
+            raise
     except expat.ExpatError as exc:
-        name, _, open_pos, _ = stack[-1] if stack else ("", None, None, None)
-        pos = SourcePos(file, exc.lineno)
-        at = max(parser.ErrorByteIndex, 0)
-        found = _TOKEN.match(data, at)[0].decode("utf-8", "replace")
-        if exc.code == _CODES[expat.errors.XML_ERROR_TAG_MISMATCH]:
-            detail = (f"close tag {name!r} expected, found {found!r} "
-                      f"(element opened at line {open_pos.line})")
-        elif exc.code == _CODES[expat.errors.XML_ERROR_NO_ELEMENTS] and name:
-            pos, detail = open_pos, f"unterminated element {name!r}"
-        elif exc.code == _CODES[expat.errors.XML_ERROR_UNDEFINED_ENTITY]:
-            if data.startswith(b"<", at):  # the reference is in an attribute
-                _check_attr_refs(data, at, pos)
-            detail = f"bad entity {found}"
-        else:
-            detail = expat.ErrorString(exc.code)
-        raise MalformedXml(pos, detail) from None
+        if projection is None:
+            name, _, open_pos = stack[-1][:3] if stack else ("", None, None)
+            pos = SourcePos(file, exc.lineno)
+            at = max(parser.ErrorByteIndex, 0)
+            found = _TOKEN.match(data, at)[0].decode("utf-8", "replace")
+            if exc.code == _CODES[expat.errors.XML_ERROR_TAG_MISMATCH]:
+                detail = (f"close tag {name!r} expected, found {found!r} "
+                          f"(element opened at line {open_pos.line})")
+            elif (exc.code == _CODES[expat.errors.XML_ERROR_NO_ELEMENTS]
+                  and name):
+                pos, detail = open_pos, f"unterminated element {name!r}"
+            elif exc.code == _CODES[expat.errors.XML_ERROR_UNDEFINED_ENTITY]:
+                if data.startswith(b"<", at):  # the reference is in an attr
+                    _check_attr_refs(data, at, pos)
+                detail = f"bad entity {found}"
+            else:
+                detail = expat.ErrorString(exc.code)
+            raise MalformedXml(pos, detail) from None
     finally:
         # the handlers close over the parser: break that reference cycle
         # now instead of leaving each parse to the cycle collector
         for name in handlers:
             setattr(parser, name, None)
-    return top[0]
+        del end, start_projected  # cycles among the handlers
+    # a placeholder's subtree is not on the stack, while an error names the
+    # innermost open element: the full parse fails with the full message
+    return parse_xml(data, file)
 
 
 def walk(node: XmlNode):

@@ -189,9 +189,9 @@ def test_each_miss_is_parsed_before_the_next_read(tmp_path, monkeypatch):
         calls.append(("read", str(path)))
         return read_bytes(path)
 
-    def logged_parse_xml(data, path):
+    def logged_parse_xml(data, path, projection):
         calls.append(("parse", path))
-        return parse_xml(data, path)
+        return parse_xml(data, path, projection)
     monkeypatch.setattr(Path, "read_bytes", logged_read_bytes)
     monkeypatch.setattr(cli, "parse_xml", logged_parse_xml)
     execute(config(tmp_path, rules, inputs))

@@ -394,3 +394,13 @@ def _mutated_entry(mutate):
 def test_cache_rejects_inconsistent_entries(text):
     with pytest.raises(ValueError):
         decode(text)
+
+
+def test_a_variable_bound_twice_compares_nodes_by_content():
+    # equal subtrees on other lines are equal values: the line is no content
+    rules = '<a> <$X> <$X> <$_> </a> => p("same");'
+    for xml in ("<a><b>t</b><b>t</b><c/></a>",
+                "<a>\n<b>t</b>\n<b>t</b>\n<c/>\n</a>"):
+        assert ev(rules, xml).facts == (Functor("p", ("same",)),)
+    assert ev(rules, "<a>\n<b>t</b>\n<b>u</b>\n<c/>\n</a>").facts == ()
+    assert ev(rules, '<a>\n<b>t</b>\n<b k="v">t</b>\n</a>').facts == ()

@@ -1,5 +1,6 @@
-"""Every name a module of src/semlint imports is used in that module, and
-importing the CLI leaves the HTTP stack unloaded until a URL is probed, and
+"""Every name a module of src/semlint imports is used in that module, every
+module parses with the oldest grammar pyproject.toml allows, and importing
+the CLI leaves the HTTP stack unloaded until a URL is probed, and
 dataclasses unloaded altogether."""
 
 import ast
@@ -35,6 +36,13 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_module_has_no_unused_imports(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     assert unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_parses_with_the_python_3_10_grammar(module):
+    # requires-python is ">=3.10"; the tests may run on a later Python only
+    ast.parse((SRC / module).read_text(encoding="utf-8"),
+              feature_version=(3, 10))
 
 
 HTTP_STACK = ("urllib.request", "http.client", "ssl", "concurrent.futures")

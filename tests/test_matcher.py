@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_unify
-from semlint.matcher import (TypeMismatch, deep_contains, match_children,
-                             match_node, string_projection, unify)
+from semlint.matcher import (TypeMismatch, bind, deep_contains,
+                             match_children, match_node, string_projection,
+                             unify)
 from semlint.rule_ast import AttrPattern, PAnon, PElem, PEmptyElem, PText, PVar
 from semlint.terms import Functor, Var
 from semlint.xml_frontend import Element, MalformedXml, Text, parse_xml, walk
@@ -471,3 +472,16 @@ def test_walk_and_projection_at_any_depth():
         "Text"]
     assert string_projection(doc) == "x"
     assert deep_contains(doc, PText("x"), B0) == [B0]
+
+
+def test_unify_compares_nodes_and_node_lists_by_content():
+    root = parse_xml(b"<r><a>x<b/></a>\n<a>x<b/></a>\n<a>y<b/></a></r>", "f")
+    first, second, other = root.children
+    assert first != second  # as records they differ in their lines
+    assert unify(Var("X"), second, {"X": first}) == {"X": first}
+    assert unify(Var("X"), other, {"X": first}) is None
+    assert unify(Var("X"), (second,), {"X": (first,)}) is not None
+    assert unify(Var("X"), (second, other), {"X": (first,)}) is None
+    with pytest.raises(ValueError):
+        bind({"X": first}, "X", other)
+    assert bind({"X": first}, "X", second) == {"X": second}

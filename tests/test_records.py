@@ -1,9 +1,9 @@
 """The Record value classes against dataclass twins.
 
-Every class below was a ``@dataclass``.  Its twin is built here with
-``dataclasses.make_dataclass`` from the same fields, defaults and frozen
-flag, and both are given the same field values: equality, hashability,
-hashes, repr and defaults must agree.
+Every class below but ``Projection``, which is younger, was a
+``@dataclass``.  Its twin is built here with ``dataclasses.make_dataclass``
+from the same fields, defaults and frozen flag, and both are given the same
+field values: equality, hashability, hashes, repr and defaults must agree.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from semlint.rule_ast import (Assert, Assign, AttrPattern, Contains, EnvRule,
                               Eq, PAnon, PElem, PEmptyElem, PText, PVar, Rule,
                               RuleSet, Test, TestRule)
 from semlint.terms import Functor, Var
-from semlint.xml_frontend import Element, SourcePos, Text
+from semlint.xml_frontend import Element, Projection, SourcePos, Text
 from test_rule_index import trees
 
 # class, frozen, fields; a field with a default is (name, default), and a
@@ -33,6 +33,7 @@ RECORDS = [
     (SourcePos, True, ["file", "line"]),
     (Text, False, ["content", "pos"]),
     (Element, False, ["name", "attrs", "children", "pos"]),
+    (Projection, False, ["heads", "rows"]),
     (AttrPattern, True, ["name", "value"]),
     (PElem, True, ["name", "attrs", "children"]),
     (PEmptyElem, True, ["name", "attrs"]),
