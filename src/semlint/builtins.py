@@ -12,20 +12,25 @@ from typing import Optional
 from .engine import BuiltinError, BuiltinRegistry
 from .matcher import Bindings, bind, string_projection, unify
 from .record import Record
-from .terms import Term, Var
+from .terms import Functor, Term, Var
 
 
 class InstantiationError(BuiltinError):
     pass
 
 
-def _bound_text(t: Term, b: Bindings, pred: str) -> str:
+def _bound(t: Term, b: Bindings, pred: str) -> str | Functor:
+    """The value of t: a term as itself, a node as its string projection."""
     if isinstance(t, Var):
         if t.name not in b:
             raise InstantiationError(f"{pred}: argument ${t.name} must be "
                                      f"bound")
         t = b[t.name]
-    return string_projection(t)
+    return t if isinstance(t, Functor) else string_projection(t)
+
+
+def _bound_text(t: Term, b: Bindings, pred: str) -> str:
+    return string_projection(_bound(t, b, pred))
 
 
 def _unbound_name(t: Term, b: Bindings, pred: str) -> str:
@@ -204,14 +209,6 @@ def strip_accents(s: str) -> str:
                    if unicodedata.category(c) != "Mn").casefold()
 
 
-def _title_key(fact) -> Optional[str]:
-    """A pub fact's title; None (never asked for) unless both args are str."""
-    title, project = fact.args
-    if isinstance(title, str) and isinstance(project, str):
-        return title
-    return None
-
-
 def make_registry(prober=None, offline: bool = False,
                   normalize_names: bool = False) -> BuiltinRegistry:
     prober = prober if prober is not None else HttpProber()
@@ -225,23 +222,21 @@ def make_registry(prober=None, offline: bool = False,
             equal = a == c
         return [b] if equal else []
 
-    fold = strip_accents if normalize_names else (lambda s: s)
-
-    def name_key(fact):
-        return tuple(fold(a if isinstance(a, str) else "")
-                     for a in fact.args)
+    fold = strip_accents if normalize_names else None
 
     def personne1(args, b, store):
-        wanted = tuple(fold(_bound_text(a, b, "personne1")) for a in args)
-        return [b] if wanted in store.index("personne", 3, name_key) else []
+        wanted = tuple(fold(v) if fold and isinstance(v, str) else v
+                       for v in (_bound(a, b, "personne1") for a in args))
+        groups = store.index("personne", 3, (0, 1, 2), fold)
+        return [b] if wanted in groups else []
 
     def pubbyotherproject(args, b, store):
         title = _bound_text(args[0], b, "pubbyotherproject")
         project = _bound_text(args[1], b, "pubbyotherproject")
         other = _unbound_name(args[2], b, "pubbyotherproject")
         return [bind(b, other, fact.args[1])
-                for fact in store.index("pub", 2, _title_key).get(title, ())
-                if fact.args[1] != project]
+                for fact in store.index("pub", 2, (0,)).get((title,), ())
+                if isinstance(fact.args[1], str) and fact.args[1] != project]
 
     def testurl(args, b, store):
         url = _bound_text(args[0], b, "testurl")

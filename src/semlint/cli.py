@@ -115,7 +115,8 @@ def _cached_result(cache_dir: str, input_path: str, input_digest: str,
     try:
         text = _cache_path(cache_dir, input_path).read_text(encoding="utf-8")
         return parse_pass1(text, input_path, input_digest, ruleset)
-    except (OSError, ValueError):
+    # json.loads recurses once per nesting level of a damaged entry
+    except (OSError, ValueError, RecursionError):
         return None
 
 

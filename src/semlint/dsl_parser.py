@@ -19,6 +19,7 @@ from .terms import Functor, Term, Var, term_vars
 from .xml_frontend import SourcePos
 
 PREDEFINED_VARS = frozenset({"SourceFile", "SourceLine"})
+MAX_NESTING = 200  # the matcher and the cache recurse once per level
 
 
 class LexError(Exception):
@@ -317,7 +318,13 @@ class _Parser:
             return self.parse_element()
         return self.parse_term()
 
-    def parse_term(self) -> Term:
+    def check_depth(self, depth: int) -> None:
+        if depth > MAX_NESTING:
+            raise ParseError(self.cur.pos,
+                             f"nested deeper than {MAX_NESTING} levels")
+
+    def parse_term(self, depth: int = 1) -> Term:
+        self.check_depth(depth)
         tok = self.cur
         if self.accept("STRING"):
             return tok.lexeme
@@ -327,13 +334,14 @@ class _Parser:
         self.expect("(")
         args: list[Term] = []
         if self.cur.kind != ")":
-            args.append(self.parse_term())
+            args.append(self.parse_term(depth + 1))
             while self.accept(","):
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth + 1))
         self.expect(")")
         return Functor(name, tuple(args))
 
-    def parse_element(self, head: bool = False) -> Pattern:
+    def parse_element(self, head: bool = False, depth: int = 1) -> Pattern:
+        self.check_depth(depth)
         tok = self.cur
         if self.accept("TEXT"):
             return PText(tok.lexeme)
@@ -351,7 +359,7 @@ class _Parser:
         self.expect(">")
         children: list[Pattern] = []
         while self.cur.kind in ("<", "<$", "TEXT"):
-            children.append(self.parse_element())
+            children.append(self.parse_element(depth=depth + 1))
         close = self.expect("</", f"content or close tag for <{name}>")
         close_name = self.expect("NAME", "element name").lexeme
         if close_name != name:

@@ -20,12 +20,12 @@ from typing import Callable, Optional
 
 from . import reporting
 from .matcher import (Bindings, TypeMismatch, Value, bind, deep_contains,
-                      match_node, string_projection, unify)
+                      match_node, resolve, string_projection, unify)
 from .record import Record
 from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
                        PEmptyElem, Polarity, PText, PVar, Rule, RuleSet, Test,
                        TestRule, consequence_vars)
-from .terms import Functor, Term, Var, term_to_text, term_vars
+from .terms import Functor, Term, Var, is_ground, term_to_text, term_vars
 from .xml_frontend import (KEEP, SKIP, WHOLE, Element, Projection, SourcePos,
                            Text, XmlNode)
 
@@ -287,51 +287,42 @@ def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
 class FactStore:
     """Deduplicated ground facts (functors) by functor name and arity.
 
-    A bucket is sorted by term text on the first lookup after a change and
-    that order is reused until the next add to it.  index(name, arity, key)
-    groups the sorted bucket by key(fact), so a builtin answers by one dict
-    probe instead of a scan; it is cached per key function until the next
-    add to the bucket.
+    A bucket keeps insertion order and is never sorted.  The one index,
+    index(name, arity, positions), maps the tuple of a fact's arguments at
+    positions to those facts, in bucket order: the JIT clause indexing of
+    Prolog on the bound arguments of a goal.  It is built from lookup on
+    first use and dropped by the next add to the bucket.
     """
 
     def __init__(self):
-        # a bucket is a dict used as an ordered set: a set's order varies
-        # with string hashing, and the sort by term text must be stable
+        # a bucket is a dict used as an insertion-ordered set
         self._by_key: dict[tuple[str, int], dict[Functor, None]] = {}
-        self._sorted: dict[tuple[str, int], tuple[Functor, ...]] = {}
-        self._indexes: dict[tuple[str, int], dict[Callable, dict]] = {}
+        self._indexes: dict[tuple[str, int], dict[tuple, dict]] = {}
 
     def add(self, fact: Functor) -> None:
         key = (fact.name, len(fact.args))
         self._by_key.setdefault(key, {})[fact] = None
-        self._sorted.pop(key, None)
         self._indexes.pop(key, None)
 
     def lookup(self, name: str, arity: int) -> tuple[Functor, ...]:
-        key = (name, arity)
-        if key not in self._sorted:
-            # looked up in this module on each call, where it can be wrapped
-            self._sorted[key] = tuple(sorted(self._by_key.get(key, {}),
-                                             key=term_to_text))
-        return self._sorted[key]
+        return tuple(self._by_key.get((name, arity), ()))
 
-    def index(self, name: str, arity: int,
-              key: Callable[[Functor], object]) -> dict:
-        """key(fact) -> the facts with that key, in lookup order."""
+    def index(self, name: str, arity: int, positions: tuple[int, ...],
+              fold: Callable[[str], str] | None = None) -> dict:
+        """Arguments at positions, each str folded if fold is given -> the
+        facts with them; empty if name/arity has no fact."""
         indexes = self._indexes.setdefault((name, arity), {})
-        if key not in indexes:
-            groups: dict = {}
+        groups = indexes.get((positions, fold))
+        if groups is None:
+            groups = indexes[positions, fold] = {}
             for fact in self.lookup(name, arity):
-                groups.setdefault(key(fact), []).append(fact)
-            indexes[key] = {k: tuple(v) for k, v in groups.items()}
-        return indexes[key]
+                key = tuple(fold(a) if fold and isinstance(a, str) else a
+                            for a in (fact.args[i] for i in positions))
+                groups.setdefault(key, []).append(fact)
+        return groups
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._by_key.values())
-
-    def __iter__(self):
-        for key in sorted(self._by_key):
-            yield from self.lookup(*key)
 
 
 def merge_facts(results: list[PassOneResult]) -> FactStore:
@@ -347,11 +338,15 @@ def solve(goal: Functor, b: Bindings, store: FactStore,
     key = (goal.name, len(goal.args))
     if key in builtins:
         return builtins[key](goal.args, b, store)
-    facts = store.lookup(*key)
-    if not facts:
+    # the arguments that are ground once resolved pick the facts to try
+    args = [resolve(a, b) for a in goal.args]
+    ground = tuple(i for i, a in enumerate(args)
+                   if isinstance(a, (str, Functor)) and is_ground(a))
+    groups = store.index(goal.name, len(args), ground)
+    if not groups:
         raise UnknownPredicate(*key)
     out = []
-    for fact in facts:
+    for fact in groups.get(tuple(args[i] for i in ground), ()):
         b2 = unify(goal, fact, b)
         if b2 is not None:
             out.append(b2)
@@ -386,14 +381,14 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
                     messages.append(reporting.Message(
                         dt.pos, dt.rule_index, html, text, ""))
             else:
-                seen: set[str] = set()
+                # per html, the smallest key: the order of facts never shows
+                best: dict[str, tuple[str, str]] = {}
                 for sol in solutions:
                     html, text = reporting.render_consequence(
                         dt.test.consequence, sol)
-                    if html in seen:
-                        continue
-                    seen.add(html)
-                    key = _solution_key(sol, dt.captured)
+                    found = (_solution_key(sol, dt.captured), text)
+                    best[html] = min(best.get(html, found), found)
+                for html, (key, text) in best.items():
                     messages.append(reporting.Message(
                         dt.pos, dt.rule_index, html, text, key))
         except reporting.UnboundInConsequence as exc:
@@ -404,12 +399,9 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
 
 
 def _solution_key(solution: Bindings, captured: Bindings) -> str:
-    parts = []
-    for name, value in sorted(solution.items()):
-        if name in captured:
-            continue
-        parts.append(f"{name}={string_projection(value)}")
-    return ",".join(parts)
+    return ",".join(f"{name}={string_projection(value)}"
+                    for name, value in sorted(solution.items())
+                    if name not in captured)
 
 
 # -- pass-1 result cache ------------------------------------------------------

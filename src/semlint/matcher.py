@@ -172,7 +172,7 @@ def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
 
 # -- unification -------------------------------------------------------------
 
-def _resolve(t: Value, b: Bindings) -> Value:
+def resolve(t: Value, b: Bindings) -> Value:
     """Dereference variables (including var-to-var aliases) through b."""
     seen = set()
     while isinstance(t, Var) and t.name not in seen:
@@ -185,8 +185,8 @@ def _resolve(t: Value, b: Bindings) -> Value:
 
 
 def unify(t1: Value, t2: Value, b: Bindings) -> Optional[Bindings]:
-    a = _resolve(t1, b)
-    c = _resolve(t2, b)
+    a = resolve(t1, b)
+    c = resolve(t2, b)
     if isinstance(a, Var):
         if isinstance(c, Var) and a.name == c.name:
             return b

@@ -1,8 +1,7 @@
 """Functor terms: predicate goals, assertions and their canonical text form.
 
-The canonical text form gives the fact store its deterministic order and is
-how terms are rendered in messages and diagnostics.  It contains no
-insignificant whitespace.
+The canonical text form is how terms are rendered in messages and
+diagnostics.  It contains no insignificant whitespace.
 """
 
 from __future__ import annotations

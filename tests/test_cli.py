@@ -240,6 +240,25 @@ def test_truncated_cache_entry_is_reevaluated(tmp_path):
     assert entry.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("damage", [
+    lambda data: "[" * 200000,
+    # a current entry whose one fact nests 5,000 deep
+    lambda data: json.dumps({**data, "facts": ["@"]}).replace(
+        '"@"', '["p",' * 5000 + '"x"' + "]" * 5000),
+], ids=["brackets", "deep-fact"])
+def test_deeply_nested_cache_entry_is_a_miss(tmp_path, damage):
+    rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
+    cfg = config(tmp_path, rules, inputs)
+    cold = execute(cfg)
+    entry = cache_file(cfg, inputs[0])
+    text = entry.read_text(encoding="utf-8")
+    entry.write_text(damage(json.loads(text)), encoding="utf-8")
+    again = execute(cfg)
+    assert again.evaluated == [inputs[0]]
+    assert again.report == cold.report
+    assert entry.read_text(encoding="utf-8") == text
+
+
 def _retarget_test(data, rule_index):
     data["tests"][0][0] = rule_index
     return json.dumps(data)
@@ -560,3 +579,21 @@ def test_variable_bound_twice_to_deep_subtrees(tmp_path, monkeypatch, depth):
                stderr=err) == 0
     assert out.getvalue() == "d.xml:1: twice: x\n1 messages\n"
     assert err.getvalue() == ""
+
+
+def test_personne1_matches_a_term_argument_by_value(tmp_path, capsys):
+    # personne(f("Doe"), "Doe", "p") used to match the first name "" too
+    rules = tmp_path / "r.rules"
+    rules.write_text(
+        '<staff n=$N> <$_> </staff> => personne(f($N), $N, "p");\n'
+        '<pers prenom=$P nom=$N> <$_> </pers> ? personne1($P,$N,"p") / '
+        '<li> unknown <$P> <$N> </li>;\n', encoding="utf-8")
+    doc = tmp_path / "d.xml"
+    doc.write_text('<r>\n<staff n="Doe"/>\n<pers prenom="" nom="Doe"/>\n'
+                   '<pers prenom="f(&quot;Doe&quot;)" nom="Doe"/>\n</r>\n',
+                   encoding="utf-8")
+    assert main(["--rules", str(rules), "--cache-dir", str(tmp_path / "c"),
+                 "--offline", str(doc)]) == 0
+    assert capsys.readouterr().out == (
+        f'{doc}:3: unknown Doe\n{doc}:4: unknown f("Doe") Doe\n'
+        f'2 messages\n')

@@ -1,7 +1,7 @@
 import pytest
 
-from semlint.dsl_parser import LexError, ParseError, parse_rule_texts, \
-    parse_rules, tokenize
+from semlint.dsl_parser import (MAX_NESTING, LexError, ParseError,
+                                parse_rule_texts, parse_rules, tokenize)
 from semlint.rule_ast import (Assert, Assign, Contains, EnvRule, Eq, PAnon,
                               PElem, PEmptyElem, PText, PVar, Polarity,
                               TestRule)
@@ -204,3 +204,25 @@ def test_rule_positions_point_at_first_token(raweb_rules_text):
     lines = raweb_rules_text.splitlines()
     for rule in rs.rules:
         assert lines[rule.pos.line - 1].lstrip().startswith("<")
+
+
+def nested_element(depth):
+    # one open tag per line, so the level-n tag is on line n
+    return ("<a>\n" * depth + "</a>" * depth + ' => p("x");\n')
+
+
+def nested_term(depth):
+    # the assertion is level 1, on line 2; level n is on line n + 1
+    return ("<a/> =>\n" + "f(\n" * (depth - 1) + '"x"' + ")" * (depth - 1)
+            + ";\n")
+
+
+@pytest.mark.parametrize("nested", [nested_element, nested_term],
+                         ids=["element", "term"])
+def test_nesting_deeper_than_the_limit_is_a_parse_error(nested):
+    assert len(parse_rules(nested(MAX_NESTING), "r.rules").rules) == 1
+    with pytest.raises(ParseError) as err:
+        parse_rules(nested(600), "r.rules")
+    line = MAX_NESTING + (1 if nested is nested_element else 2)
+    assert str(err.value) == (f"r.rules:{line}: nested deeper than "
+                              f"{MAX_NESTING} levels")

@@ -191,9 +191,12 @@ def test_merge_facts_deduplicates_across_files():
 def test_merge_is_idempotent_and_order_insensitive():
     r1 = ev('<a/> => p("1");\n<a/> => p("2");', "<a/>", file="one.xml")
     r2 = ev('<a/> => p("2");\n<a/> => p("3");', "<a/>", file="two.xml")
-    t1 = list(merge_facts([r1, r2]))
-    t2 = list(merge_facts([r2, r1, r2]))
-    assert t1 == t2
+    s1 = merge_facts([r1, r2])
+    s2 = merge_facts([r2, r1, r2])
+    # a bucket keeps insertion order, so only its contents are compared
+    assert len(s1) == len(s2) == 3
+    assert (set(s1.lookup("p", 1)) == set(s2.lookup("p", 1))
+            == {Functor("p", (v,)) for v in "123"})
 
 
 def test_solve_against_facts():
