@@ -1,9 +1,13 @@
 import http.server
+import ssl
 import threading
 import time
 from pathlib import Path
+from urllib.parse import unquote
 
 import pytest
+
+from semlint.builtins import DEFAULT_MAX_PROBES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,30 +80,82 @@ class InFlight:
                 self._now -= 1
 
 
+# replies of the /raw/<name> paths, written as they are
+RAW_REPLIES = {
+    "not-http": b"NOT HTTP\r\n\r\n",
+    "http2": b"HTTP/2.0 200 OK\r\n\r\n",
+    "empty": b"",
+    "continue": (b"HTTP/1.1 100 Continue\r\n\r\n"
+                 b"HTTP/1.1 204 No Content\r\n\r\n"),
+    "long-header": b"HTTP/1.1 200 OK\r\nX: " + b"a" * 70000 + b"\r\n\r\n",
+    "99-headers": b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 99 + b"\r\n",
+    "100-headers": b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 100 + b"\r\n",
+    "folded-location": (b"HTTP/1.1 302 Found\r\nlocation:\t/live \r\n"
+                        b"Location: /dead\r\n\r\n"),
+    "uri": b"HTTP/1.1 302 Found\r\nURI: /dead\r\n\r\n",
+}
+
+
 class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Replies by path:
+
+    - /dead..., and a CONNECT to dead.<host>: 404; /slow...: 200 after 5 s;
+      /gate...: held by `InFlight`;
+    - /status/<code>: that status; /nohead: 405 to HEAD, 200 to GET;
+    - /redirect/<code>?<location>: that status, to the unquoted location;
+    - /hops/<n>: 302 to /hops/<n-1>, and 200 at 0; /loop: 301 to itself;
+    - /raw/<name>: RAW_REPLIES[name];
+    - anything else 200.
+    """
+
     def _reply(self):
-        if self.path.startswith("/dead"):
-            self.send_response(404)
-        elif self.path.startswith("/slow"):
+        self.server.requests.append((self.requestline,
+                                     tuple(self.headers.items())))
+        path, _, query = self.path.partition("?")
+        step = path.split("/")
+        location = None
+        if path.startswith(("/dead", "dead.")):
+            status = 404
+        elif path.startswith("/slow"):
             time.sleep(5)
-            self.send_response(200)
-        elif self.path.startswith("/gate"):
-            self.send_response(200 if self.server.gate.hold() else 503)
+            status = 200
+        elif path.startswith("/gate"):
+            status = 200 if self.server.gate.hold() else 503
+        elif path.startswith(("/status/", "/redirect/")):
+            status = int(step[2])
+            location = unquote(query) if step[1] == "redirect" else None
+        elif path == "/nohead":
+            status = 405 if self.command == "HEAD" else 200
+        elif path.startswith("/hops/"):
+            n = int(step[2])
+            status, location = (302, f"/hops/{n - 1}") if n else (200, None)
+        elif path == "/loop":
+            status, location = 301, "/loop"
+        elif path.startswith("/raw/"):
+            self.wfile.write(RAW_REPLIES[step[2]])
+            return
         else:
-            self.send_response(200)
+            status = 200
+        self.send_response(status)
+        if location is not None:
+            self.send_header("Location", location)
         self.send_header("Content-Length", "0")
         self.end_headers()
 
-    do_GET = _reply
-    do_HEAD = _reply
+    do_GET = do_HEAD = do_CONNECT = _reply
 
     def log_message(self, *args):
         pass
 
 
 class _StubServer(http.server.ThreadingHTTPServer):
-    request_queue_size = 64  # room for every probe of a full pool at once
+    # room for every probe of a full pool at once, and as many again
+    request_queue_size = 2 * DEFAULT_MAX_PROBES
     gate: InFlight | None = None
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.requests: list[tuple[str, tuple]] = []
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +164,30 @@ def _stub_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def stub_requests(_stub_server):
+    """The (request line, headers) of each request the stub server has had
+    since the test began."""
+    _stub_server.requests.clear()
+    return _stub_server.requests
+
+
+@pytest.fixture(scope="session")
+def tls_server():
+    """The URL of a stub server behind TLS, with a self-signed certificate
+    for 127.0.0.1 (fixtures/tls-cert.pem, valid until 2126)."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(FIXTURES / "tls-cert.pem",
+                            FIXTURES / "tls-key.pem")
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"https://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
 

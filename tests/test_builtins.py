@@ -1,5 +1,7 @@
 import socket
+import sys
 import threading
+from collections import Counter
 from urllib.parse import urlsplit
 
 import pytest
@@ -226,12 +228,16 @@ def test_prober_rejects_non_http():
     prober = HttpProber(timeout=5)
     for url in ["ftp://example.org/x",
                 "relative/path",
-                "http://127.0.0.1:1/a b",      # http.client refuses the space
+                "http://127.0.0.1:1/a b",      # a space cannot be sent
                 "http://127.0.0.1:abc/",       # non-numeric port
                 "http://[::1/x",               # urlsplit raises ValueError
                 "http://a..\u00e9/",            # IDNA: an empty label
                 "http://127.0.0.1:1/a \u00e9",  # non-ASCII is encoded, not ' '
-                "http://127.0.0.1:\u00e9/"]:    # a non-numeric port
+                "http://127.0.0.1:\u00e9/",     # a non-numeric port
+                "http://127.0.0.1:99999/",      # out of range: not wrapped
+                "http://127.0.0.1:-1/",
+                "http://:80/",                  # no host
+                "http://user@/x"]:
         assert prober.probe(url).kind == MALFORMED, url
 
 
@@ -308,3 +314,39 @@ def test_prefetch_runs_max_workers_probes_at_once_and_no_more(
     assert gate.peak == k
     assert prober.probe_count == 3 * k
     assert all(prober.probe(url).kind == OK for url in urls)
+
+
+def test_prefetch_reraises_the_first_failure_after_probing_the_rest(
+        stub_http_server):
+    class Failing(HttpProber):
+        def _probe_uncached(self, url):
+            if url.endswith("/boom"):
+                raise RuntimeError(url)
+            return super()._probe_uncached(url)
+
+    prober = Failing(timeout=5, max_workers=2)
+    urls = [f"{stub_http_server}/live/{i}" for i in range(5)]
+    with pytest.raises(RuntimeError, match="/boom"):
+        prober.prefetch(urls[:2] + [f"{stub_http_server}/boom"] + urls[2:])
+    assert prober.probe_count == 5
+
+
+def test_prefetch_hands_each_url_to_exactly_one_worker():
+    # the workers share one iterator: a URL lost or handed out twice
+    # breaks the count
+    seen, lock = Counter(), threading.Lock()
+
+    class Counting(HttpProber):
+        def _probe_uncached(self, url):
+            with lock:
+                seen[url] += 1
+            return UrlProbeResult(url, OK, 200)
+
+    urls = [f"http://h/{i}" for i in range(3000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        Counting(timeout=5, max_workers=16).prefetch(urls + urls[:500])
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == Counter(urls)

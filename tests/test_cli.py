@@ -459,6 +459,23 @@ def test_unprobeable_urls_are_reported_not_raised(tmp_path):
     assert proc.stdout.count("Malformed URL") == len(urls)
 
 
+def test_a_port_out_of_range_is_reported_malformed(tmp_path,
+                                                   stub_http_server):
+    # port P + 65536 used to wrap round to P, where the stub answers
+    port = int(stub_http_server.rsplit(":", 1)[1])
+    url = f"http://127.0.0.1:{port + 65536}/x"
+    rules = tmp_path / "url.rules"
+    rules.write_text(URL_RULES, encoding="utf-8")
+    doc = tmp_path / "d.xml"
+    doc.write_text(f'<p><xref url="{url}">x</xref></p>', encoding="utf-8")
+    cfg = RunConfig(rule_files=[str(rules)], inputs=[str(doc)],
+                    cache_dir=str(tmp_path / "cache"), url_timeout=5)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(cfg, stdout=out, stderr=err) == 0
+    assert f"Malformed URL {url}" in out.getvalue()
+    assert err.getvalue() == ""
+
+
 def test_probe_defaults_are_shared(tmp_path, monkeypatch):
     rules, inputs = write_corpus(tmp_path)
     seen = []

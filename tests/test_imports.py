@@ -1,7 +1,8 @@
 """Every name a module of src/semlint imports is used in that module, every
-module parses with the oldest grammar pyproject.toml allows, and importing
+module parses with the oldest grammar pyproject.toml allows, importing
 the CLI leaves the HTTP stack unloaded until a URL is probed, and
-dataclasses unloaded altogether."""
+dataclasses unloaded altogether, and probing loads no HTTP library: ssl
+only for an https URL."""
 
 import ast
 import os
@@ -67,3 +68,35 @@ def test_cli_import_leaves_http_stack_unloaded():
 
 def test_cli_import_leaves_dataclasses_unloaded():
     assert loaded_by_cli_import(DATACLASSES) == "[]"
+
+
+# what probing used to load; the prober's own client needs none of it
+HTTP_LIBRARIES = ("urllib.request", "http.client", "email", "ssl",
+                  "concurrent.futures")
+
+
+def loaded_by_probing(url: str) -> str:
+    code = ("import sys\n"
+            "from semlint.builtins import HttpProber\n"
+            "prober = HttpProber(5)\n"
+            f"prober.prefetch([{url!r}])\n"
+            f"print(prober.probe({url!r}).kind, "
+            f"[m for m in {HTTP_LIBRARIES!r} if m in sys.modules])")
+    # no_proxy alone names no proxy, so urllib is not needed to pick one
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**env, "no_proxy": "127.0.0.1", "PYTHONPATH": str(SRC.parent)},
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_probing_http_loads_no_http_library(stub_http_server):
+    assert loaded_by_probing(f"{stub_http_server}/live") == "ok []"
+
+
+def test_probing_https_loads_ssl_alone(tls_server):
+    # the certificate is self-signed, so the probe fails verification
+    assert loaded_by_probing(f"{tls_server}/live") == "unreachable ['ssl']"

@@ -12,7 +12,8 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlint.builtins import MAX_URL_TIMEOUT, UrlProbeResult
+from semlint.builtins import (DEFAULT_MAX_PROBES, MAX_URL_TIMEOUT,
+                              UrlProbeResult)
 from semlint.cli import RunConfig, RunOutcome
 from semlint.dsl_parser import Token
 from semlint.engine import DelayedTest, PassOneResult
@@ -58,7 +59,8 @@ RECORDS = [
                             ("detail", "")]),
     (RunConfig, False, ["rule_files", "inputs", "cache_dir",
                         ("format", "text"), ("offline", False),
-                        ("url_timeout", 10.0), ("max_probes", 32),
+                        ("url_timeout", 10.0),
+                        ("max_probes", DEFAULT_MAX_PROBES),
                         ("normalize_names", False),
                         ("fail_on_warnings", False), ("output", None)]),
     (RunOutcome, False, ["report", "messages", "diagnostics", "exit_code",
