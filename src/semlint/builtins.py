@@ -11,6 +11,7 @@ import threading
 import unicodedata
 from typing import Optional
 
+from . import DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT
 from .engine import BuiltinError, BuiltinRegistry
 from .matcher import Bindings, bind, string_projection, unify
 from .record import Record
@@ -55,16 +56,6 @@ def urls_to_probe(tests) -> list[str]:
 
 
 # -- URL probing ---------------------------------------------------------------
-
-# Defaults shared by RunConfig, the CLI and HttpProber.  A probe mostly
-# waits on the network: on urls-live (200 URLs, replies after 20 ms),
-# prefetch took 0.18-0.20 s at 32 in flight and 0.11-0.13 s at 64, for
-# about 0.4 MB more peak memory.  The benchmark's stub accepts 64 at once.
-DEFAULT_URL_TIMEOUT = 10.0
-DEFAULT_MAX_PROBES = 64
-# a day is far beyond any useful wait and far below the largest timeout a
-# socket takes (about 9.2e9 s)
-MAX_URL_TIMEOUT = 86400.0
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]+")
 # what urllib.request sends, follows and gives up on
@@ -316,10 +307,11 @@ def _host_port(authority: str, default_port: int) -> tuple[str, int]:
 
 
 def _read_head(reply) -> tuple[int, str, Optional[str]]:
-    """(status, reason, Location) of a reply, read as http.client reads it:
-    100 Continue is skipped, and a reply that is not HTTP/1.x is OSError."""
+    """(status, reason, Location) of a reply, read as http.client reads it,
+    but skipping every interim 1xx reply but 101 (RFC 9110 15.2), not 100
+    Continue alone.  A reply that is not HTTP/1.x is OSError."""
     status = 100
-    while status == 100:
+    while status < 200 and status != 101:
         line = reply.readline(_MAXLINE + 1).decode("iso-8859-1")
         if len(line) > _MAXLINE:
             raise OSError(f"got more than {_MAXLINE} bytes when reading status"

@@ -2,7 +2,10 @@
 
 Pass-1 results are cached per input file, keyed on content digests of both
 the input and the ruleset, so an unchanged file is never re-evaluated and a
-warm run reproduces the cold-run report byte for byte.
+warm run reproduces the cold-run report byte for byte.  As under make, an
+offline run whose rules, inputs, entries and options are all unchanged
+replays the outcome memoised by the last one, without loading the engine.
+Every cache file is zlib-compressed.
 """
 
 from __future__ import annotations
@@ -10,24 +13,46 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import json
 import os
 import sys
 import tempfile
+import zlib
+from importlib import import_module
 from pathlib import Path
 
-from . import builtins as builtins_mod
-from .dsl_parser import LexError, ParseError, parse_rule_texts
-from .engine import (EngineError, PassOneResult, evaluate_file, merge_facts,
-                     parse_pass1, projection, resolve_tests, serialize_pass1)
-from .record import Record
-from .reporting import FORMATS, Message, emit_report
-from .rule_ast import RuleSet
-from .xml_frontend import EncodingError, MalformedXml, parse_xml
+from . import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT, FORMATS,
+               MAX_URL_TIMEOUT, SemlintError)
+from .record import Message, Record, SourcePos
 
 CACHE_DIR_ENV = "SEMLINT_CACHE_DIR"
+# raised with any change that can alter an outcome for the same key
+MEMO_FORMAT = 1
+MEMO_NAME = "run.memo"
+# the module of each name that a run binds here on its first miss; through
+# __getattr__ (PEP 562) cli.<name> is readable and patchable before that
+_ENGINE = {"parse_rule_texts": "dsl_parser", "parse_xml": "xml_frontend",
+           "emit_report": "reporting", **dict.fromkeys(
+               ("evaluate_file", "parse_pass1", "serialize_pass1",
+                "merge_facts", "resolve_tests", "projection"), "engine")}
 
 
-class CliError(Exception):
+def _load_engine() -> None:
+    for name, module in _ENGINE.items():
+        # a name already bound, such as a tracer's wrapper, stays bound
+        if name not in globals():
+            globals()[name] = getattr(import_module(f".{module}", __package__),
+                                      name)
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_engine()
+    return globals()[name]
+
+
+class CliError(SemlintError):
     pass
 
 
@@ -38,8 +63,8 @@ class RunConfig(Record):
 
     def __init__(self, rule_files: list[str], inputs: list[str],
                  cache_dir: str, format: str = "text", offline: bool = False,
-                 url_timeout: float = builtins_mod.DEFAULT_URL_TIMEOUT,
-                 max_probes: int = builtins_mod.DEFAULT_MAX_PROBES,
+                 url_timeout: float = DEFAULT_URL_TIMEOUT,
+                 max_probes: int = DEFAULT_MAX_PROBES,
                  normalize_names: bool = False,
                  fail_on_warnings: bool = False, output: str | None = None):
         if not rule_files:
@@ -50,9 +75,9 @@ class RunConfig(Record):
             raise CliError(f"unknown report format {format!r}")
         # NaN fails this test too; inf or a huge value would overflow the
         # socket timeout on the first probe
-        if not 0 < url_timeout <= builtins_mod.MAX_URL_TIMEOUT:
+        if not 0 < url_timeout <= MAX_URL_TIMEOUT:
             raise CliError(f"url timeout must be positive and at most "
-                           f"{builtins_mod.MAX_URL_TIMEOUT:g} seconds")
+                           f"{MAX_URL_TIMEOUT:g} seconds")
         if max_probes < 1:
             raise CliError("max probes must be >= 1")
         self.rule_files = rule_files
@@ -109,31 +134,61 @@ def _cache_path(cache_dir: str, input_path: str) -> Path:
     return Path(cache_dir) / (_sha256(input_path.encode("utf-8")) + ".pass1")
 
 
-def _cached_result(cache_dir: str, input_path: str, input_digest: str,
-                   ruleset: RuleSet) -> PassOneResult | None:
+def _read_cache(path: Path) -> bytes:
+    """A cache file's bytes; none if it is absent or unreadable."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError:
+        return b""
+
+
+def _cached_result(entry: bytes, input_path: str, input_digest: str,
+                   ruleset):
     """None on any miss: absent, damaged, older-format or other content."""
     try:
-        text = _cache_path(cache_dir, input_path).read_text(encoding="utf-8")
-        return parse_pass1(text, input_path, input_digest, ruleset)
+        return parse_pass1(zlib.decompress(entry).decode("utf-8"),
+                           input_path, input_digest, ruleset)
     # json.loads recurses once per nesting level of a damaged entry
-    except (OSError, ValueError, RecursionError):
+    except (ValueError, RecursionError, zlib.error):
         return None
 
 
-def _write_cache(path: Path, text: str) -> None:
+def _read_memo(cache_dir: str):
+    """(rules key, inputs, digests, report, messages, diagnostics) from the
+    memo, or None if it does not decode to them."""
+    try:
+        rules, inputs, digests, report, messages, diagnostics = json.loads(
+            zlib.decompress(_read_cache(Path(cache_dir) / MEMO_NAME)))
+        # `+ ""` raises TypeError unless the value is a str
+        return (rules, inputs, [*digests], report + "",
+                [Message(SourcePos(file, line), *rest)
+                 for file, line, *rest in messages],
+                [d + "" for d in diagnostics])
+    except (ValueError, TypeError, RecursionError, zlib.error):
+        return None
+
+
+def _write_cache(path: Path, text: str) -> bytes:
+    """Write text zlib-compressed; returns the bytes written."""
+    # level 1 compressed a seed-7 memo in 40% of the default level's time,
+    # to a file a quarter larger
+    data = zlib.compress(text.encode("utf-8"), 1)
     # a unique temp file renamed into place: concurrent processes writing the
     # same entry never interleave, and a torn file can only read as a miss
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return data
 
 
-def _load_ruleset(cfg: RunConfig) -> RuleSet:
+def _read_rules(cfg: RunConfig) -> list[tuple[str, str]]:
+    """(text, path) of each rule file, in order."""
     pairs = []
     for path in cfg.rule_files:
         # "utf-8-sig" drops a leading BOM, as parse_xml accepts one; the
@@ -142,57 +197,93 @@ def _load_ruleset(cfg: RunConfig) -> RuleSet:
             pairs.append((Path(path).read_text(encoding="utf-8-sig"), path))
         except UnicodeDecodeError as exc:
             raise CliError(f"{path}: not valid UTF-8: {exc}") from None
-    return parse_rule_texts(pairs)
+    return pairs
+
+
+def _load_ruleset(cfg: RunConfig, pairs=None):
+    _load_engine()
+    return parse_rule_texts(pairs or _read_rules(cfg))
 
 
 def execute(cfg: RunConfig, prober=None) -> RunOutcome:
-    ruleset = _load_ruleset(cfg)
-    # a miss builds only the nodes that the rules can observe
-    projected = projection(ruleset)
+    rules = _read_rules(cfg)
+    # the rules are keyed by the digest of their text as read
+    rules_key = [MEMO_FORMAT, cfg.format, cfg.normalize_names,
+                 [[path, _sha256(text.encode("utf-8"))]
+                  for text, path in rules]]
+    # a non-offline run may probe URLs: it neither replays nor memoises
+    memo = _read_memo(cfg.cache_dir) if cfg.offline else None
+    # the rules of a memo parsed when it was written; parse them on a miss
+    ruleset = None if memo and memo[0] == rules_key else _load_ruleset(
+        cfg, rules)
     inputs = expand_inputs(cfg.inputs)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
     # a repeated path is probed and evaluated once; `ordered` keeps repeats.
-    # A miss is parsed from the bytes digested, so one input is read once
-    # and only its bytes and tree are alive while it is evaluated.
-    results: dict[str, PassOneResult] = {}
-    evaluated: list[str] = []
-    cached: list[str] = []
-    for path in dict.fromkeys(inputs):
+    # While each input and its entry match the memo, the entry waits
+    # undecoded.  From the first that does not, the waiting entries are
+    # decoded, and a miss is parsed from the bytes digested before the next
+    # read: one input is read once.
+    replay = memo is not None and memo[:2] == (rules_key, inputs)
+    results, evaluated, cached = {}, [], []
+    digests: dict[str, list[str]] = {}  # input and entry digest by path
+    waiting = []
+    ready = False
+    for i, path in enumerate(dict.fromkeys(inputs)):
         data = Path(path).read_bytes()
-        digest = _sha256(data)
-        result = _cached_result(cfg.cache_dir, path, digest, ruleset)
-        if result is None:
-            result = evaluate_file(parse_xml(data, path, projected),
-                                   ruleset, path)
-            _write_cache(_cache_path(cfg.cache_dir, path),
-                         serialize_pass1(result, digest, ruleset))
-            evaluated.append(path)
-        else:
-            cached.append(path)
-        results[path] = result
+        entry = _read_cache(_cache_path(cfg.cache_dir, path))
+        digests[path] = [_sha256(data), _sha256(entry)]
+        waiting.append((path, data, entry))
+        replay = replay and memo[2][i:i + 1] == [digests[path]]
+        if replay:
+            continue
+        if not ready:
+            ruleset = ruleset or _load_ruleset(cfg, rules)
+            # a miss builds only the nodes that the rules can observe
+            projected, ready = projection(ruleset), True
+        for path, data, entry in waiting:
+            result = _cached_result(entry, path, digests[path][0], ruleset)
+            if result is None:
+                result = evaluate_file(parse_xml(data, path, projected),
+                                       ruleset, path)
+                entry = _write_cache(_cache_path(cfg.cache_dir, path),
+                                     serialize_pass1(result, digests[path][0],
+                                                     ruleset))
+                digests[path][1] = _sha256(entry)
+                evaluated.append(path)
+            else:
+                cached.append(path)
+            results[path] = result
+        waiting.clear()
 
-    ordered = [results[path] for path in inputs]
-    store = merge_facts(ordered)
-    tests = [dt for result in ordered for dt in result.tests]
-
-    if prober is None:
-        prober = builtins_mod.HttpProber(cfg.url_timeout, cfg.max_probes)
-    if not cfg.offline:
-        prober.prefetch(builtins_mod.urls_to_probe(tests))
-    registry = builtins_mod.make_registry(
-        prober=prober, offline=cfg.offline,
-        normalize_names=cfg.normalize_names)
-
-    messages, resolve_diags = resolve_tests(tests, store, registry)
-    diagnostics = [d for result in ordered for d in result.diagnostics]
-    diagnostics.extend(resolve_diags)
-
-    report = emit_report(messages, diagnostics, cfg.format)
-    if cfg.fail_on_warnings and (messages or diagnostics):
-        exit_code = 1
+    if replay:
+        report, messages, diagnostics = memo[3:]
+        cached = list(digests)
     else:
-        exit_code = 0
+        from . import builtins as builtins_mod
+        ordered = [results[path] for path in inputs]
+        store = merge_facts(ordered)
+        tests = [dt for result in ordered for dt in result.tests]
+
+        if prober is None:
+            prober = builtins_mod.HttpProber(cfg.url_timeout, cfg.max_probes)
+        if not cfg.offline:
+            prober.prefetch(builtins_mod.urls_to_probe(tests))
+        registry = builtins_mod.make_registry(
+            prober=prober, offline=cfg.offline,
+            normalize_names=cfg.normalize_names)
+
+        messages, resolve_diags = resolve_tests(tests, store, registry)
+        diagnostics = [d for result in ordered for d in result.diagnostics]
+        diagnostics.extend(resolve_diags)
+        report = emit_report(messages, diagnostics, cfg.format)
+        if cfg.offline:
+            _write_cache(Path(cfg.cache_dir) / MEMO_NAME, json.dumps(
+                [rules_key, inputs, list(digests.values()), report,
+                 [[m.pos.file, m.pos.line, m.rule_index, m.html, m.text,
+                   m.solution_key] for m in messages], diagnostics],
+                separators=(",", ":")))
+    exit_code = 1 if cfg.fail_on_warnings and (messages or diagnostics) else 0
     return RunOutcome(report, messages, diagnostics, exit_code,
                       evaluated=evaluated, cached=cached)
 
@@ -203,8 +294,7 @@ def run(cfg: RunConfig, prober=None,
     stderr = stderr if stderr is not None else sys.stderr
     try:
         outcome = execute(cfg, prober=prober)
-    except (CliError, LexError, ParseError, EngineError, MalformedXml,
-            EncodingError, OSError) as exc:
+    except (SemlintError, OSError) as exc:
         print(f"semlint: error: {exc}", file=stderr)
         return 2
     if cfg.output:
@@ -233,10 +323,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--offline", action="store_true",
                         help="never touch the network; URL tests are silent")
     parser.add_argument("--url-timeout", type=float,
-                        default=builtins_mod.DEFAULT_URL_TIMEOUT,
-                        metavar="SECS")
+                        default=DEFAULT_URL_TIMEOUT, metavar="SECS")
     parser.add_argument("--max-probes", type=int,
-                        default=builtins_mod.DEFAULT_MAX_PROBES, metavar="N",
+                        default=DEFAULT_MAX_PROBES, metavar="N",
                         help="max concurrent URL probes")
     parser.add_argument("--normalize-names", action="store_true",
                         help="case/accent-insensitive member name matching")

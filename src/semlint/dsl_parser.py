@@ -10,26 +10,26 @@ from __future__ import annotations
 
 import hashlib
 
-from .record import Record
+from . import SemlintError
+from .record import Record, SourcePos
 from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
                        EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
                        Pattern, Polarity, Rule, RuleSet, Test, TestRule,
                        consequence_vars, pattern_vars)
 from .terms import Functor, Term, Var, term_vars
-from .xml_frontend import SourcePos
 
 PREDEFINED_VARS = frozenset({"SourceFile", "SourceLine"})
 MAX_NESTING = 200  # the matcher and the cache recurse once per level
 
 
-class LexError(Exception):
+class LexError(SemlintError):
     def __init__(self, pos: SourcePos, detail: str):
         super().__init__(f"{pos.file}:{pos.line}: {detail}")
         self.pos = pos
         self.detail = detail
 
 
-class ParseError(Exception):
+class ParseError(SemlintError):
     def __init__(self, pos: SourcePos, detail: str):
         super().__init__(f"{pos.file}:{pos.line}: {detail}")
         self.pos = pos
@@ -279,7 +279,10 @@ class _Parser:
             else:
                 raise ParseError(self.cur.pos, "expected '/' or '->' after "
                                                "test goal")
-            body = TestRule(Test(polarity, goal, self.parse_consequence()))
+            test = Test(polarity, goal, self.parse_consequence())
+            body = TestRule(test, tuple(sorted({
+                *term_vars(goal), *consequence_vars(test.consequence),
+                *PREDEFINED_VARS})))
         else:
             raise ParseError(self.cur.pos, "expected '=>' or '?' after "
                                            "rule pattern")

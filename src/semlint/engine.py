@@ -18,19 +18,19 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-from . import reporting
+from . import SemlintError, reporting
 from .matcher import (Bindings, TypeMismatch, Value, bind, deep_contains,
                       match_node, resolve, string_projection, unify)
 from .record import Record
 from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
                        PEmptyElem, Polarity, PText, PVar, Rule, RuleSet, Test,
-                       TestRule, consequence_vars)
-from .terms import Functor, Term, Var, is_ground, term_to_text, term_vars
+                       TestRule)
+from .terms import Functor, Term, Var, is_ground, term_to_text
 from .xml_frontend import (KEEP, SKIP, WHOLE, Element, Projection, SourcePos,
                            Text, XmlNode)
 
 
-class EngineError(Exception):
+class EngineError(SemlintError):
     pass
 
 
@@ -272,14 +272,9 @@ def _ground_value(term: Term, b: Bindings, pos: SourcePos) -> Value:
 
 
 def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
-    assert isinstance(rule.body, TestRule)
-    test = rule.body.test
-    wanted = (set(term_vars(test.goal))
-              | set(consequence_vars(test.consequence))
-              | {"SourceFile", "SourceLine"})
     captured = {name: _project_nodes(b[name])
-                for name in sorted(wanted) if name in b}
-    return DelayedTest(rule.index, test, captured, pos)
+                for name in rule.body.captured if name in b}
+    return DelayedTest(rule.index, rule.body.test, captured, pos)
 
 
 # -- pass 2 -------------------------------------------------------------------

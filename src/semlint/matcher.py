@@ -101,25 +101,16 @@ def _match_attrs(attrs: tuple[AttrPattern, ...], n: Element,
 def match_children(ps: list[Pattern], ns: list[XmlNode],
                    b: Bindings) -> Optional[Bindings]:
     """Positional child matching; a final $X / $_ takes the rest as a list."""
-    if ps and isinstance(ps[-1], (PVar, PAnon)):
-        head, tail_pat = ps[:-1], ps[-1]
-        if len(ns) < len(head):
-            return None
-        for p, n in zip(head, ns):
-            b2 = match_node(p, n, b)
-            if b2 is None:
-                return None
-            b = b2
-        if isinstance(tail_pat, PAnon):
-            return b
-        return _bind_value(tail_pat.name, tuple(ns[len(head):]), b)
-    if len(ps) != len(ns):
+    tail = ps[-1] if ps and isinstance(ps[-1], (PVar, PAnon)) else None
+    head = ps if tail is None else ps[:-1]
+    if len(ns) < len(head) or (tail is None and len(ns) > len(head)):
         return None
-    for p, n in zip(ps, ns):
-        b2 = match_node(p, n, b)
-        if b2 is None:
+    for p, n in zip(head, ns):
+        b = match_node(p, n, b)
+        if b is None:
             return None
-        b = b2
+    if isinstance(tail, PVar):
+        return _bind_value(tail.name, tuple(ns[len(head):]), b)
     return b
 
 

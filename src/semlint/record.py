@@ -8,6 +8,8 @@ lists its fields, in order, in ``__slots__`` and stores them in its own
 ``__init__``; this base gives it a dataclass's equality and repr, and a
 hash if it is declared ``frozen``.  Records are never changed after
 construction, frozen or not: that is a convention, not enforced.
+SourcePos and Message are here so that a run replaying its memo loads
+neither the parser nor the renderer.
 """
 
 from __future__ import annotations
@@ -38,3 +40,27 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+class SourcePos(Record, frozen=True):
+    __slots__ = ("file", "line")
+
+    def __init__(self, file: str, line: int):
+        self.file = file
+        self.line = line
+
+
+class Message(Record, frozen=True):
+    __slots__ = ("pos", "rule_index", "html", "text", "solution_key")
+
+    def __init__(self, pos: SourcePos, rule_index: int, html: str, text: str,
+                 solution_key: str):
+        self.pos = pos
+        self.rule_index = rule_index
+        self.html = html
+        self.text = text
+        self.solution_key = solution_key
+
+    def sort_key(self):
+        return (self.pos.file, self.pos.line, self.rule_index,
+                self.solution_key, self.html)

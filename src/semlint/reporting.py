@@ -12,37 +12,17 @@ import html as html_mod
 import json
 from typing import Union
 
+from . import FORMATS
 from .matcher import Bindings, normalize_ws, string_projection
-from .record import Record
+from .record import Message
 from .rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
 from .terms import Functor, Term, Var, term_to_text
-from .xml_frontend import SourcePos
-
-
-# the report formats emit_report writes; the CLI offers exactly these
-FORMATS = ("html", "text", "machine")
 
 
 class UnboundInConsequence(Exception):
     def __init__(self, var: str):
         super().__init__(f"unbound variable ${var} in message template")
         self.var = var
-
-
-class Message(Record, frozen=True):
-    __slots__ = ("pos", "rule_index", "html", "text", "solution_key")
-
-    def __init__(self, pos: SourcePos, rule_index: int, html: str, text: str,
-                 solution_key: str):
-        self.pos = pos
-        self.rule_index = rule_index
-        self.html = html
-        self.text = text
-        self.solution_key = solution_key
-
-    def sort_key(self):
-        return (self.pos.file, self.pos.line, self.rule_index,
-                self.solution_key, self.html)
 
 
 def render_consequence(c: Union[Pattern, Term],
@@ -100,6 +80,8 @@ def _attr_value(a, b: Bindings) -> str:
 def emit_report(msgs: list[Message], diagnostics: list[str],
                 format: str) -> str:
     """Assemble the final report; deterministic for identical inputs."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
     ordered = sorted(set(msgs), key=Message.sort_key)
     diags = sorted(set(diagnostics))
     lines: list[str] = []
@@ -121,7 +103,7 @@ def emit_report(msgs: list[Message], diagnostics: list[str],
         for m in ordered:
             lines.append(f"{m.pos.file}:{m.pos.line}: {m.text}")
         lines.append(f"{len(ordered)} messages")
-    elif format == "machine":
+    else:
         for d in diags:
             lines.append(json.dumps({"diagnostic": d}, sort_keys=True))
         for m in ordered:
@@ -130,6 +112,4 @@ def emit_report(msgs: list[Message], diagnostics: list[str],
                  "rule": m.rule_index, "text": m.text, "html": m.html},
                 sort_keys=True))
         lines.append(json.dumps({"messages": len(ordered)}))
-    else:
-        raise ValueError(f"unknown report format {format!r}")
     return "\n".join(lines) + "\n"

@@ -10,9 +10,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, Union
 
-from .record import Record
+from .record import Record, SourcePos
 from .terms import Functor, Term, Var, term_vars
-from .xml_frontend import SourcePos
 
 ANON = "_"
 
@@ -127,10 +126,12 @@ class EnvRule(Record, frozen=True):
 
 class TestRule(Record, frozen=True):
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("test",)
+    __slots__ = ("test", "captured")
 
-    def __init__(self, test: Test):
+    def __init__(self, test: Test, captured: tuple[str, ...]):
         self.test = test
+        # the sorted names that a delayed test of this rule captures
+        self.captured = captured
 
 
 class Rule(Record, frozen=True):
@@ -174,4 +175,3 @@ def consequence_vars(c: Union[Pattern, Term]) -> Iterator[str]:
         yield from pattern_vars(c)
     else:
         yield from term_vars(c)
-

@@ -17,25 +17,18 @@ import re
 from typing import Union
 from xml.parsers import expat
 
-from .record import Record
+from . import SemlintError
+from .record import Record, SourcePos
 
 
-class SourcePos(Record, frozen=True):
-    __slots__ = ("file", "line")
-
-    def __init__(self, file: str, line: int):
-        self.file = file
-        self.line = line
-
-
-class MalformedXml(Exception):
+class MalformedXml(SemlintError):
     def __init__(self, pos: SourcePos, detail: str):
         super().__init__(f"{pos.file}:{pos.line}: {detail}")
         self.pos = pos
         self.detail = detail
 
 
-class EncodingError(Exception):
+class EncodingError(SemlintError):
     def __init__(self, file: str, detail: str):
         super().__init__(f"{file}: {detail}")
         self.file = file

@@ -87,6 +87,9 @@ RAW_REPLIES = {
     "empty": b"",
     "continue": (b"HTTP/1.1 100 Continue\r\n\r\n"
                  b"HTTP/1.1 204 No Content\r\n\r\n"),
+    "early-hints": (b"HTTP/1.1 103 Early Hints\r\n"
+                    b"Link: </style.css>; rel=preload\r\n\r\n"
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"),
     "long-header": b"HTTP/1.1 200 OK\r\nX: " + b"a" * 70000 + b"\r\n\r\n",
     "99-headers": b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 99 + b"\r\n",
     "100-headers": b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 100 + b"\r\n",

@@ -5,15 +5,17 @@ import os
 import socket
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
-from semlint import cli
+from semlint import MAX_URL_TIMEOUT, cli
 from semlint.builtins import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT,
-                              MAX_URL_TIMEOUT, HttpProber)
-from semlint.cli import (CliError, RunConfig, _cache_path, _load_ruleset,
-                         build_arg_parser, execute, expand_inputs, main, run)
+                              HttpProber)
+from semlint.cli import (MEMO_NAME, CliError, RunConfig, RunOutcome,
+                         _cache_path, _load_ruleset, build_arg_parser,
+                         execute, expand_inputs, main, run)
 from semlint.reporting import FORMATS, emit_report
 from stub_prober import StubProber
 
@@ -206,7 +208,7 @@ def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
     longer.write_bytes(Path(short).read_bytes())
     cfg = config(tmp_path, rules, [short, str(longer)])
     cold = execute(cfg)
-    entries = [json.loads(cache_file(cfg, path).read_text(encoding="utf-8"))
+    entries = [json.loads(read_entry(cache_file(cfg, path)))
                for path in (short, str(longer))]
     assert entries[0]["tests"] and entries[0]["tests"] == entries[1]["tests"]
     warm = execute(cfg)
@@ -216,6 +218,16 @@ def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
 
 def cache_file(cfg, path):
     return _cache_path(cfg.cache_dir, path)
+
+
+# every cache file is zlib-compressed: damage is written compressed, so that
+# it reaches the entry's decoder
+def read_entry(path: Path) -> str:
+    return zlib.decompress(path.read_bytes()).decode("utf-8")
+
+
+def write_entry(path: Path, text: str) -> None:
+    path.write_bytes(zlib.compress(text.encode("utf-8")))
 
 
 def test_truncated_cache_entry_is_reevaluated(tmp_path):
@@ -229,15 +241,14 @@ def test_truncated_cache_entry_is_reevaluated(tmp_path):
     cold = execute(cfg)
     assert len(cold.messages) == 30
     entry = cache_file(cfg, str(doc))
-    text = entry.read_text(encoding="utf-8")
+    text = read_entry(entry)
     # cut at half its length, or at the line start before it if any
     half = len(text) // 2
-    entry.write_text(text[:text.rfind("\n", 0, half) + 1 or half],
-                     encoding="utf-8")
+    write_entry(entry, text[:text.rfind("\n", 0, half) + 1 or half])
     again = execute(cfg)
     assert again.evaluated == [str(doc)]
     assert again.report == cold.report
-    assert entry.read_text(encoding="utf-8") == text
+    assert read_entry(entry) == text
 
 
 @pytest.mark.parametrize("damage", [
@@ -251,12 +262,12 @@ def test_deeply_nested_cache_entry_is_a_miss(tmp_path, damage):
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
     entry = cache_file(cfg, inputs[0])
-    text = entry.read_text(encoding="utf-8")
-    entry.write_text(damage(json.loads(text)), encoding="utf-8")
+    text = read_entry(entry)
+    write_entry(entry, damage(json.loads(text)))
     again = execute(cfg)
     assert again.evaluated == [inputs[0]]
     assert again.report == cold.report
-    assert entry.read_text(encoding="utf-8") == text
+    assert read_entry(entry) == text
 
 
 def _retarget_test(data, rule_index):
@@ -280,11 +291,64 @@ def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
     target = cache_file(cfg, inputs[0])
-    data = json.loads(target.read_text(encoding="utf-8"))
-    target.write_text(make_entry(data, inputs[0]), encoding="utf-8")
+    data = json.loads(read_entry(target))
+    write_entry(target, make_entry(data, inputs[0]))
     again = execute(cfg)
     assert again.evaluated == [inputs[0]]
     assert again.report == cold.report
+
+
+def count_pass2(monkeypatch) -> list:
+    """The argument tuple of each resolve_tests call from here on."""
+    calls, resolve_tests = [], cli.resolve_tests
+    monkeypatch.setattr(cli, "resolve_tests",
+                        lambda *a: calls.append(a) or resolve_tests(*a))
+    return calls
+
+
+@pytest.mark.parametrize("damaged", ["entry", "memo"])
+def test_a_cache_file_that_is_not_zlib_is_a_miss(tmp_path, monkeypatch,
+                                                  damaged):
+    rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
+    cfg = config(tmp_path, rules, inputs)
+    cold = execute(cfg)
+    target = (cache_file(cfg, inputs[0]) if damaged == "entry"
+              else Path(cfg.cache_dir) / MEMO_NAME)
+    # the same content, left uncompressed
+    plain = zlib.decompress(target.read_bytes())
+    target.write_bytes(plain)
+    solved = count_pass2(monkeypatch)
+    again = execute(cfg)
+    assert again.evaluated == ([inputs[0]] if damaged == "entry" else [])
+    assert again.report == cold.report and len(solved) == 1
+    assert zlib.decompress(target.read_bytes()) == plain
+
+
+def test_an_unchanged_offline_run_replays_its_memo(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path)
+    cfg = config(tmp_path, rules, inputs + inputs[:1], fail_on_warnings=True)
+    cold = execute(cfg)
+    monkeypatch.setattr(cli, "_load_ruleset", None)
+    monkeypatch.setattr(cli, "resolve_tests", None)
+    warm = execute(cfg)
+    assert warm == RunOutcome(cold.report, cold.messages, cold.diagnostics,
+                              1, evaluated=[], cached=inputs)
+    # the exit code is not memoised
+    assert execute(config(tmp_path, rules, inputs + inputs[:1])).exit_code == 0
+
+
+def test_an_online_run_neither_reads_nor_writes_the_memo(tmp_path,
+                                                         monkeypatch):
+    rules, inputs = write_corpus(tmp_path)
+    memo = tmp_path / "cache" / MEMO_NAME
+    online = config(tmp_path, rules, inputs, offline=False)
+    execute(online, prober=StubProber())
+    assert not memo.exists()
+    execute(config(tmp_path, rules, inputs))
+    assert memo.exists()
+    solved = count_pass2(monkeypatch)
+    assert execute(online, prober=StubProber()).evaluated == []
+    assert len(solved) == 1
 
 
 def test_crlf_rules_keep_cache_hits(tmp_path):

@@ -16,7 +16,7 @@ from semlint.builtins import (HTTP_ERROR, MALFORMED, OK, TIMEOUT, UNREACHABLE,
 PATHS = [
     "/live", "/dead/x", "/nohead", "/live?q=1#frag",
     *(f"/status/{code}" for code in
-      (200, 204, 301, 404, 405, 500, 501, 103, 300, 304)),
+      (200, 204, 301, 404, 405, 500, 501, 300, 304)),
     # redirects: relative, with spaces and non-ASCII, absolute,
     # scheme-relative, with no path, to a scheme urllib refuses, empty
     "/redirect/301?/live", "/redirect/302?../dead", "/redirect/303?/nohead",
@@ -230,6 +230,21 @@ def test_a_refused_tunnel_is_unreachable(stub_http_server, stub_requests,
 
 
 # -- where the client differs from urllib on purpose --------------------------
+
+@pytest.mark.parametrize("path, ours", [
+    ("/raw/early-hints", (OK, 200)),
+    # a bare interim reply, then the connection closes
+    ("/status/103", (UNREACHABLE, None)),
+], ids=["/raw/early-hints", "/status/103"])
+def test_interim_replies_differ_from_urllib(stub_http_server, path, ours):
+    # http.client skips 100 Continue alone and took 103 Early Hints for the
+    # final reply
+    url = stub_http_server + path
+    old = LegacyProber(5).probe(url)
+    assert (old.kind, old.status) == (HTTP_ERROR, 103)
+    new = HttpProber(5).probe(url)
+    assert (new.kind, new.status) == ours
+
 
 def test_a_port_out_of_range_is_malformed_not_wrapped(stub_http_server):
     port = int(stub_http_server.rsplit(":", 1)[1])

@@ -2,7 +2,8 @@
 module parses with the oldest grammar pyproject.toml allows, importing
 the CLI leaves the HTTP stack unloaded until a URL is probed, and
 dataclasses unloaded altogether, and probing loads no HTTP library: ssl
-only for an https URL."""
+only for an https URL.  Importing the package loads none of its modules,
+and a CLI run that replays its memo loads no engine module."""
 
 import ast
 import os
@@ -100,3 +101,43 @@ def test_probing_http_loads_no_http_library(stub_http_server):
 def test_probing_https_loads_ssl_alone(tls_server):
     # the certificate is self-signed, so the probe fails verification
     assert loaded_by_probing(f"{tls_server}/live") == "unreachable ['ssl']"
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, semlint; "
+            "print([m for m in sys.modules if m.startswith('semlint.')])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+ENGINE_MODULES = ("semlint.dsl_parser", "semlint.engine", "semlint.matcher",
+                  "semlint.xml_frontend", "semlint.reporting",
+                  "semlint.builtins", "semlint.rule_ast", "html")
+
+
+def test_a_replayed_run_loads_no_engine_module(tmp_path):
+    rules = tmp_path / "check.rules"
+    rules.write_text('<pers nom=$N> <$_> </pers> => personne($N);\n'
+                     '<check nom=$N/> ? personne($N) / <li> <$N> </li>;\n',
+                     encoding="utf-8")
+    doc = tmp_path / "team.xml"
+    doc.write_text('<team><pers nom="a"><r/></pers><check nom="b"/></team>',
+                   encoding="utf-8")
+    code = ("import sys\n"
+            "from semlint.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print([m for m in {ENGINE_MODULES!r} if m in sys.modules])\n"
+            "sys.exit(code)")
+    args = [sys.executable, "-c", code, "--rules", str(rules), "--cache-dir",
+            str(tmp_path / "cache"), "--offline", "--format", "html",
+            str(doc)]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    cold, warm = (subprocess.run(args, capture_output=True, text=True,
+                                 env=env, timeout=60) for _ in range(2))
+    assert cold.returncode == warm.returncode == 0, cold.stderr + warm.stderr
+    assert cold.stdout.endswith(f"{list(ENGINE_MODULES)!r}\n")
+    assert warm.stdout == cold.stdout.replace(f"{list(ENGINE_MODULES)!r}",
+                                              "[]")

@@ -5,7 +5,8 @@ program calls: `cli.parse_xml`, `cli.resolve_tests`, `engine.match_node`,
 `engine.term_to_text`, `engine.FactStore.lookup`, `builtins.make_registry`
 and more.  A change that deletes or renames one of them fails here, not
 only in a benchmark run.  A traced run must report what an untraced one
-does, and every patch must be undone afterwards.
+does, and every patch must be undone afterwards.  The cold, warm and edit
+runs reach every layer between them, as perfbench's do.
 """
 
 import importlib.util
@@ -41,10 +42,17 @@ def test_traced_run_reports_what_an_untraced_run_does(seeded_corpus,
 
     plain = execute(cfg("plain"))
     tracer = tracing.Tracer()
+    # as perfbench runs them: the edit run misses the memo at one input and
+    # decodes the others' entries, which the warm run replays untouched
+    edited = Path(seeded_corpus["inputs"][0])
+    original = edited.read_text(encoding="utf-8")
+    traced = {}
     with tracer.installed():
-        traced = {phase: tracer.execute(phase, cfg("traced"),
-                                        tracer.prober(5.0, 4))
-                  for phase in ("cold", "warm")}
+        for phase in ("cold", "warm", "edit"):
+            if phase == "edit":
+                edited.write_text(original + "\n", encoding="utf-8")
+            traced[phase] = tracer.execute(phase, cfg("traced"),
+                                           tracer.prober(5.0, 4))
     assert (cli.parse_xml, engine.FactStore.lookup,
             engine.term_to_text) == originals
 
@@ -52,6 +60,10 @@ def test_traced_run_reports_what_an_untraced_run_does(seeded_corpus,
     for outcome in traced.values():
         assert outcome.report == plain.report
     assert traced["warm"].cached == seeded_corpus["inputs"]
+    assert traced["edit"].evaluated == [str(edited)]
+    # the memo hit reaches no rule parse, pass 2 or rendering
+    assert {s.name for s in tracer.spans if s.run == "warm"}.isdisjoint(
+        {"dsl_parser.parse", "engine.pass2", "reporting.emit"})
     metrics = tracing.layer_metrics(tracer, list(traced.values()))
     # a layer whose wrapper saw no call reads None
     assert [name for name, (value, _) in metrics.items()
