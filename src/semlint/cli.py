@@ -3,9 +3,9 @@
 Pass-1 results are cached per input file, keyed on content digests of both
 the input and the ruleset, so an unchanged file is never re-evaluated and a
 warm run reproduces the cold-run report byte for byte.  As under make, an
-offline run whose rules, inputs, entries and options are all unchanged
-replays the outcome memoised by the last one, without loading the engine.
-Every cache file is zlib-compressed.
+offline run whose rules, inputs and options are all unchanged replays the
+outcome memoised by the last one, without loading the engine.  A cache dir
+holds one zlib-compressed file, read once and written once per run.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from .record import Message, Record, SourcePos
 
 CACHE_DIR_ENV = "SEMLINT_CACHE_DIR"
 # raised with any change that can alter an outcome for the same key
-MEMO_FORMAT = 1
-MEMO_NAME = "run.memo"
+PACK_FORMAT = 1
+# its lines: the key, the outcome (null after an online run), the JSON list
+# of entry paths, and one pass-1 entry per path in that order
+PACK_NAME = "run.cache"
 # the module of each name that a run binds here on its first miss; through
 # __getattr__ (PEP 562) cli.<name> is readable and patchable before that
 _ENGINE = {"parse_rule_texts": "dsl_parser", "parse_xml": "xml_frontend",
@@ -130,52 +132,40 @@ def expand_inputs(patterns: list[str]) -> list[str]:
     return out
 
 
-def _cache_path(cache_dir: str, input_path: str) -> Path:
-    return Path(cache_dir) / (_sha256(input_path.encode("utf-8")) + ".pass1")
-
-
-def _read_cache(path: Path) -> bytes:
-    """A cache file's bytes; none if it is absent or unreadable."""
+def _read_pack(cache_dir: str) -> tuple[list, list[bytes]]:
+    """The key and lines of the pack; ([], []) if it is absent or damaged."""
     try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError:
-        return b""
+        with open(Path(cache_dir) / PACK_NAME, "rb") as f:
+            lines = zlib.decompress(f.read()).split(b"\n")
+        key = json.loads(lines[0])
+        if key[0] == PACK_FORMAT and len(lines) > 2:
+            return [*key[:5], [*key[5]]], lines
+    # json.loads recurses once per nesting level of a damaged line
+    except (OSError, LookupError, ValueError, TypeError, RecursionError,
+            zlib.error):
+        pass
+    return [], []
 
 
-def _cached_result(entry: bytes, input_path: str, input_digest: str,
-                   ruleset):
-    """None on any miss: absent, damaged, older-format or other content."""
+def _read_outcome(text: bytes):
+    """(report, messages, diagnostics) from the outcome line, or None."""
     try:
-        return parse_pass1(zlib.decompress(entry).decode("utf-8"),
-                           input_path, input_digest, ruleset)
-    # json.loads recurses once per nesting level of a damaged entry
-    except (ValueError, RecursionError, zlib.error):
-        return None
-
-
-def _read_memo(cache_dir: str):
-    """(rules key, inputs, digests, report, messages, diagnostics) from the
-    memo, or None if it does not decode to them."""
-    try:
-        rules, inputs, digests, report, messages, diagnostics = json.loads(
-            zlib.decompress(_read_cache(Path(cache_dir) / MEMO_NAME)))
+        report, messages, diagnostics = json.loads(text)
         # `+ ""` raises TypeError unless the value is a str
-        return (rules, inputs, [*digests], report + "",
-                [Message(SourcePos(file, line), *rest)
-                 for file, line, *rest in messages],
+        return (report + "", [Message(SourcePos(file, line), *rest)
+                              for file, line, *rest in messages],
                 [d + "" for d in diagnostics])
-    except (ValueError, TypeError, RecursionError, zlib.error):
+    except (ValueError, TypeError, RecursionError):
         return None
 
 
-def _write_cache(path: Path, text: str) -> bytes:
-    """Write text zlib-compressed; returns the bytes written."""
+def _write_cache(path: Path, data: bytes) -> bytes:
+    """Write data zlib-compressed; returns the bytes written."""
     # level 1 compressed a seed-7 memo in 40% of the default level's time,
     # to a file a quarter larger
-    data = zlib.compress(text.encode("utf-8"), 1)
+    data = zlib.compress(data, 1)
     # a unique temp file renamed into place: concurrent processes writing the
-    # same entry never interleave, and a torn file can only read as a miss
+    # same file never interleave, and a torn file can only read as a miss
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
@@ -205,84 +195,101 @@ def _load_ruleset(cfg: RunConfig, pairs=None):
     return parse_rule_texts(pairs or _read_rules(cfg))
 
 
+def _resolve(cfg: RunConfig, prober, ordered: list):
+    """Pass 2 over the inputs' pass-1 results, in order, and the report."""
+    from . import builtins as builtins_mod
+    store = merge_facts(ordered)
+    tests = [dt for result in ordered for dt in result.tests]
+    if prober is None:
+        prober = builtins_mod.HttpProber(cfg.url_timeout, cfg.max_probes)
+    if not cfg.offline:
+        prober.prefetch(builtins_mod.urls_to_probe(tests))
+    registry = builtins_mod.make_registry(
+        prober=prober, offline=cfg.offline,
+        normalize_names=cfg.normalize_names)
+    messages, resolve_diags = resolve_tests(tests, store, registry)
+    diagnostics = [d for result in ordered for d in result.diagnostics]
+    diagnostics.extend(resolve_diags)
+    report = emit_report(messages, diagnostics, cfg.format)
+    return report, messages, diagnostics
+
+
 def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     rules = _read_rules(cfg)
     # the rules are keyed by the digest of their text as read
-    rules_key = [MEMO_FORMAT, cfg.format, cfg.normalize_names,
-                 [[path, _sha256(text.encode("utf-8"))]
-                  for text, path in rules]]
+    key = [PACK_FORMAT, cfg.format, cfg.normalize_names,
+           [[path, _sha256(text.encode("utf-8"))] for text, path in rules]]
+    old, lines = _read_pack(cfg.cache_dir)
     # a non-offline run may probe URLs: it neither replays nor memoises
-    memo = _read_memo(cfg.cache_dir) if cfg.offline else None
-    # the rules of a memo parsed when it was written; parse them on a miss
-    ruleset = None if memo and memo[0] == rules_key else _load_ruleset(
-        cfg, rules)
+    replay = cfg.offline and old[:4] == key
+    # the rules of a memo were parsed when it was written; parse them on a miss
+    ruleset = None if replay else _load_ruleset(cfg, rules)
     inputs = expand_inputs(cfg.inputs)
+    key += [inputs, []]  # and each distinct input's digest, as it is read
+    replay = replay and old[4] == inputs
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
-    # a repeated path is probed and evaluated once; `ordered` keeps repeats.
-    # While each input and its entry match the memo, the entry waits
-    # undecoded.  From the first that does not, the waiting entries are
-    # decoded, and a miss is parsed from the bytes digested before the next
-    # read: one input is read once.
-    replay = memo is not None and memo[:2] == (rules_key, inputs)
-    results, evaluated, cached = {}, [], []
-    digests: dict[str, list[str]] = {}  # input and entry digest by path
-    waiting = []
-    ready = False
-    for i, path in enumerate(dict.fromkeys(inputs)):
-        data = Path(path).read_bytes()
-        entry = _read_cache(_cache_path(cfg.cache_dir, path))
-        digests[path] = [_sha256(data), _sha256(entry)]
-        waiting.append((path, data, entry))
-        replay = replay and memo[2][i:i + 1] == [digests[path]]
+    # a repeated path is probed and evaluated once; pass 2 sees each repeat.
+    # While each input's digest matches the key, the input waits, and once
+    # all match the outcome is decoded.  From the first that does not, the
+    # waiting entries are decoded, and a miss is parsed from the bytes
+    # digested before the next read: one input is read once.
+    distinct = list(dict.fromkeys(inputs))
+    results, evaluated, cached, waiting = {}, [], [], []
+    entries = memo = outcome = None
+    try:
+        for i, path in enumerate(distinct):
+            data = Path(path).read_bytes()
+            key[5].append(_sha256(data))
+            waiting.append((path, data, key[5][i]))
+            if replay and old[5][i:i + 1] == key[5][i:] and (
+                    i + 1 < len(distinct)
+                    or (memo := _read_outcome(lines[1]))):
+                continue
+            replay = False
+            if entries is None:
+                ruleset = ruleset or _load_ruleset(cfg, rules)
+                # a miss builds only the nodes that the rules can observe
+                projected = projection(ruleset)
+                # an entry holds its input's digest, so a misplaced one is a
+                # miss, never another input's result
+                try:
+                    entries = dict(zip(json.loads(lines[2]), lines[3:]))
+                except (LookupError, ValueError, TypeError, RecursionError):
+                    entries = {}
+            for path, data, digest in waiting:
+                # any entry that is absent, damaged, older or for other
+                # content is a miss
+                try:
+                    result = parse_pass1(entries.get(path, b"").decode(
+                        "utf-8"), path, digest, ruleset)
+                    cached.append(path)
+                except (ValueError, RecursionError):
+                    result = evaluate_file(parse_xml(data, path, projected),
+                                           ruleset, path)
+                    entries[path] = serialize_pass1(result, digest,
+                                                    ruleset).encode("utf-8")
+                    evaluated.append(path)
+                results[path] = result
+            waiting.clear()
         if replay:
-            continue
-        if not ready:
-            ruleset = ruleset or _load_ruleset(cfg, rules)
-            # a miss builds only the nodes that the rules can observe
-            projected, ready = projection(ruleset), True
-        for path, data, entry in waiting:
-            result = _cached_result(entry, path, digests[path][0], ruleset)
-            if result is None:
-                result = evaluate_file(parse_xml(data, path, projected),
-                                       ruleset, path)
-                entry = _write_cache(_cache_path(cfg.cache_dir, path),
-                                     serialize_pass1(result, digests[path][0],
-                                                     ruleset))
-                digests[path][1] = _sha256(entry)
-                evaluated.append(path)
-            else:
-                cached.append(path)
-            results[path] = result
-        waiting.clear()
-
-    if replay:
-        report, messages, diagnostics = memo[3:]
-        cached = list(digests)
-    else:
-        from . import builtins as builtins_mod
-        ordered = [results[path] for path in inputs]
-        store = merge_facts(ordered)
-        tests = [dt for result in ordered for dt in result.tests]
-
-        if prober is None:
-            prober = builtins_mod.HttpProber(cfg.url_timeout, cfg.max_probes)
-        if not cfg.offline:
-            prober.prefetch(builtins_mod.urls_to_probe(tests))
-        registry = builtins_mod.make_registry(
-            prober=prober, offline=cfg.offline,
-            normalize_names=cfg.normalize_names)
-
-        messages, resolve_diags = resolve_tests(tests, store, registry)
-        diagnostics = [d for result in ordered for d in result.diagnostics]
-        diagnostics.extend(resolve_diags)
-        report = emit_report(messages, diagnostics, cfg.format)
-        if cfg.offline:
-            _write_cache(Path(cfg.cache_dir) / MEMO_NAME, json.dumps(
-                [rules_key, inputs, list(digests.values()), report,
-                 [[m.pos.file, m.pos.line, m.rule_index, m.html, m.text,
-                   m.solution_key] for m in messages], diagnostics],
-                separators=(",", ":")))
+            report, messages, diagnostics = memo
+            cached = distinct
+        else:
+            report, messages, diagnostics = _resolve(cfg, prober, [
+                results[path] for path in inputs])
+            if cfg.offline:
+                outcome = [report, [[m.pos.file, m.pos.line, m.rule_index,
+                                     m.html, m.text, m.solution_key]
+                                    for m in messages], diagnostics]
+    finally:
+        # one write, also when a bad input stops the run: the entries this
+        # run did not use are carried over verbatim
+        if outcome or evaluated:
+            _write_cache(Path(cfg.cache_dir) / PACK_NAME, b"\n".join([
+                json.dumps(doc, separators=(",", ":")).encode("utf-8")
+                for doc in (key, outcome, list(entries))]
+                + list(entries.values())))
     exit_code = 1 if cfg.fail_on_warnings and (messages or diagnostics) else 0
     return RunOutcome(report, messages, diagnostics, exit_code,
                       evaluated=evaluated, cached=cached)

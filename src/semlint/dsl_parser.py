@@ -407,17 +407,19 @@ class _Parser:
                 term = act.value if isinstance(act, Assign) else act.fact
                 self.check_bound(rule, term_vars(term), bound)
         else:
-            goal_vars = set(term_vars(rule.body.test.goal))
-            self.check_bound(rule,
-                             consequence_vars(rule.body.test.consequence),
-                             bound | goal_vars)
+            test = rule.body.test
+            # an if-absent message is given when the goal has no solution,
+            # which binds nothing
+            if test.polarity is Polarity.IF_PRESENT:
+                bound |= set(term_vars(test.goal))
+            self.check_bound(rule, consequence_vars(test.consequence), bound)
 
     def check_bound(self, rule: Rule, names, bound: set[str]) -> None:
         for name in names:
             if name not in bound:
                 raise ParseError(rule.pos,
-                                 f"variable ${name} is not bound anywhere "
-                                 f"in the rule")
+                                 f"variable ${name} is not bound by the "
+                                 f"rule's pattern or conditions")
 
 
 def parse_rule_texts(pairs: list[tuple[str, str]]) -> RuleSet:

@@ -7,7 +7,7 @@ PASS/FAIL line per criterion in the terminal summary.
 import random
 import time
 
-from semlint.cli import RunConfig, _cache_path, execute
+from semlint.cli import RunConfig, execute
 from semlint.dsl_parser import parse_rules
 from semlint.matcher import (deep_contains, match_children, match_node,
                              string_projection, unify)
@@ -16,6 +16,7 @@ from semlint.rule_ast import (AttrPattern, EnvRule, PAnon, PElem, PVar,
 from semlint.terms import Functor, Var
 from semlint.xml_frontend import Element, parse_xml
 
+import cache_pack
 from test_matcher import oracle_contains, random_pattern, random_tree
 
 B0 = {}
@@ -138,7 +139,7 @@ def test_criterion_6_determinism_and_cache_soundness(tmp_path,
                               format="machine")).report,   # warm
     ]
     for path in corpus["inputs"][1::2]:
-        _cache_path(str(tmp_path / "c2"), path).unlink()
+        cache_pack.drop_entry(tmp_path / "c2", path)
     partly = execute(corpus_config(corpus, cache=str(tmp_path / "c2"),
                                    format="machine"))
     assert partly.evaluated == corpus["inputs"][1::2]

@@ -13,10 +13,10 @@ import pytest
 from semlint import MAX_URL_TIMEOUT, cli
 from semlint.builtins import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT,
                               HttpProber)
-from semlint.cli import (MEMO_NAME, CliError, RunConfig, RunOutcome,
-                         _cache_path, _load_ruleset, build_arg_parser,
-                         execute, expand_inputs, main, run)
+from semlint.cli import (CliError, RunConfig, RunOutcome, _load_ruleset,
+                         build_arg_parser, execute, expand_inputs, main, run)
 from semlint.reporting import FORMATS, emit_report
+import cache_pack
 from stub_prober import StubProber
 
 RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
@@ -208,7 +208,7 @@ def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
     longer.write_bytes(Path(short).read_bytes())
     cfg = config(tmp_path, rules, [short, str(longer)])
     cold = execute(cfg)
-    entries = [json.loads(read_entry(cache_file(cfg, path)))
+    entries = [json.loads(cache_pack.entry(cfg.cache_dir, path))
                for path in (short, str(longer))]
     assert entries[0]["tests"] and entries[0]["tests"] == entries[1]["tests"]
     warm = execute(cfg)
@@ -216,18 +216,17 @@ def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
     assert str(longer) in warm.report
 
 
-def cache_file(cfg, path):
-    return _cache_path(cfg.cache_dir, path)
+# the cache file is zlib-compressed: cache_pack writes damage compressed,
+# so that it reaches the entry's decoder
+def read_entry(cfg, path: str) -> str:
+    return cache_pack.entry(cfg.cache_dir, path)
 
 
-# every cache file is zlib-compressed: damage is written compressed, so that
-# it reaches the entry's decoder
-def read_entry(path: Path) -> str:
-    return zlib.decompress(path.read_bytes()).decode("utf-8")
-
-
-def write_entry(path: Path, text: str) -> None:
-    path.write_bytes(zlib.compress(text.encode("utf-8")))
+def write_entry(cfg, path: str, text: str) -> None:
+    cache_pack.set_entry(cfg.cache_dir, path, text)
+    # the memo's key holds no entry digests, so the memo would replay the
+    # cold outcome without reading the entry: drop it
+    cache_pack.set_line(cfg.cache_dir, cache_pack.OUTCOME, "null")
 
 
 def test_truncated_cache_entry_is_reevaluated(tmp_path):
@@ -240,15 +239,14 @@ def test_truncated_cache_entry_is_reevaluated(tmp_path):
     cfg = config(tmp_path, str(rules), [str(doc)])
     cold = execute(cfg)
     assert len(cold.messages) == 30
-    entry = cache_file(cfg, str(doc))
-    text = read_entry(entry)
+    text = read_entry(cfg, str(doc))
     # cut at half its length, or at the line start before it if any
     half = len(text) // 2
-    write_entry(entry, text[:text.rfind("\n", 0, half) + 1 or half])
+    write_entry(cfg, str(doc), text[:text.rfind("\n", 0, half) + 1 or half])
     again = execute(cfg)
     assert again.evaluated == [str(doc)]
     assert again.report == cold.report
-    assert read_entry(entry) == text
+    assert read_entry(cfg, str(doc)) == text
 
 
 @pytest.mark.parametrize("damage", [
@@ -261,13 +259,12 @@ def test_deeply_nested_cache_entry_is_a_miss(tmp_path, damage):
     rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
-    entry = cache_file(cfg, inputs[0])
-    text = read_entry(entry)
-    write_entry(entry, damage(json.loads(text)))
+    text = read_entry(cfg, inputs[0])
+    write_entry(cfg, inputs[0], damage(json.loads(text)))
     again = execute(cfg)
     assert again.evaluated == [inputs[0]]
     assert again.report == cold.report
-    assert read_entry(entry) == text
+    assert read_entry(cfg, inputs[0]) == text
 
 
 def _retarget_test(data, rule_index):
@@ -280,19 +277,19 @@ def _retarget_test(data, rule_index):
     lambda data, path: _retarget_test(data, 99),
     # rule 0 of RULES asserts personne/1; only rule 1 is a check
     lambda data, path: _retarget_test(data, 0),
-    # the line-oriented text format of earlier versions
+    # the line-oriented text format of earlier versions, its lines joined
+    # by spaces, since an entry is one line of the cache file
     lambda data, path: (
-        f'#input {data["input"]}\n#rules {data["rules"]}\n'
-        f'personne("known").\n%tests\ndt("ifnot","1","{path}","3",'
-        f'personne($N),bindings(),term("x"))\n%diags\n'),
+        f'#input {data["input"]} #rules {data["rules"]} '
+        f'personne("known"). %tests dt("ifnot","1","{path}","3",'
+        f'personne($N),bindings(),term("x")) %diags '),
 ], ids=["format-only", "rule-99", "environment-rule", "text-format"])
 def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
-    target = cache_file(cfg, inputs[0])
-    data = json.loads(read_entry(target))
-    write_entry(target, make_entry(data, inputs[0]))
+    data = json.loads(read_entry(cfg, inputs[0]))
+    write_entry(cfg, inputs[0], make_entry(data, inputs[0]))
     again = execute(cfg)
     assert again.evaluated == [inputs[0]]
     assert again.report == cold.report
@@ -306,20 +303,23 @@ def count_pass2(monkeypatch) -> list:
     return calls
 
 
+# the entries and the memo share one zlib stream: an online run's file holds
+# entries alone, an offline run's file the memo too; either is a full miss
 @pytest.mark.parametrize("damaged", ["entry", "memo"])
 def test_a_cache_file_that_is_not_zlib_is_a_miss(tmp_path, monkeypatch,
                                                   damaged):
     rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
-    cfg = config(tmp_path, rules, inputs)
-    cold = execute(cfg)
-    target = (cache_file(cfg, inputs[0]) if damaged == "entry"
-              else Path(cfg.cache_dir) / MEMO_NAME)
+    cfg = config(tmp_path, rules, inputs, offline=damaged == "memo")
+    cold = execute(cfg, prober=StubProber())
+    target = cache_pack.pack_file(cfg.cache_dir)
+    assert (cache_pack.read_lines(cfg.cache_dir)[cache_pack.OUTCOME]
+            == "null") == (damaged == "entry")
     # the same content, left uncompressed
     plain = zlib.decompress(target.read_bytes())
     target.write_bytes(plain)
     solved = count_pass2(monkeypatch)
-    again = execute(cfg)
-    assert again.evaluated == ([inputs[0]] if damaged == "entry" else [])
+    again = execute(cfg, prober=StubProber())
+    assert again.evaluated == inputs
     assert again.report == cold.report and len(solved) == 1
     assert zlib.decompress(target.read_bytes()) == plain
 
@@ -340,15 +340,18 @@ def test_an_unchanged_offline_run_replays_its_memo(tmp_path, monkeypatch):
 def test_an_online_run_neither_reads_nor_writes_the_memo(tmp_path,
                                                          monkeypatch):
     rules, inputs = write_corpus(tmp_path)
-    memo = tmp_path / "cache" / MEMO_NAME
+    cache = tmp_path / "cache"
     online = config(tmp_path, rules, inputs, offline=False)
     execute(online, prober=StubProber())
-    assert not memo.exists()
+    assert cache_pack.read_lines(cache)[cache_pack.OUTCOME] == "null"
     execute(config(tmp_path, rules, inputs))
-    assert memo.exists()
+    assert cache_pack.read_lines(cache)[cache_pack.OUTCOME] != "null"
+    written = cache_pack.pack_file(cache).read_bytes()
     solved = count_pass2(monkeypatch)
     assert execute(online, prober=StubProber()).evaluated == []
     assert len(solved) == 1
+    # nothing was evaluated, so nothing was written: the memo stands
+    assert cache_pack.pack_file(cache).read_bytes() == written
 
 
 def test_crlf_rules_keep_cache_hits(tmp_path):

@@ -161,7 +161,8 @@ def rule(draw):
                      else term(bound))
                 for mode in modes]
         polarity = draw(st.sampled_from(["/", "->"]))
-        goal_vars = {v for v in ("A", "B", "O") if any(
+        # an if-absent ("/") message cannot read what the goal binds
+        goal_vars = {v for v in ("A", "B", "O") if polarity == "->" and any(
             a == "$" + v for a in args)}
         body = (f"? {name}({', '.join(args)}) {polarity} "
                 f"{draw(consequence(bound | goal_vars))}")

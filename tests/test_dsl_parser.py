@@ -226,3 +226,18 @@ def test_nesting_deeper_than_the_limit_is_a_parse_error(nested):
     line = MAX_NESTING + (1 if nested is nested_element else 2)
     assert str(err.value) == (f"r.rules:{line}: nested deeper than "
                               f"{MAX_NESTING} levels")
+
+
+def test_if_absent_template_cannot_use_what_only_its_goal_binds():
+    # the message is given when p($Y,$Z) has no solution: $Z is never bound
+    text = ('<a x=$X/> => p($X,"k");\n'
+            '<b y=$Y/> ? p($Y,$Z) / <li> <$Z> </li>;\n')
+    with pytest.raises(ParseError) as exc:
+        parse_rules(text, "r.rules")
+    assert str(exc.value) == ("r.rules:2: variable $Z is not bound by the "
+                              "rule's pattern or conditions")
+    # an if-present message is given per solution, which binds $Z
+    rs = parse_rules(text.replace(" / ", " -> "), "r.rules")
+    assert rs.rules[1].body.test.polarity is Polarity.IF_PRESENT
+    # what the pattern binds stays usable in an if-absent message
+    parse_rules(text.replace("<$Z> </li>", "<$Y> </li>"), "r.rules")

@@ -2,10 +2,10 @@
 
 An offline run memoises its outcome; the next run with the same key
 replays it.  Through a drawn sequence of input edits, option changes, rule
-edits, and damage to or deletion of cache entries and of the memo, every
-step's outcome must equal that of the same run with its memo deleted and
-that of a cold run in an empty cache: all but `evaluated` and `cached`,
-which say how the outcome was reached.
+edits, and damage to or deletion of cache entries, of the memo and of the
+whole cache file, every step's outcome must equal that of the same run with
+its memo deleted and that of a cold run in an empty cache: all but
+`evaluated` and `cached`, which say how the outcome was reached.
 """
 
 import json
@@ -17,7 +17,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlint.cli import MEMO_NAME, RunConfig, _cache_path, execute
+from semlint.cli import RunConfig, execute
+
+import cache_pack
 
 RULES = [
     '<pers prenom=$P nom=$N> <$_> </pers> => personne($P,$N,"t");\n'
@@ -44,9 +46,12 @@ steps = st.one_of(
     st.tuples(st.just("fail_on_warnings"), st.booleans()),
     st.tuples(st.just("rules"), st.integers(0, len(RULES) - 1)),
     st.tuples(st.just("inputs"), st.lists(files, min_size=1, max_size=4)),
-    st.tuples(st.just("damage"), st.sampled_from(["entry", "memo"]), files,
+    st.tuples(st.just("damage"), st.just("pack"), files,
               st.sampled_from(["truncate", "plain", "not-json", "older"])),
-    st.tuples(st.just("delete"), st.sampled_from(["entry", "memo"]), files),
+    st.tuples(st.just("damage"), st.sampled_from(["entry", "memo"]), files,
+              st.sampled_from(["truncate", "not-json", "older"])),
+    st.tuples(st.just("delete"), st.sampled_from(["entry", "memo", "pack"]),
+              files),
 )
 
 
@@ -55,22 +60,55 @@ def document(declared: str, checked: str) -> str:
             f'<check prenom="x" nom="{checked}"/>\n</team>\n')
 
 
-def damage(path: Path, how: str) -> None:
+def damage(cache: Path, target: str, input_path: str, how: str) -> None:
+    """Damage the whole cache file, the memo's outcome line, or the entry of
+    input_path if the file holds one."""
+    path = cache_pack.pack_file(cache)
     data = path.read_bytes()
-    if how == "truncate":
-        path.write_bytes(data[:len(data) // 2])
-    elif how == "plain":
-        path.write_bytes(zlib.decompress(data))
-    elif how == "not-json":
+    if target == "pack" and how in ("truncate", "plain"):
+        path.write_bytes(data[:len(data) // 2] if how == "truncate"
+                         else zlib.decompress(data))
+    elif target == "pack" and how == "not-json":
         path.write_bytes(zlib.compress(b"[1, 2"))
-    else:
+    elif how == "older" and target != "entry":
         # a consistent file of an older format
-        doc = json.loads(zlib.decompress(data))
-        if path.name == MEMO_NAME:
-            doc[0][0] -= 1
-        else:
-            doc["format"] -= 1
-        path.write_bytes(zlib.compress(json.dumps(doc).encode("utf-8")))
+        key = json.loads(cache_pack.read_lines(cache)[cache_pack.KEY])
+        key[0] -= 1
+        cache_pack.set_line(cache, cache_pack.KEY, json.dumps(key))
+    elif target == "memo":
+        line = cache_pack.read_lines(cache)[cache_pack.OUTCOME]
+        cache_pack.set_line(cache, cache_pack.OUTCOME,
+                            line[:len(line) // 2] if how == "truncate"
+                            else "[1, 2")
+    elif input_path in cache_pack.entry_paths(cache):
+        # a replay rewrites nothing, so the entry may be damaged already
+        text = cache_pack.entry(cache, input_path)
+        if how == "older":
+            try:
+                doc = json.loads(text)
+                doc["format"] -= 1
+                text = json.dumps(doc)
+            except ValueError:
+                pass
+        cache_pack.set_entry(cache, input_path,
+                             text[:len(text) // 2] if how == "truncate"
+                             else "[1, 2" if how == "not-json" else text)
+
+
+def delete(cache: Path, target: str, input_path: str) -> None:
+    if target == "pack":
+        cache_pack.pack_file(cache).unlink()
+    elif target == "memo":
+        cache_pack.set_line(cache, cache_pack.OUTCOME, "null")
+    elif input_path in cache_pack.entry_paths(cache):
+        cache_pack.drop_entry(cache, input_path)
+
+
+def drop_memo(cache: Path) -> None:
+    try:
+        cache_pack.set_line(cache, cache_pack.OUTCOME, "null")
+    except (OSError, IndexError, zlib.error):
+        pass  # a cache file that is absent or damaged holds no memo
 
 
 def outcome(cfg: RunConfig) -> tuple:
@@ -108,19 +146,18 @@ def test_memo_replays_what_a_cold_run_reports(drawn):
             elif kind == "inputs":
                 options["inputs"] = [inputs[i] for i in args[0]]
             elif kind in ("damage", "delete"):
-                target = (cache / MEMO_NAME if args[0] == "memo"
-                          else _cache_path(str(cache), inputs[args[1]]))
-                if target.exists():
-                    if kind == "delete":
-                        target.unlink()
-                    else:
-                        damage(target, args[2])
+                # the file is valid here: each step's run rewrites it, or
+                # finds it valid and replays
+                if cache_pack.pack_file(cache).exists():
+                    target, file, *how = args
+                    (damage if kind == "damage" else delete)(
+                        cache, target, inputs[file], *how)
             else:
                 options[kind] = args[0]
 
             without_memo = root / f"without-memo-{n}"
             shutil.copytree(cache, without_memo)
-            (without_memo / MEMO_NAME).unlink(missing_ok=True)
+            drop_memo(without_memo)
             with_memo = outcome(config(cache))
             assert outcome(config(without_memo)) == with_memo, step
             assert outcome(config(root / f"cold-{n}")) == with_memo, step

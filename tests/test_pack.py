@@ -1,0 +1,176 @@
+"""The one cache file of a cache dir: its layout, carry-over and failures.
+
+A cache dir holds one zlib-compressed file, run.cache.  Its lines are the
+key, the outcome (null after an online run), the list of entry paths, and
+one pass-1 entry per path.  It is read once at start-up and written at most
+once per run; entries of paths that a run does not use are carried over.
+"""
+
+import io
+import os
+import tempfile
+import threading
+from pathlib import Path
+
+import pytest
+
+from semlint import cli
+from semlint.cli import PACK_NAME, RunConfig, execute, run
+from semlint.xml_frontend import MalformedXml
+
+import cache_pack
+from stub_prober import StubProber
+from test_cli import config, count_pass2, write_corpus
+
+
+def outcome(o) -> tuple:
+    return o.report, o.messages, o.diagnostics, o.exit_code
+
+
+def cold(tmp_path: Path, rules: str, inputs: list[str]) -> tuple:
+    """The outcome of the same run in a new, empty cache dir."""
+    return outcome(execute(RunConfig(
+        rule_files=[rules], inputs=inputs, offline=True,
+        cache_dir=tempfile.mkdtemp(dir=tmp_path))))
+
+
+def test_every_run_leaves_one_file_and_no_temp_file(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=4)
+    cache = tmp_path / "cache"
+    bad = tmp_path / "bad.xml"
+    bad.write_text("<a><b></a>", encoding="utf-8")
+    runs = [config(tmp_path, rules, inputs),             # cold
+            config(tmp_path, rules, inputs),             # warm: a replay
+            config(tmp_path, rules, inputs, format="html"),
+            config(tmp_path, rules, inputs[:2]),
+            config(tmp_path, rules, inputs, offline=False),
+            config(tmp_path, rules, [str(bad)] + inputs)]
+    for n, cfg in enumerate(runs):
+        if n == 3:
+            Path(inputs[0]).write_text("<team/>\n", encoding="utf-8")
+        run(cfg, prober=StubProber(), stdout=io.StringIO(),
+            stderr=io.StringIO())
+        assert os.listdir(cache) == [PACK_NAME], n
+
+
+def test_alternating_input_sets_share_one_file(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path, n_files=4, unknown_in=(0, 3))
+    a, b = inputs[:2], inputs[2:]
+    assert execute(config(tmp_path, rules, a)).evaluated == a
+    assert execute(config(tmp_path, rules, b)).evaluated == b
+    assert cache_pack.entry_paths(tmp_path / "cache") == a + b
+    # the memo holds set B; the entries of set A were carried over
+    solved = count_pass2(monkeypatch)
+    third = execute(config(tmp_path, rules, a))
+    assert third.evaluated == [] and third.cached == a and len(solved) == 1
+    assert outcome(third) == cold(tmp_path, rules, a)
+
+
+def test_concurrent_runs_in_one_cache_dir(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=6, unknown_in=(1, 4))
+    sets = [inputs[:3], inputs[3:]]
+    want = [cold(tmp_path, rules, s) for s in sets]
+    for _ in range(5):
+        start = threading.Barrier(2, timeout=10)
+        got = [None, None]
+
+        def check(i):
+            start.wait()
+            got[i] = outcome(execute(config(tmp_path, rules, sets[i])))
+        threads = [threading.Thread(target=check, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # the last writer wins: a lost entry is a later miss, never a wrong
+        # report
+        assert got == want
+        for s, w in zip(sets, want):
+            assert outcome(execute(config(tmp_path, rules, s))) == w
+        assert os.listdir(tmp_path / "cache") == [PACK_NAME]
+
+
+def test_a_run_stopped_by_a_bad_input_keeps_its_entries(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=4)
+    bad = Path(inputs[2])
+    good = bad.read_text(encoding="utf-8")
+    bad.write_text("<team><pers></team>", encoding="utf-8")
+    cfg = config(tmp_path, rules, inputs)
+    with pytest.raises(MalformedXml):
+        execute(cfg)
+    cache = tmp_path / "cache"
+    assert cache_pack.entry_paths(cache) == inputs[:2]
+    assert cache_pack.read_lines(cache)[cache_pack.OUTCOME] == "null"
+    bad.write_text(good, encoding="utf-8")
+    fixed = execute(cfg)
+    assert fixed.evaluated == inputs[2:] and fixed.cached == inputs[:2]
+    assert outcome(fixed) == cold(tmp_path, rules, inputs)
+
+
+def test_a_memo_miss_never_decodes_the_outcome(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path, n_files=3)
+    cfg = config(tmp_path, rules, inputs)
+    execute(cfg)
+    cache = tmp_path / "cache"
+    cache_pack.set_line(cache, cache_pack.OUTCOME, '["not json')
+    victim = Path(inputs[1])
+    victim.write_text(victim.read_text() + "\n", encoding="utf-8")
+    decoded = []
+    read_outcome = cli._read_outcome
+    monkeypatch.setattr(cli, "_read_outcome",
+                        lambda text: decoded.append(text)
+                        or read_outcome(text))
+    edited = execute(cfg)
+    assert decoded == []
+    assert edited.evaluated == [inputs[1]]
+    assert outcome(edited) == cold(tmp_path, rules, inputs)
+    # the miss wrote a valid outcome, which the next run replays
+    solved = count_pass2(monkeypatch)
+    again = execute(cfg)
+    assert again.cached == inputs and len(decoded) == 1 and solved == []
+    assert outcome(again) == outcome(edited)
+
+
+def test_an_outcome_that_does_not_decode_is_a_miss(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path, n_files=2)
+    cfg = config(tmp_path, rules, inputs)
+    first = execute(cfg)
+    cache_pack.set_line(tmp_path / "cache", cache_pack.OUTCOME, '["x"]')
+    solved = count_pass2(monkeypatch)
+    again = execute(cfg)
+    assert again.evaluated == [] and again.cached == inputs
+    assert len(solved) == 1 and outcome(again) == outcome(first)
+
+
+def test_files_of_the_earlier_layout_are_ignored_and_kept(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=2)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old = {"run.memo": b"x\x9c\x03\x00", "0" * 64 + ".pass1": b"{}"}
+    for name, data in old.items():
+        (cache / name).write_bytes(data)
+    first = execute(config(tmp_path, rules, inputs))
+    assert first.evaluated == inputs
+    assert sorted(os.listdir(cache)) == sorted([PACK_NAME, *old])
+    for name, data in old.items():
+        assert (cache / name).read_bytes() == data
+
+
+def test_a_non_utf8_input_name(tmp_path, monkeypatch):
+    # the name is one the file system gives back as a lone surrogate
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"t\xff.xml")
+    rules, (doc,) = write_corpus(tmp_path, n_files=1, unknown_in=(0,))
+    try:
+        Path(name).write_bytes(Path(doc).read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system rejects a name that is not UTF-8")
+    cfg = config(tmp_path, rules, [name])
+    first = execute(cfg)
+    assert first.evaluated == [name] and name in first.report
+    warm = execute(cfg)
+    assert warm.cached == [name] and outcome(warm) == outcome(first)
+    Path(name).write_text(Path(name).read_text() + "\n", encoding="utf-8")
+    edited = execute(cfg)
+    assert edited.evaluated == [name] and outcome(edited) == outcome(first)

@@ -35,7 +35,7 @@ def test_staff_warning_renders_to_one_line():
 
 def test_nested_markup_kept_in_html_dropped_in_text():
     c = consequence_of(
-        "<a/> ? p($T) / <li> cite <i> \"<$T>\" </i> here <p> </p> </li> ;")
+        "<a/> ? p($T) -> <li> cite <i> \"<$T>\" </i> here <p> </p> </li> ;")
     b = {"T": "A Title"}
     html, text = render_consequence(c, b)
     # sibling template parts are space-joined, so the quotes detach
@@ -44,7 +44,7 @@ def test_nested_markup_kept_in_html_dropped_in_text():
 
 
 def test_substituted_values_escaped_in_html_only():
-    c = consequence_of("<a/> ? p($X) / <li> got <$X> </li> ;")
+    c = consequence_of("<a/> ? p($X) -> <li> got <$X> </li> ;")
     b = {"X": "a <b> & c"}
     html, text = render_consequence(c, b)
     assert html == "<li> got a &lt;b&gt; &amp; c </li>"
@@ -52,7 +52,7 @@ def test_substituted_values_escaped_in_html_only():
 
 
 def test_whitespace_normalized_across_template_lines():
-    c = consequence_of("<a/> ? p($X) / <li>\n\tone\n\t  two <$X> </li> ;")
+    c = consequence_of("<a/> ? p($X) -> <li>\n\tone\n\t  two <$X> </li> ;")
     html, text = render_consequence(c, {"X": "three"})
     assert text == "one two three"
     assert "\n" not in html and "\t" not in html
