@@ -9,6 +9,7 @@ become TEXT tokens.
 from __future__ import annotations
 
 import hashlib
+import re
 
 from . import SemlintError
 from .record import Record, SourcePos
@@ -52,170 +53,82 @@ def _is_name_rest(c: str) -> bool:
     return c in "-." or ("_" + c).isidentifier()
 
 
-class _Lexer:
-    def __init__(self, text: str, file: str):
-        self.text = text
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.depth = 0
-        self.in_tag = False
-        self.tag_kind = ""      # open | close | var
-        self.tokens: list[Token] = []
-
-    def here(self) -> SourcePos:
-        return SourcePos(self.file, self.line)
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos:self.pos + n]
-
-    def advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + n]
-        self.pos += n
-        self.line += chunk.count("\n")
-        return chunk
-
-    def emit(self, kind: str, lexeme: str, pos: SourcePos) -> None:
-        self.tokens.append(Token(kind, lexeme, pos))
-
-    def run(self) -> list[Token]:
-        while True:
-            if self.in_tag:
-                self.lex_tag()
-            elif self.depth > 0:
-                self.lex_content()
-            else:
-                if not self.lex_term():
-                    break
-        self.emit("EOF", "", self.here())
-        return self.tokens
-
-    def skip_ws(self) -> None:
-        while self.peek() in " \t\r\n" and self.peek():
-            self.advance()
-
-    def lex_angle(self) -> None:
-        """Dispatch a construct starting with '<' (any mode)."""
-        pos = self.here()
-        two = self.peek(2)
-        if two == "<$":
-            self.advance(2)
-            self.emit("<$", "<$", pos)
-            self.in_tag, self.tag_kind = True, "var"
-        elif two == "</":
-            self.advance(2)
-            self.emit("</", "</", pos)
-            self.in_tag, self.tag_kind = True, "close"
-        elif two == "<*" and self.depth == 0:
-            self.advance(2)
-            self.emit("<*", "<*", pos)
-        else:
-            self.advance(1)
-            self.emit("<", "<", pos)
-            self.in_tag, self.tag_kind = True, "open"
-
-    def lex_term(self) -> bool:
-        self.skip_ws()
-        if not self.peek():
-            return False
-        pos = self.here()
-        c = self.peek()
-        if c == "<":
-            self.lex_angle()
-            return True
-        for punct in ("=>", ":=", "->"):
-            if self.peek(2) == punct:
-                self.advance(2)
-                self.emit(punct, punct, pos)
-                return True
-        if c in "?/&;(),=$":
-            self.advance()
-            self.emit(c, c, pos)
-            return True
-        if c == '"':
-            self.lex_string()
-            return True
-        if c.isidentifier():
-            self.lex_name()
-            return True
-        raise LexError(pos, f"unexpected character {c!r}")
-
-    def lex_content(self) -> None:
-        if not self.peek():
-            raise LexError(self.here(), "unterminated element content "
-                                        "(missing close tag)")
-        if self.peek() == "<":
-            self.lex_angle()
-            return
-        pos = self.here()
-        end = self.text.find("<", self.pos)
-        if end < 0:
-            end = len(self.text)
-        raw = self.advance(end - self.pos)
-        if raw.strip():
-            self.emit("TEXT", raw.strip(), pos)
-
-    def lex_tag(self) -> None:
-        self.skip_ws()
-        pos = self.here()
-        c = self.peek()
-        if not c:
-            raise LexError(pos, "unterminated tag")
-        if self.peek(2) == "/>":
-            self.advance(2)
-            self.emit("/>", "/>", pos)
-            self.in_tag = False
-        elif c == ">":
-            self.advance()
-            self.emit(">", ">", pos)
-            self.in_tag = False
-            if self.tag_kind == "open":
-                self.depth += 1
-            elif self.tag_kind == "close":
-                self.depth = max(self.depth - 1, 0)
-        elif c == "=":
-            self.advance()
-            self.emit("=", "=", pos)
-        elif c == "$":
-            self.advance()
-            self.emit("$", "$", pos)
-        elif c == '"':
-            self.lex_string()
-        elif c.isidentifier():
-            self.lex_name()
-        else:
-            raise LexError(pos, f"unexpected character {c!r} in tag")
-
-    def lex_name(self) -> None:
-        pos = self.here()
-        start = self.pos
-        while self.peek() and _is_name_rest(self.peek()):
-            # longest match, but never swallow the '-' of '->'
-            if self.peek(2) == "->":
-                break
-            self.advance()
-        self.emit("NAME", self.text[start:self.pos], pos)
-
-    def lex_string(self) -> None:
-        pos = self.here()
-        self.advance()  # opening quote
-        out = []
-        while True:
-            c = self.peek()
-            if not c:
-                raise LexError(pos, "unterminated string")
-            self.advance()
-            if c == '"':
-                break
-            if c == "\\" and self.peek() in ('"', "\\"):
-                out.append(self.advance())
-            else:
-                out.append(c)
-        self.emit("STRING", "".join(out), pos)
+_WS = re.compile(r"[ \t\r\n]*")
+# each mode's punctuation, longest first; '<*' only where no element is open
+_TERM = re.compile(r"<[$/*]?|=>|:=|->|[?/&;(),=$]")
+_TAG = re.compile(r"/>|[>=$]")
+_CONTENT = re.compile(r"<[$/]?")
+# one reading per backslash: \" and \\ are escapes, any other is itself
+_STRING = re.compile(r'"((?:[^"\\]|\\["\\]|\\(?!["\\]))*)"')
+_ESCAPE = re.compile(r'\\(["\\])')
+# a superset of the name rule: _is_name_rest rejects some non-ASCII ones
+_NAME = re.compile(r"(?:[\w.]|[^\x00-\x7f]|-(?!>))*")
+_TEXT = re.compile(r"[^<]*")
+# the depth change made by the '>' of a tag that each of these opens
+_OPENS = {"<": 1, "</": -1, "<$": 0}
 
 
 def tokenize(text: str, file: str) -> list[Token]:
-    return _Lexer(text, file).run()
+    """All tokens of a rule file, EOF last: a LexError anywhere in the
+    file is raised before any parse error can be."""
+    tokens: list[Token] = []
+    depth = 0       # open elements
+    tag = None      # inside a tag: the depth change its '>' makes
+    pos = seen = 0  # newlines are counted up to seen
+    line = 1
+    at = SourcePos(file, line)  # shared by the tokens of one line
+    while True:
+        content = depth and tag is None
+        if not content:
+            pos = _WS.match(text, pos).end()
+        newlines = text.count("\n", seen, pos)
+        if newlines:
+            line += newlines
+            at = SourcePos(file, line)
+        seen = pos
+        if pos == len(text):
+            if tag is not None:
+                raise LexError(at, "unterminated tag")
+            if depth:
+                raise LexError(at, "unterminated element content "
+                                   "(missing close tag)")
+            tokens.append(Token("EOF", "", at))
+            return tokens
+        c = text[pos]
+        if content and c != "<":
+            pos = _TEXT.match(text, pos).end()
+            run = text[seen:pos].strip()
+            if run:
+                tokens.append(Token("TEXT", run, at))
+        elif c == '"':
+            m = _STRING.match(text, pos)
+            if m is None:
+                raise LexError(at, "unterminated string")
+            tokens.append(Token("STRING", _ESCAPE.sub(r"\1", m[1]), at))
+            pos = m.end()
+        elif c.isidentifier():
+            end = _NAME.match(text, pos + 1).end()
+            name = text[pos:end]
+            if not name.isascii():
+                name = name[:next((i for i in range(1, len(name))
+                                   if not _is_name_rest(name[i])), None)]
+            tokens.append(Token("NAME", name, at))
+            pos += len(name)
+        else:
+            m = (_TAG if tag is not None else _CONTENT if depth
+                 else _TERM).match(text, pos)
+            if m is None:
+                where = " in tag" if tag is not None else ""
+                raise LexError(at, f"unexpected character {c!r}{where}")
+            punct = m[0]
+            tokens.append(Token(punct, punct, at))
+            pos = m.end()
+            if punct in _OPENS:
+                tag = _OPENS[punct]
+            elif punct == ">":
+                depth, tag = max(depth + tag, 0), None
+            elif punct == "/>":
+                tag = None
 
 
 class _Parser:
@@ -412,7 +325,10 @@ class _Parser:
             # which binds nothing
             if test.polarity is Polarity.IF_PRESENT:
                 bound |= set(term_vars(test.goal))
-            self.check_bound(rule, consequence_vars(test.consequence), bound)
+            names = list(consequence_vars(test.consequence))
+            if _shows_anon(test.consequence):
+                names.append(ANON)  # which nothing binds
+            self.check_bound(rule, names, bound)
 
     def check_bound(self, rule: Rule, names, bound: set[str]) -> None:
         for name in names:
@@ -420,6 +336,15 @@ class _Parser:
                 raise ParseError(rule.pos,
                                  f"variable ${name} is not bound by the "
                                  f"rule's pattern or conditions")
+
+
+def _shows_anon(p: Pattern | Term) -> bool:
+    """Whether a message template holds a <$_> or a name=$_ anywhere."""
+    if isinstance(p, PAnon):
+        return True
+    return isinstance(p, (PElem, PEmptyElem)) and (
+        any(a.value is None for a in p.attrs)
+        or isinstance(p, PElem) and any(map(_shows_anon, p.children)))
 
 
 def parse_rule_texts(pairs: list[tuple[str, str]]) -> RuleSet:

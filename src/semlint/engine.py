@@ -18,29 +18,23 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-from . import SemlintError, reporting
+from . import SemlintError, reporting, terms
 from .matcher import (Bindings, TypeMismatch, Value, bind, deep_contains,
                       match_node, resolve, string_projection, unify)
 from .record import Record
 from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
                        PEmptyElem, Polarity, PText, PVar, Rule, RuleSet, Test,
                        TestRule)
-from .terms import Functor, Term, Var, is_ground, term_to_text
+from .terms import Functor, Term, Var, is_ground
 from .xml_frontend import (KEEP, SKIP, WHOLE, Element, Projection, SourcePos,
                            Text, XmlNode)
+
+# called nowhere here; perfbench/tracing.py counts the calls through this name
+term_to_text = terms.term_to_text
 
 
 class EngineError(SemlintError):
     pass
-
-
-class NonGroundAssertion(EngineError):
-    def __init__(self, pos: SourcePos, term: Term, var: str):
-        super().__init__(
-            f"{pos.file}:{pos.line}: assertion {term_to_text(term)} leaves "
-            f"${var} unbound (ruleset bug)")
-        self.pos = pos
-        self.term = term
 
 
 class UnknownPredicate(EngineError):
@@ -129,9 +123,9 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str) -> PassOneResult:
                                 f"{assigned_by[act.env_var]})")
                         assigned_by[act.env_var] = rule.index
                         child_env = {**child_env, act.env_var: _ground_value(
-                            act.value, b, node.pos)}
+                            act.value, b)}
                     else:
-                        term = _ground_term(act.fact, b, node.pos)
+                        term = _ground_term(act.fact, b)
                         assert isinstance(term, Functor)
                         facts.append(term)
             else:
@@ -240,19 +234,16 @@ def _eval_condition(cond, b: Bindings,
     return solutions[0] if solutions else None
 
 
-def _ground_term(term: Term, b: Bindings, pos: SourcePos,
-                 toplevel: Term | None = None) -> Term:
-    """Substitute bindings into term, projecting node values to strings."""
-    top = toplevel if toplevel is not None else term
+def _ground_term(term: Term, b: Bindings) -> Term:
+    """Substitute bindings into term, projecting node values to strings.
+
+    validate has checked that the rule's pattern and conditions bind every
+    variable of an action, and a firing rule has bound them all."""
     if isinstance(term, str):
         return term
     if isinstance(term, Functor):
-        return Functor(term.name, tuple(
-            _ground_term(a, b, pos, top) for a in term.args))
-    value = b.get(term.name)
-    if value is None:
-        raise NonGroundAssertion(pos, top, term.name)
-    return _project_nodes(value)
+        return Functor(term.name, tuple(_ground_term(a, b) for a in term.args))
+    return _project_nodes(b[term.name])
 
 
 def _project_nodes(value: Value) -> Value:
@@ -262,13 +253,8 @@ def _project_nodes(value: Value) -> Value:
     return value
 
 
-def _ground_value(term: Term, b: Bindings, pos: SourcePos) -> Value:
-    if not isinstance(term, Var):
-        return _ground_term(term, b, pos)
-    value = b.get(term.name)
-    if value is None:
-        raise NonGroundAssertion(pos, term, term.name)
-    return value
+def _ground_value(term: Term, b: Bindings) -> Value:
+    return b[term.name] if isinstance(term, Var) else _ground_term(term, b)
 
 
 def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:

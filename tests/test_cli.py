@@ -432,6 +432,21 @@ def test_run_returns_2_on_bad_inputs(tmp_path):
     assert err.getvalue().startswith("semlint: error: ")
 
 
+def test_anon_in_a_message_template_fails_at_load(tmp_path):
+    rules = tmp_path / "anon.rules"
+    rules.write_text('<a x=$X/> => p($X);\n'
+                     '<a x=$X/> ? p($X) -> <li> <$_> </li>;\n',
+                     encoding="utf-8")
+    doc = tmp_path / "in.xml"
+    doc.write_text('<r><a x="1"/></r>', encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(config(tmp_path, str(rules), [str(doc)]),
+               stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == (f"semlint: error: {rules}:2: variable $_ is not "
+                              f"bound by the rule's pattern or conditions\n")
+
+
 def test_first_bad_input_in_order_is_reported(tmp_path):
     rules, _ = write_corpus(tmp_path)
     bad_xml = tmp_path / "bad.xml"

@@ -241,3 +241,19 @@ def test_if_absent_template_cannot_use_what_only_its_goal_binds():
     assert rs.rules[1].body.test.polarity is Polarity.IF_PRESENT
     # what the pattern binds stays usable in an if-absent message
     parse_rules(text.replace("<$Z> </li>", "<$Y> </li>"), "r.rules")
+
+
+@pytest.mark.parametrize("polarity", ["/", "->"])
+@pytest.mark.parametrize("template", [
+    "<li> <$_> </li>", "<li y=$_> k </li>", "<li y=$_/>",
+    "<li> <b> k <$_> </b> </li>", "<li> <b z=$_/> </li>"])
+def test_a_message_template_cannot_show_anon(polarity, template):
+    # $_ binds nothing, so rendering the message could only fail
+    text = ('<a x=$X/> => p($X);\n'
+            f'<a x=$X/> ? p($X) {polarity} {template};\n')
+    with pytest.raises(ParseError) as exc:
+        parse_rules(text, "r.rules")
+    assert str(exc.value) == ("r.rules:2: variable $_ is not bound by the "
+                              "rule's pattern or conditions")
+    # the same template with a bound variable loads
+    parse_rules(text.replace("$_", "$X"), "r.rules")

@@ -52,9 +52,9 @@ def scan_evaluate(doc, rules, file):
                             f"{assigned_by[act.env_var]})")
                     assigned_by[act.env_var] = rule.index
                     child_env = {**child_env, act.env_var: _ground_value(
-                        act.value, b, node.pos)}
+                        act.value, b)}
                 else:
-                    facts.append(_ground_term(act.fact, b, node.pos))
+                    facts.append(_ground_term(act.fact, b))
         if isinstance(node, Element):
             for child in node.children:
                 visit(child, child_env)
