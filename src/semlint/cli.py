@@ -4,8 +4,9 @@ Pass-1 results are cached per input file, keyed on content digests of both
 the input and the ruleset, so an unchanged file is never re-evaluated and a
 warm run reproduces the cold-run report byte for byte.  As under make, an
 offline run whose rules, inputs and options are all unchanged replays the
-outcome memoised by the last one, without loading the engine.  A cache dir
-holds one zlib-compressed file, read once and written once per run.
+messages and diagnostics memoised by the last one and renders them, without
+loading the engine.  A cache dir holds one zlib-compressed file, read once
+and written once per run.
 """
 
 from __future__ import annotations
@@ -23,20 +24,21 @@ from pathlib import Path
 
 from . import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT, FORMATS,
                MAX_URL_TIMEOUT, SemlintError)
-from .record import Message, Record, SourcePos
+from .record import Message, Record, SourcePos, emit_report
 
 CACHE_DIR_ENV = "SEMLINT_CACHE_DIR"
 # raised with any change that can alter an outcome for the same key
-PACK_FORMAT = 1
-# its lines: the key, the outcome (null after an online run), the JSON list
-# of entry paths, and one pass-1 entry per path in that order
+PACK_FORMAT = 2
+# its lines: the key, the outcome (null after an online run), the index of
+# [path, digest of the input its entry was computed from], and one pass-1
+# entry per index row in that order.  Each input digest is stored once.
 PACK_NAME = "run.cache"
 # the module of each name that a run binds here on its first miss; through
 # __getattr__ (PEP 562) cli.<name> is readable and patchable before that
 _ENGINE = {"parse_rule_texts": "dsl_parser", "parse_xml": "xml_frontend",
-           "emit_report": "reporting", **dict.fromkeys(
-               ("evaluate_file", "parse_pass1", "serialize_pass1",
-                "merge_facts", "resolve_tests", "projection"), "engine")}
+           **dict.fromkeys(("evaluate_file", "parse_pass1", "serialize_pass1",
+                            "merge_facts", "resolve_tests", "projection"),
+                           "engine")}
 
 
 def _load_engine() -> None:
@@ -132,31 +134,44 @@ def expand_inputs(patterns: list[str]) -> list[str]:
     return out
 
 
-def _read_pack(cache_dir: str) -> tuple[list, list[bytes]]:
-    """The key and lines of the pack; ([], []) if it is absent or damaged."""
+def _rows(value, types: list) -> bool:
+    """Whether a decoded JSON value is a list of rows of these item types."""
+    return type(value) is list and all(
+        type(row) is list and list(map(type, row)) == types for row in value)
+
+
+def _read_pack(cache_dir: str, key: list) -> tuple[list, list[bytes], list]:
+    """The key, lines and index of the pack; ([], [], []) if it is absent or
+    damaged, or if its key does not start with key (the format, interpreter
+    and ruleset), which makes every entry a miss."""
     try:
         with open(Path(cache_dir) / PACK_NAME, "rb") as f:
             lines = zlib.decompress(f.read()).split(b"\n")
-        key = json.loads(lines[0])
-        if key[0] == PACK_FORMAT and len(lines) > 2:
-            return [*key[:5], [*key[5]]], lines
+        old, index = json.loads(lines[0]), json.loads(lines[2])
+        if old[:3] == key and _rows(index, [str, str]):
+            return old, lines, index
     # json.loads recurses once per nesting level of a damaged line
     except (OSError, LookupError, ValueError, TypeError, RecursionError,
             zlib.error):
         pass
-    return [], []
+    return [], [], []
+
+
+# a memoised message: file, line, rule index, html, text and solution key
+_MESSAGE_ROW = [str, int, int, str, str, str]
 
 
 def _read_outcome(text: bytes):
-    """(report, messages, diagnostics) from the outcome line, or None."""
+    """(messages, diagnostics) from the outcome line, or None."""
     try:
-        report, messages, diagnostics = json.loads(text)
-        # `+ ""` raises TypeError unless the value is a str
-        return (report + "", [Message(SourcePos(file, line), *rest)
-                              for file, line, *rest in messages],
-                [d + "" for d in diagnostics])
+        messages, diagnostics = json.loads(text)
+        if _rows(messages, _MESSAGE_ROW) and type(diagnostics) is list and all(
+                type(d) is str for d in diagnostics):
+            return ([Message(SourcePos(file, line), *rest)
+                     for file, line, *rest in messages], diagnostics)
     except (ValueError, TypeError, RecursionError):
-        return None
+        pass
+    return None
 
 
 def _write_cache(path: Path, data: bytes) -> bytes:
@@ -216,21 +231,25 @@ def _resolve(cfg: RunConfig, prober, ordered: list):
 
 def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     rules = _read_rules(cfg)
-    # the rules are keyed by the digest of their text as read
-    key = [PACK_FORMAT, cfg.format, cfg.normalize_names,
+    # the rules are keyed by the digest of their text as read, and entries
+    # by the interpreter too: str methods follow its Unicode version
+    key = [PACK_FORMAT, [*sys.version_info[:2]],
            [[path, _sha256(text.encode("utf-8"))] for text, path in rules]]
-    old, lines = _read_pack(cfg.cache_dir)
-    # a non-offline run may probe URLs: it neither replays nor memoises
-    replay = cfg.offline and old[:4] == key
+    old, lines, index = _read_pack(cfg.cache_dir, key)
+    # the options and inputs decide only whether the memo replays.  A
+    # non-offline run may probe URLs: it neither replays nor memoises
+    key += [cfg.format, cfg.normalize_names]
+    replay = cfg.offline and old[:5] == key
     # the rules of a memo were parsed when it was written; parse them on a miss
     ruleset = None if replay else _load_ruleset(cfg, rules)
     inputs = expand_inputs(cfg.inputs)
-    key += [inputs, []]  # and each distinct input's digest, as it is read
-    replay = replay and old[4] == inputs
+    key.append(inputs)
+    replay = replay and old == key
+    digests = dict(index)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
 
     # a repeated path is probed and evaluated once; pass 2 sees each repeat.
-    # While each input's digest matches the key, the input waits, and once
+    # While each input's digest matches the index, the input waits, and once
     # all match the outcome is decoded.  From the first that does not, the
     # waiting entries are decoded, and a miss is parsed from the bytes
     # digested before the next read: one input is read once.
@@ -240,9 +259,8 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     try:
         for i, path in enumerate(distinct):
             data = Path(path).read_bytes()
-            key[5].append(_sha256(data))
-            waiting.append((path, data, key[5][i]))
-            if replay and old[5][i:i + 1] == key[5][i:] and (
+            waiting.append((path, data, _sha256(data)))
+            if replay and digests.get(path) == waiting[-1][2] and (
                     i + 1 < len(distinct)
                     or (memo := _read_outcome(lines[1]))):
                 continue
@@ -251,45 +269,49 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
                 ruleset = ruleset or _load_ruleset(cfg, rules)
                 # a miss builds only the nodes that the rules can observe
                 projected = projection(ruleset)
-                # an entry holds its input's digest, so a misplaced one is a
-                # miss, never another input's result
-                try:
-                    entries = dict(zip(json.loads(lines[2]), lines[3:]))
-                except (LookupError, ValueError, TypeError, RecursionError):
-                    entries = {}
+                # path -> (digest of the input it was computed from, entry)
+                entries = {path: (digest, entry) for (path, digest), entry
+                           in zip(index, lines[3:])}
             for path, data, digest in waiting:
-                # any entry that is absent, damaged, older or for other
+                # an entry that is absent, damaged, or computed from other
                 # content is a miss
+                computed_from, entry = entries.get(path, ("", b""))
                 try:
-                    result = parse_pass1(entries.get(path, b"").decode(
-                        "utf-8"), path, digest, ruleset)
+                    result = parse_pass1(entry.decode("utf-8")
+                                         if computed_from == digest else "",
+                                         path, ruleset)
                     cached.append(path)
                 except (ValueError, RecursionError):
                     result = evaluate_file(parse_xml(data, path, projected),
                                            ruleset, path)
-                    entries[path] = serialize_pass1(result, digest,
-                                                    ruleset).encode("utf-8")
+                    entries[path] = (digest, serialize_pass1(
+                        result, ruleset).encode("utf-8"))
                     evaluated.append(path)
                 results[path] = result
             waiting.clear()
         if replay:
-            report, messages, diagnostics = memo
+            messages, diagnostics = memo
+            report = emit_report(messages, diagnostics, cfg.format)
             cached = distinct
         else:
             report, messages, diagnostics = _resolve(cfg, prober, [
                 results[path] for path in inputs])
             if cfg.offline:
-                outcome = [report, [[m.pos.file, m.pos.line, m.rule_index,
-                                     m.html, m.text, m.solution_key]
-                                    for m in messages], diagnostics]
+                outcome = [[[m.pos.file, m.pos.line, m.rule_index, m.html,
+                             m.text, m.solution_key] for m in messages],
+                           diagnostics]
     finally:
-        # one write, also when a bad input stops the run: the entries this
-        # run did not use are carried over verbatim
+        # one write, also when a bad input stops the run.  The entries this
+        # run did not use are carried over verbatim while their path exists;
+        # a path that comes back is a miss
         if outcome or evaluated:
+            kept = {path: entry for path, entry in entries.items()
+                    if path in results or os.path.exists(path)}
             _write_cache(Path(cfg.cache_dir) / PACK_NAME, b"\n".join([
                 json.dumps(doc, separators=(",", ":")).encode("utf-8")
-                for doc in (key, outcome, list(entries))]
-                + list(entries.values())))
+                for doc in (key, outcome, [[path, digest] for path, (
+                    digest, _) in kept.items()])]
+                + [entry for _, entry in kept.values()]))
     exit_code = 1 if cfg.fail_on_warnings and (messages or diagnostics) else 0
     return RunOutcome(report, messages, diagnostics, exit_code,
                       evaluated=evaluated, cached=cached)

@@ -8,7 +8,6 @@ become TEXT tokens.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 from . import SemlintError
@@ -352,13 +351,11 @@ def parse_rule_texts(pairs: list[tuple[str, str]]) -> RuleSet:
 
     Rule indices run densely across files in the order given.
     """
-    digest = hashlib.sha256()
     rules: list[Rule] = []
     for text, file in pairs:
-        digest.update(text.encode("utf-8"))
         parser = _Parser(tokenize(text, file), start_index=len(rules))
         rules.extend(parser.parse_rules())
-    return RuleSet(tuple(rules), digest.hexdigest())
+    return RuleSet(tuple(rules))
 
 
 def parse_rules(text: str, file: str) -> RuleSet:

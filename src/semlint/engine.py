@@ -19,7 +19,7 @@ import json
 from typing import Callable, Optional
 
 from . import SemlintError, reporting, terms
-from .matcher import (Bindings, TypeMismatch, Value, bind, deep_contains,
+from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
                       match_node, resolve, string_projection, unify)
 from .record import Record
 from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
@@ -387,54 +387,42 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 
 # -- pass-1 result cache ------------------------------------------------------
 #
-# One JSON document per input file.  A term is a string or a list
-# [name, *args] (Functor); a fact and a captured value are such terms.
-# A delayed test is stored as [rule_index, line, {var: value}]: its goal and
-# consequence are read back from the ruleset, whose digest is in the entry.
-# {var: value} leaves out $SourceFile and $SourceLine, which are always the
-# input path and the test's line: an entry does not depend on the path.
+# One JSON list [facts, tests, diagnostics] per input file; the cache file
+# names the ruleset and the input content it was computed from (see cli).  A
+# term is a string or a list [name, *args] (Functor); a fact is such a term.
+# A delayed test is [rule_index, line, row]: its goal and consequence are
+# read back from the ruleset, and row holds a term, or null where unbound,
+# for each name of the rule's TestRule.captured in order, but $SourceFile and
+# $SourceLine: always the input path and the test's line, so an entry does
+# not depend on the path.
 
-CACHE_FORMAT = 3
 _POSITION_VARS = ("SourceFile", "SourceLine")
 
 
-def serialize_pass1(result: PassOneResult, input_digest: str,
-                    rules: RuleSet) -> str:
-    return json.dumps({
-        "format": CACHE_FORMAT,
-        "input": input_digest,
-        "rules": rules.source_hash,
-        "facts": [_term_to_json(fact) for fact in result.facts],
-        "tests": [[dt.rule_index, dt.pos.line,
-                   {name: _term_to_json(value)
-                    for name, value in dt.captured.items()
-                    if name not in _POSITION_VARS}]
-                  for dt in result.tests],
-        "diags": list(result.diagnostics),
-    }, separators=(",", ":"))
+def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
+    tests = []
+    for dt in result.tests:
+        tests.append([dt.rule_index, dt.pos.line, [
+            _term_to_json(dt.captured[name]) if name in dt.captured else None
+            for name in rules.rules[dt.rule_index].body.captured
+            if name not in _POSITION_VARS]])
+    return json.dumps([[_term_to_json(fact) for fact in result.facts], tests,
+                       list(result.diagnostics)], separators=(",", ":"))
 
 
-def parse_pass1(text: str, source_file: str, input_digest: str,
-                rules: RuleSet) -> PassOneResult:
-    """ValueError unless text is a complete entry for this input and
-    ruleset; the digests are checked before any fact is decoded."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
-        raise ValueError("not a current pass-1 cache entry")
-    if doc.get("rules") != rules.source_hash:
-        raise ValueError("cache entry was written for another ruleset")
-    if doc.get("input") != input_digest:
-        raise ValueError("cache entry was written for other input content")
+def parse_pass1(text: str, source_file: str, rules: RuleSet) -> PassOneResult:
+    """ValueError unless text is a complete entry for this ruleset."""
+    # unpacking raises ValueError unless the list has three items
+    facts_doc, tests_doc, diags_doc = _typed(json.loads(text), list)
     facts = []
-    for item in _typed(doc.get("facts"), list):
+    for item in _typed(facts_doc, list):
         term = _term_from_json(item)
         if not isinstance(term, Functor):
             raise ValueError(f"bad cached fact {item!r}")
         facts.append(term)
     tests = tuple(_test_from_json(item, source_file, rules)
-                  for item in _typed(doc.get("tests"), list))
-    diagnostics = tuple(_typed(d, str)
-                        for d in _typed(doc.get("diags"), list))
+                  for item in _typed(tests_doc, list))
+    diagnostics = tuple(_typed(d, str) for d in _typed(diags_doc, list))
     return PassOneResult(tuple(facts), tests, diagnostics)
 
 
@@ -464,15 +452,18 @@ def _term_from_json(item) -> Term:
 def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     if type(item) is not list or len(item) != 3:
         raise ValueError(f"bad cached test {item!r}")
-    index, line, captured = (_typed(item[0], int), _typed(item[1], int),
-                             _typed(item[2], dict))
+    index, line, row = (_typed(item[0], int), _typed(item[1], int),
+                        _typed(item[2], list))
     rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
     if rule is None or not isinstance(rule.body, TestRule):
         raise ValueError(f"cached test names rule {index}, not a test rule")
-    # bind raises on an entry holding another $SourceFile or $SourceLine
-    bindings = bind(bind({name: _term_from_json(value)
-                          for name, value in captured.items()},
-                         "SourceFile", source_file),
-                    "SourceLine", str(line))
-    return DelayedTest(index, rule.body.test, bindings,
+    position = {"SourceFile": source_file, "SourceLine": str(line)}
+    names = [name for name in rule.body.captured if name not in position]
+    if len(row) != len(names):
+        raise ValueError(f"cached test row {row!r} does not fit rule {index}")
+    captured = {name: _term_from_json(value)
+                for name, value in zip(names, row) if value is not None}
+    captured.update((name, position[name]) for name in rule.body.captured
+                    if name in position)
+    return DelayedTest(index, rule.body.test, captured,
                        SourcePos(source_file, line))

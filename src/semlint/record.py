@@ -8,13 +8,15 @@ lists its fields, in order, in ``__slots__`` and stores them in its own
 ``__init__``; this base gives it a dataclass's equality and repr, and a
 hash if it is declared ``frozen``.  Records are never changed after
 construction, frozen or not: that is a convention, not enforced.
-SourcePos and Message are here so that a run replaying its memo loads
-neither the parser nor the renderer.
+SourcePos, Message and emit_report are here so that a run replaying its
+memo renders the report without loading the parser or the engine.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+from . import FORMATS
 
 
 class Record:
@@ -64,3 +66,50 @@ class Message(Record, frozen=True):
     def sort_key(self):
         return (self.pos.file, self.pos.line, self.rule_index,
                 self.solution_key, self.html)
+
+
+def escape(s: str, quote: bool = True) -> str:
+    """html.escape, without loading html.entities (about 2 ms a start)."""
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if quote:
+        s = s.replace('"', "&quot;").replace("'", "&#x27;")
+    return s
+
+
+def emit_report(msgs: list[Message], diagnostics: list[str],
+                format: str) -> str:
+    """Assemble the final report; deterministic for identical inputs."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
+    ordered = sorted(set(msgs), key=Message.sort_key)
+    diags = sorted(set(diagnostics))
+    lines: list[str] = []
+    if format == "html":
+        for d in diags:
+            lines.append(f'<p class="diagnostic">{escape(d, quote=False)}</p>')
+        lines.append("<ul>")
+        for m in ordered:
+            # a message whose root element is li is already a list item;
+            # <list> or <link/> merely starts with the same letters
+            is_item = m.html.startswith(("<li>", "<li ", "<li/"))
+            lines.append(m.html if is_item else f"<li>{m.html}</li>")
+        lines.append("</ul>")
+        lines.append(f"<p>{len(ordered)} messages</p>")
+    elif format == "text":
+        for d in diags:
+            lines.append(f"diagnostic: {d}")
+        for m in ordered:
+            lines.append(f"{m.pos.file}:{m.pos.line}: {m.text}")
+        lines.append(f"{len(ordered)} messages")
+    else:
+        # json.dumps(..., sort_keys=True)'s lines, 0.35 ms for 160 messages
+        # against 0.88; imported here, as rule loading needs no json
+        from json.encoder import encode_basestring_ascii as quote
+        for d in diags:
+            lines.append(f'{{"diagnostic": {quote(d)}}}')
+        for m in ordered:
+            lines.append(f'{{"file": {quote(m.pos.file)}, '
+                         f'"html": {quote(m.html)}, "line": {m.pos.line}, '
+                         f'"rule": {m.rule_index}, "text": {quote(m.text)}}}')
+        lines.append(f'{{"messages": {len(ordered)}}}')
+    return "\n".join(lines) + "\n"

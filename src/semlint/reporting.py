@@ -1,4 +1,4 @@
-"""Message rendering and report assembly.
+"""Message rendering; the report is assembled by emit_report in record.
 
 Templates are the consequence patterns written in the rule file.  Rendering
 substitutes the string projection of bound variables, entity-escaping them
@@ -8,15 +8,17 @@ templates produce stable one-line messages.
 
 from __future__ import annotations
 
-import html as html_mod
-import json
 from typing import Union
 
 from . import FORMATS
 from .matcher import Bindings, normalize_ws, string_projection
-from .record import Message
+from .record import Message, emit_report, escape
 from .rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
 from .terms import Functor, Term, Var, term_to_text
+
+# re-exported: a replay renders its report through record alone
+__all__ = ["FORMATS", "Message", "UnboundInConsequence", "emit_report",
+           "render_consequence"]
 
 
 class UnboundInConsequence(Exception):
@@ -30,7 +32,7 @@ def render_consequence(c: Union[Pattern, Term],
     """Render a test consequence into (html, text) forms."""
     if isinstance(c, (Var, str, Functor)):
         text = term_to_text(_subst_term(c, b))
-        return html_mod.escape(text, quote=False), text
+        return escape(text, quote=False), text
     html, text = _render_pattern(c, b)
     return normalize_ws(html), normalize_ws(text)
 
@@ -54,7 +56,7 @@ def _render_pattern(p: Pattern, b: Bindings) -> tuple[str, str]:
         if value is None:
             raise UnboundInConsequence(p.name)
         projection = string_projection(value)
-        return html_mod.escape(projection, quote=False), projection
+        return escape(projection, quote=False), projection
     if isinstance(p, PAnon):
         raise UnboundInConsequence("_")
     attrs = "".join(f' {a.name}="{_attr_value(a, b)}"' for a in p.attrs)
@@ -70,46 +72,8 @@ def _attr_value(a, b: Bindings) -> str:
     if a.value is None:
         raise UnboundInConsequence("_")
     if isinstance(a.value, str):
-        return html_mod.escape(a.value, quote=True)
+        return escape(a.value, quote=True)
     value = b.get(a.value.name)
     if value is None:
         raise UnboundInConsequence(a.value.name)
-    return html_mod.escape(string_projection(value), quote=True)
-
-
-def emit_report(msgs: list[Message], diagnostics: list[str],
-                format: str) -> str:
-    """Assemble the final report; deterministic for identical inputs."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown report format {format!r}")
-    ordered = sorted(set(msgs), key=Message.sort_key)
-    diags = sorted(set(diagnostics))
-    lines: list[str] = []
-    if format == "html":
-        for d in diags:
-            lines.append(f'<p class="diagnostic">'
-                         f'{html_mod.escape(d, quote=False)}</p>')
-        lines.append("<ul>")
-        for m in ordered:
-            # a message whose root element is li is already a list item;
-            # <list> or <link/> merely starts with the same letters
-            is_item = m.html.startswith(("<li>", "<li ", "<li/"))
-            lines.append(m.html if is_item else f"<li>{m.html}</li>")
-        lines.append("</ul>")
-        lines.append(f"<p>{len(ordered)} messages</p>")
-    elif format == "text":
-        for d in diags:
-            lines.append(f"diagnostic: {d}")
-        for m in ordered:
-            lines.append(f"{m.pos.file}:{m.pos.line}: {m.text}")
-        lines.append(f"{len(ordered)} messages")
-    else:
-        for d in diags:
-            lines.append(json.dumps({"diagnostic": d}, sort_keys=True))
-        for m in ordered:
-            lines.append(json.dumps(
-                {"file": m.pos.file, "line": m.pos.line,
-                 "rule": m.rule_index, "text": m.text, "html": m.html},
-                sort_keys=True))
-        lines.append(json.dumps({"messages": len(ordered)}))
-    return "\n".join(lines) + "\n"
+    return escape(string_projection(value), quote=True)

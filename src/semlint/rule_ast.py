@@ -150,11 +150,10 @@ class Rule(Record, frozen=True):
 
 
 class RuleSet(Record, frozen=True):
-    __slots__ = ("rules", "source_hash")
+    __slots__ = ("rules",)
 
-    def __init__(self, rules: tuple[Rule, ...], source_hash: str):
+    def __init__(self, rules: tuple[Rule, ...]):
         self.rules = rules
-        self.source_hash = source_hash
 
 
 def pattern_vars(p: Pattern) -> Iterator[str]:

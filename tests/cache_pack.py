@@ -1,8 +1,14 @@
 """Read and edit the one cache file of a cache dir, line by line.
 
-The file is zlib-compressed.  Its lines are the key, the outcome (null
-after an online run), the JSON list of entry paths, and one pass-1 entry
-per path in that order.
+The file is zlib-compressed.  Its lines are:
+- KEY: [format number, [major, minor] of the interpreter, [[rule file,
+  digest of its text], ...], --format, --normalize-names, inputs]; a pack
+  whose first three fields differ is a miss as a whole, entries included;
+- OUTCOME: [messages, diagnostics], or null after an online run;
+- INDEX: [[path, digest of the input its entry was computed from], ...],
+  the only copy of each input digest;
+- one pass-1 entry, [facts, tests, diagnostics], per index row in that
+  order.
 """
 
 import json
@@ -11,7 +17,9 @@ from pathlib import Path
 
 from semlint.cli import PACK_NAME
 
-KEY, OUTCOME, PATHS = 0, 1, 2
+KEY, OUTCOME, INDEX = 0, 1, 2
+# the fields of an entry
+FACTS, TESTS, DIAGS = 0, 1, 2
 
 
 def pack_file(cache_dir) -> Path:
@@ -28,13 +36,16 @@ def write_lines(cache_dir, lines: list[str]) -> None:
         zlib.compress("\n".join(lines).encode("utf-8")))
 
 
+def index(cache_dir) -> list[list[str]]:
+    return json.loads(read_lines(cache_dir)[INDEX])
+
+
 def entry_paths(cache_dir) -> list[str]:
-    return json.loads(read_lines(cache_dir)[PATHS])
+    return [path for path, _ in index(cache_dir)]
 
 
 def entry(cache_dir, path: str) -> str:
-    lines = read_lines(cache_dir)
-    return lines[PATHS + 1 + json.loads(lines[PATHS]).index(path)]
+    return read_lines(cache_dir)[INDEX + 1 + entry_paths(cache_dir).index(path)]
 
 
 def set_line(cache_dir, index: int, text: str) -> None:
@@ -45,14 +56,23 @@ def set_line(cache_dir, index: int, text: str) -> None:
 
 
 def set_entry(cache_dir, path: str, text: str) -> None:
-    set_line(cache_dir, PATHS + 1 + entry_paths(cache_dir).index(path), text)
+    set_line(cache_dir, INDEX + 1 + entry_paths(cache_dir).index(path), text)
+
+
+def set_digest(cache_dir, path: str, digest: str) -> None:
+    """Make the index say that the entry of `path` was computed from the
+    input whose digest is `digest`."""
+    rows = index(cache_dir)
+    rows[entry_paths(cache_dir).index(path)][1] = digest
+    set_line(cache_dir, INDEX, json.dumps(rows))
 
 
 def drop_entry(cache_dir, path: str) -> None:
-    """Remove the entry of `path` and its place in the list of paths."""
+    """Remove the entry of `path` and its row of the index."""
     lines = read_lines(cache_dir)
-    paths = json.loads(lines[PATHS])
-    del lines[PATHS + 1 + paths.index(path)]
-    paths.remove(path)
-    lines[PATHS] = json.dumps(paths)
+    paths = entry_paths(cache_dir)
+    rows = json.loads(lines[INDEX])
+    del lines[INDEX + 1 + paths.index(path)]
+    del rows[paths.index(path)]
+    lines[INDEX] = json.dumps(rows)
     write_lines(cache_dir, lines)

@@ -13,8 +13,8 @@ import pytest
 from semlint import MAX_URL_TIMEOUT, cli
 from semlint.builtins import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT,
                               HttpProber)
-from semlint.cli import (CliError, RunConfig, RunOutcome, _load_ruleset,
-                         build_arg_parser, execute, expand_inputs, main, run)
+from semlint.cli import (CliError, RunConfig, RunOutcome, build_arg_parser,
+                         execute, expand_inputs, main, run)
 from semlint.reporting import FORMATS, emit_report
 import cache_pack
 from stub_prober import StubProber
@@ -210,7 +210,8 @@ def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
     cold = execute(cfg)
     entries = [json.loads(cache_pack.entry(cfg.cache_dir, path))
                for path in (short, str(longer))]
-    assert entries[0]["tests"] and entries[0]["tests"] == entries[1]["tests"]
+    tests = [entry[cache_pack.TESTS] for entry in entries]
+    assert tests[0] and tests[0] == tests[1]
     warm = execute(cfg)
     assert warm.cached == cfg.inputs and warm.report == cold.report
     assert str(longer) in warm.report
@@ -252,7 +253,7 @@ def test_truncated_cache_entry_is_reevaluated(tmp_path):
 @pytest.mark.parametrize("damage", [
     lambda data: "[" * 200000,
     # a current entry whose one fact nests 5,000 deep
-    lambda data: json.dumps({**data, "facts": ["@"]}).replace(
+    lambda data: json.dumps([["@"], *data[cache_pack.FACTS + 1:]]).replace(
         '"@"', '["p",' * 5000 + '"x"' + "]" * 5000),
 ], ids=["brackets", "deep-fact"])
 def test_deeply_nested_cache_entry_is_a_miss(tmp_path, damage):
@@ -268,28 +269,36 @@ def test_deeply_nested_cache_entry_is_a_miss(tmp_path, damage):
 
 
 def _retarget_test(data, rule_index):
-    data["tests"][0][0] = rule_index
+    data[cache_pack.TESTS][0][0] = rule_index
     return json.dumps(data)
 
 
+def _text_format(data, cfg, path: str) -> str:
+    """The line-oriented text format of earlier versions, with the digests
+    of this input and ruleset, its lines joined by spaces, since an entry is
+    one line of the cache file."""
+    (input_digest,) = [d for p, d in cache_pack.index(cfg.cache_dir)
+                       if p == path]
+    key = json.loads(cache_pack.read_lines(cfg.cache_dir)[cache_pack.KEY])
+    ((_, rules_digest),) = key[2]
+    return (f'#input {input_digest} #rules {rules_digest} '
+            f'personne("known"). %tests dt("ifnot","1","{path}","3",'
+            f'personne($N),bindings(),term("x")) %diags ')
+
+
 @pytest.mark.parametrize("make_entry", [
-    lambda data, path: '{"format": 2}',
-    lambda data, path: _retarget_test(data, 99),
+    lambda data, cfg, path: '{"format": 2}',
+    lambda data, cfg, path: _retarget_test(data, 99),
     # rule 0 of RULES asserts personne/1; only rule 1 is a check
-    lambda data, path: _retarget_test(data, 0),
-    # the line-oriented text format of earlier versions, its lines joined
-    # by spaces, since an entry is one line of the cache file
-    lambda data, path: (
-        f'#input {data["input"]} #rules {data["rules"]} '
-        f'personne("known"). %tests dt("ifnot","1","{path}","3",'
-        f'personne($N),bindings(),term("x")) %diags '),
+    lambda data, cfg, path: _retarget_test(data, 0),
+    _text_format,
 ], ids=["format-only", "rule-99", "environment-rule", "text-format"])
 def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
     data = json.loads(read_entry(cfg, inputs[0]))
-    write_entry(cfg, inputs[0], make_entry(data, inputs[0]))
+    write_entry(cfg, inputs[0], make_entry(data, cfg, inputs[0]))
     again = execute(cfg)
     assert again.evaluated == [inputs[0]]
     assert again.report == cold.report
@@ -651,8 +660,10 @@ def test_rules_file_not_utf8_is_an_error(tmp_path, monkeypatch):
 def test_rules_file_may_start_with_a_bom(tmp_path):
     rules, inputs = write_corpus(tmp_path)
     plain = execute(config(tmp_path, rules, inputs))
-    assert (_load_ruleset(config(tmp_path, rules, inputs)).source_hash
-            == hashlib.sha256(RULES.encode("utf-8")).hexdigest())
+    # the rules are keyed by the digest of their text without the BOM
+    key = json.loads(cache_pack.read_lines(tmp_path / "cache")[cache_pack.KEY])
+    digest = hashlib.sha256(RULES.encode("utf-8")).hexdigest()
+    assert key[2] == [[rules, digest]]
     Path(rules).write_bytes(b"\xef\xbb\xbf" + RULES.encode("utf-8"))
     with_bom = execute(config(tmp_path, rules, inputs))
     assert with_bom.report == plain.report

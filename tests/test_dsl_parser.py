@@ -193,12 +193,6 @@ def test_multi_file_ruleset_single_namespace():
     assert [r.pos.file for r in rs.rules] == ["one.rules", "two.rules"]
 
 
-def test_ruleset_hash_tracks_content():
-    a = parse_rules('<a><$_></a> => x := "1";', "r")
-    b = parse_rules('<a><$_></a> => x := "2";', "r")
-    assert a.source_hash != b.source_hash
-
-
 def test_rule_positions_point_at_first_token(raweb_rules_text):
     rs = parse_rules(raweb_rules_text, "raweb.rules")
     lines = raweb_rules_text.splitlines()

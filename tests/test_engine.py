@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -280,7 +281,7 @@ def test_fact_set_invariant_under_env_rule_permutation(rng):
     # so order must not matter
     permuted = RuleSet(tuple(
         Rule(r.index, r.pattern, r.conditions, r.body, r.skipped, r.pos)
-        for r in shuffled), rules.source_hash)
+        for r in shuffled))
     result = evaluate_file(doc, permuted, "doc.xml")
     assert sorted(result.facts) == \
         sorted(baseline.facts)
@@ -313,30 +314,59 @@ def test_per_file_results_are_independent():
 
 # -- cache round-trip -----------------------------------------------------------
 
-DIGEST = "0" * 64
-
-
 def mini_ruleset():
     return parse_rules(MINI_RULES, "r.rules")
 
 
 def encode(result, rules=None):
-    return serialize_pass1(result, DIGEST, rules or mini_ruleset())
+    return serialize_pass1(result, rules or mini_ruleset())
 
 
 def decode(text, rules=None):
-    return parse_pass1(text, "doc.xml", DIGEST, rules or mini_ruleset())
+    return parse_pass1(text, "doc.xml", rules or mini_ruleset())
+
+
+# the positions of an entry's fields, and of a cached test's
+FACTS, TESTS, DIAGS = 0, 1, 2
+RULE, LINE, ROW = 0, 1, 2
 
 
 def test_cache_round_trip_is_bit_exact():
+    # the CLI checks that an entry was computed from the input as read now
+    # (test_cli: an index digest that differs from the input's is a miss)
     result = ev(MINI_RULES, MINI_DOC)
     blob = encode(result)
     parsed = decode(blob)
     assert encode(parsed) == blob
     assert parsed.facts == result.facts
     assert parsed.tests == result.tests
-    with pytest.raises(ValueError, match="other input"):
-        parse_pass1(blob, "doc.xml", "1" * 64, mini_ruleset())
+
+
+def test_a_cached_test_is_a_value_row_in_captured_order():
+    rules = mini_ruleset()
+    result = ev(MINI_RULES, MINI_DOC)
+    tests = json.loads(encode(result, rules))[TESTS]
+    assert tests and len(tests) == len(result.tests)
+    for (index, line, row), dt in zip(tests, result.tests):
+        names = [name for name in rules.rules[index].body.captured
+                 if name not in ("SourceFile", "SourceLine")]
+        assert (index, line) == (dt.rule_index, dt.pos.line)
+        assert row == [dt.captured.get(name) for name in names]
+
+
+def test_an_unbound_name_is_null_in_its_row():
+    rules_text = ('<a x=$X/> => p($X);\n'
+                  '<b y=$Y/> ? p($Z) -> <li> <$Y> <$Z> </li>;\n')
+    rules = parse_rules(rules_text, "r.rules")
+    result = ev(rules_text, '<r><a x="1"/><b y="2"/></r>')
+    (dt,) = result.tests
+    assert "Z" in rules.rules[1].body.captured and "Z" not in dt.captured
+    blob = encode(result, rules)
+    (test,) = json.loads(blob)[TESTS]
+    names = [n for n in rules.rules[1].body.captured
+             if n not in ("SourceFile", "SourceLine")]
+    assert test[ROW][names.index("Z")] is None
+    assert decode(blob, rules).tests == result.tests
 
 
 def test_cached_tests_resolve_identically():
@@ -380,19 +410,51 @@ def _mutated_entry(mutate):
     return json.dumps(entry)
 
 
-# the CLI tests cover a bare format, rule 99, an environment rule and the
-# older text format end to end
+def _earlier_layout(format):
+    """The entry as the previous layout wrote it: a dict that also held a
+    format number and the input and rules digests, and a test's captured
+    values by name."""
+    rules = mini_ruleset()
+    facts, tests, diags = json.loads(encode(ev(MINI_RULES, MINI_DOC), rules))
+    by_name = []
+    for index, line, row in tests:
+        names = [n for n in rules.rules[index].body.captured
+                 if n not in ("SourceFile", "SourceLine")]
+        by_name.append([index, line, {n: v for n, v in zip(names, row)
+                                      if v is not None}])
+    rules_digest = hashlib.sha256(MINI_RULES.encode("utf-8")).hexdigest()
+    return json.dumps({"format": format, "input": "0" * 64,
+                       "rules": rules_digest, "facts": facts,
+                       "tests": by_name, "diags": diags})
+
+
+def _row_slot(entry, name):
+    """The position of name's value in the row of the entry's first test."""
+    captured = mini_ruleset().rules[entry[TESTS][0][RULE]].body.captured
+    return [n for n in captured
+            if n not in ("SourceFile", "SourceLine")].index(name)
+
+
+# the CLI tests cover a bare format, rule 99, an environment rule, the older
+# text format, an entry of other input content, and a key of another
+# format, interpreter or ruleset end to end
 @pytest.mark.parametrize("text", [
-    _mutated_entry(lambda e: e["tests"][0].__setitem__(0, -1)),
-    _mutated_entry(lambda e: e["tests"][0].__setitem__(0, True)),
-    _mutated_entry(lambda e: e["tests"][0].__setitem__(1, "3")),
-    _mutated_entry(lambda e: e["tests"][0][2].__setitem__("P", 7)),
-    _mutated_entry(lambda e: e["facts"].append("personne")),
-    _mutated_entry(lambda e: e["facts"].append(["personne", 1])),
-    _mutated_entry(lambda e: e.__setitem__("rules", "0" * 64)),
-    _mutated_entry(lambda e: e.__setitem__("format", 1)),
-    _mutated_entry(lambda e: e.pop("diags")),
+    _mutated_entry(lambda e: e[TESTS][0].__setitem__(RULE, -1)),
+    _mutated_entry(lambda e: e[TESTS][0].__setitem__(RULE, True)),
+    _mutated_entry(lambda e: e[TESTS][0].__setitem__(LINE, "3")),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
+        _row_slot(e, "P"), 7)),
+    # a row one value too long, and one too short
+    _mutated_entry(lambda e: e[TESTS][0][ROW].append("x")),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].pop()),
+    _mutated_entry(lambda e: e[TESTS][0].__setitem__(ROW, {"P": "Zoe"})),
+    _mutated_entry(lambda e: e[FACTS].append("personne")),
+    _mutated_entry(lambda e: e[FACTS].append(["personne", 1])),
+    _mutated_entry(lambda e: e.append([])),
+    _mutated_entry(lambda e: e.pop(DIAGS)),
     "[]",
+    _earlier_layout(3),
+    _earlier_layout(1),
 ])
 def test_cache_rejects_inconsistent_entries(text):
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ module parses with the oldest grammar pyproject.toml allows, importing
 the CLI leaves the HTTP stack unloaded until a URL is probed, and
 dataclasses unloaded altogether, and probing loads no HTTP library: ssl
 only for an https URL.  Importing the package loads none of its modules,
-and a CLI run that replays its memo loads no engine module."""
+a CLI run that replays its memo loads no engine module, and no run loads
+html."""
 
 import ast
 import os
@@ -115,10 +116,12 @@ def test_package_import_loads_no_submodule():
 
 ENGINE_MODULES = ("semlint.dsl_parser", "semlint.engine", "semlint.matcher",
                   "semlint.xml_frontend", "semlint.reporting",
-                  "semlint.builtins", "semlint.rule_ast", "html")
+                  "semlint.builtins", "semlint.rule_ast")
 
 
-def test_a_replayed_run_loads_no_engine_module(tmp_path):
+def cold_and_warm(tmp_path, modules: tuple[str, ...], format="html"):
+    """A cold and a warm (replayed) CLI run, each printing which of modules
+    it loaded after its report."""
     rules = tmp_path / "check.rules"
     rules.write_text('<pers nom=$N> <$_> </pers> => personne($N);\n'
                      '<check nom=$N/> ? personne($N) / <li> <$N> </li>;\n',
@@ -129,15 +132,28 @@ def test_a_replayed_run_loads_no_engine_module(tmp_path):
     code = ("import sys\n"
             "from semlint.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            f"print([m for m in {ENGINE_MODULES!r} if m in sys.modules])\n"
+            f"print([m for m in {modules!r} if m in sys.modules])\n"
             "sys.exit(code)")
     args = [sys.executable, "-c", code, "--rules", str(rules), "--cache-dir",
-            str(tmp_path / "cache"), "--offline", "--format", "html",
+            str(tmp_path / "cache"), "--offline", "--format", format,
             str(doc)]
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     cold, warm = (subprocess.run(args, capture_output=True, text=True,
                                  env=env, timeout=60) for _ in range(2))
     assert cold.returncode == warm.returncode == 0, cold.stderr + warm.stderr
+    return cold, warm
+
+
+def test_a_replayed_run_loads_no_engine_module(tmp_path):
+    cold, warm = cold_and_warm(tmp_path, ENGINE_MODULES)
     assert cold.stdout.endswith(f"{list(ENGINE_MODULES)!r}\n")
     assert warm.stdout == cold.stdout.replace(f"{list(ENGINE_MODULES)!r}",
                                               "[]")
+
+
+@pytest.mark.parametrize("format", ["html", "text", "machine"])
+def test_no_run_loads_the_html_module(tmp_path, format):
+    # record.escape stands in for html.escape: html.entities costs about
+    # 2 ms of every start-up
+    cold, warm = cold_and_warm(tmp_path, ("html", "html.entities"), format)
+    assert cold.stdout.endswith("\n[]\n") and warm.stdout == cold.stdout

@@ -84,15 +84,13 @@ def damage(cache: Path, target: str, input_path: str, how: str) -> None:
         # a replay rewrites nothing, so the entry may be damaged already
         text = cache_pack.entry(cache, input_path)
         if how == "older":
-            try:
-                doc = json.loads(text)
-                doc["format"] -= 1
-                text = json.dumps(doc)
-            except ValueError:
-                pass
-        cache_pack.set_entry(cache, input_path,
-                             text[:len(text) // 2] if how == "truncate"
-                             else "[1, 2" if how == "not-json" else text)
+            # an entry is kept with the digest of the input it was computed
+            # from: one of another version of the input
+            cache_pack.set_digest(cache, input_path, "0" * 64)
+        else:
+            cache_pack.set_entry(cache, input_path,
+                                 text[:len(text) // 2] if how == "truncate"
+                                 else "[1, 2")
 
 
 def delete(cache: Path, target: str, input_path: str) -> None:

@@ -1,15 +1,20 @@
 """The one cache file of a cache dir: its layout, carry-over and failures.
 
 A cache dir holds one zlib-compressed file, run.cache.  Its lines are the
-key, the outcome (null after an online run), the list of entry paths, and
-one pass-1 entry per path.  It is read once at start-up and written at most
-once per run; entries of paths that a run does not use are carried over.
+key, the outcome (null after an online run), the index of [path, input
+digest] rows, and one pass-1 entry per row (see cache_pack).  It is read
+once at start-up and written at most once per run; entries of paths that a
+run does not use are carried over while those paths exist.
 """
 
+import hashlib
 import io
+import json
 import os
+import sys
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -27,11 +32,11 @@ def outcome(o) -> tuple:
     return o.report, o.messages, o.diagnostics, o.exit_code
 
 
-def cold(tmp_path: Path, rules: str, inputs: list[str]) -> tuple:
+def cold(tmp_path: Path, rules: str, inputs: list[str], **kw) -> tuple:
     """The outcome of the same run in a new, empty cache dir."""
     return outcome(execute(RunConfig(
         rule_files=[rules], inputs=inputs, offline=True,
-        cache_dir=tempfile.mkdtemp(dir=tmp_path))))
+        cache_dir=tempfile.mkdtemp(dir=tmp_path), **kw)))
 
 
 def test_every_run_leaves_one_file_and_no_temp_file(tmp_path):
@@ -174,3 +179,121 @@ def test_a_non_utf8_input_name(tmp_path, monkeypatch):
     Path(name).write_text(Path(name).read_text() + "\n", encoding="utf-8")
     edited = execute(cfg)
     assert edited.evaluated == [name] and outcome(edited) == outcome(first)
+
+
+def test_each_input_digest_is_stored_once(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=4, unknown_in=(0, 3))
+    for i, path in enumerate(inputs):  # four contents
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(f"<!-- {i} -->\n")
+    # a repeated input is one row of the index
+    first = execute(config(tmp_path, rules, inputs + inputs[:1]))
+    data = zlib.decompress(cache_pack.pack_file(tmp_path / "cache")
+                           .read_bytes()).decode("utf-8")
+    digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in inputs]
+    assert cache_pack.index(tmp_path / "cache") == [
+        [p, d] for p, d in zip(inputs, digests)]
+    for digest in digests:
+        assert data.count(digest) == 1
+    # the outcome is [messages, diagnostics] and holds no report
+    lines = data.split("\n")
+    messages, diagnostics = json.loads(lines[cache_pack.OUTCOME])
+    assert messages == [[m.pos.file, m.pos.line, m.rule_index, m.html,
+                         m.text, m.solution_key] for m in first.messages]
+    assert diagnostics == first.diagnostics
+    assert len(lines) == cache_pack.INDEX + 1 + len(inputs)
+
+
+@pytest.mark.parametrize("format", ["text", "html", "machine"])
+def test_a_replay_renders_the_cold_report(tmp_path, monkeypatch, format):
+    rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0, 2))
+    Path(rules).write_text(Path(rules).read_text(encoding="utf-8")
+                           + '<check nom=$N/> ? nobody($N) / <li> & </li>;\n',
+                           encoding="utf-8")
+    cfg = config(tmp_path, rules, inputs, format=format)
+    first = execute(cfg)
+    assert first.messages and first.diagnostics
+    solved = count_pass2(monkeypatch)
+    warm = execute(cfg)
+    assert warm.cached == inputs and solved == []
+    assert outcome(warm) == outcome(first) == cold(tmp_path, rules, inputs,
+                                                   format=format)
+
+
+def rewrite_key(cache, field: int, value) -> None:
+    key = json.loads(cache_pack.read_lines(cache)[cache_pack.KEY])
+    key[field] = value
+    cache_pack.set_line(cache, cache_pack.KEY, json.dumps(key))
+
+
+# a pack of another format number, interpreter or ruleset is a miss as a
+# whole: str methods follow the interpreter's Unicode version, so an entry
+# computed under one Python may not hold under another
+@pytest.mark.parametrize("field, value", [
+    (0, cli.PACK_FORMAT - 1),
+    (1, [sys.version_info[0], sys.version_info[1] - 1]),
+    (1, [sys.version_info[0] + 1, sys.version_info[1]]),
+    (2, None),
+], ids=["format", "older-python", "newer-python", "rules"])
+def test_a_key_of_another_pack_makes_every_entry_a_miss(tmp_path, monkeypatch,
+                                                        field, value):
+    rules, inputs = write_corpus(tmp_path, n_files=3)
+    cfg = config(tmp_path, rules, inputs)
+    first = execute(cfg)
+    cache = tmp_path / "cache"
+    if value is None:  # the same rule file with another digest
+        value = [[rules, "0" * 64]]
+    rewrite_key(cache, field, value)
+    solved = count_pass2(monkeypatch)
+    again = execute(cfg)
+    assert again.evaluated == inputs and again.cached == [] and solved
+    assert outcome(again) == outcome(first) == cold(tmp_path, rules, inputs)
+    assert json.loads(cache_pack.read_lines(cache)[cache_pack.KEY])[:2] == [
+        cli.PACK_FORMAT, list(sys.version_info[:2])]
+
+
+def test_an_entry_of_other_input_content_is_a_miss(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0,))
+    cfg = config(tmp_path, rules, inputs)
+    first = execute(cfg)
+    cache = tmp_path / "cache"
+    # the entry of inputs[1] says it was computed from the content of
+    # inputs[0]; the outcome still matches
+    digest = dict(cache_pack.index(cache))[inputs[0]]
+    cache_pack.set_digest(cache, inputs[1], digest)
+    solved = count_pass2(monkeypatch)
+    again = execute(cfg)
+    assert again.evaluated == [inputs[1]] and len(solved) == 1
+    assert again.cached == [inputs[0], inputs[2]]
+    assert outcome(again) == outcome(first)
+    assert dict(cache_pack.index(cache))[inputs[1]] != digest
+
+
+def test_an_index_row_that_is_not_a_path_and_digest_is_a_miss(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=2)
+    cfg = config(tmp_path, rules, inputs)
+    first = execute(cfg)
+    cache = tmp_path / "cache"
+    rows = cache_pack.index(cache)
+    for damaged in ([rows[0], [inputs[1]]], [rows[0], [inputs[1], 7]],
+                    {inputs[0]: rows[0][1]}, "x"):
+        cache_pack.set_line(cache, cache_pack.INDEX, json.dumps(damaged))
+        again = execute(cfg)
+        assert again.evaluated == inputs and outcome(again) == outcome(first)
+
+
+def test_the_entry_of_a_deleted_input_is_dropped(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0, 2))
+    a, b = inputs[:2], inputs[2]
+    execute(config(tmp_path, rules, [*a, b]))
+    os.unlink(b)
+    assert execute(config(tmp_path, rules, a)).cached == a
+    # the run replayed nothing for the new input set, so it wrote the pack
+    assert cache_pack.entry_paths(tmp_path / "cache") == a
+    # a path that comes back is an ordinary miss
+    Path(b).write_text(Path(a[0]).read_text(encoding="utf-8"),
+                       encoding="utf-8")
+    back = execute(config(tmp_path, rules, [*a, b]))
+    assert back.evaluated == [b]
+    assert outcome(back) == cold(tmp_path, rules, [*a, b])

@@ -50,7 +50,7 @@ RECORDS = [
     (TestRule, True, ["test", "captured"]),
     (Rule, True, ["index", "pattern", "conditions", "body", "skipped",
                   "pos"]),
-    (RuleSet, True, ["rules", "source_hash"]),
+    (RuleSet, True, ["rules"]),
     (DelayedTest, True, ["rule_index", "test", "captured", "pos"]),
     (PassOneResult, True, ["facts", "tests", "diagnostics"]),
     (Message, True, ["pos", "rule_index", "html", "text", "solution_key"]),

@@ -1,8 +1,12 @@
+import html
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlint.dsl_parser import parse_rules
+from semlint.record import escape
 from semlint.reporting import (Message, UnboundInConsequence, emit_report,
                                render_consequence)
 from semlint.terms import Functor, Var
@@ -156,3 +160,35 @@ def test_emit_unknown_format_rejected():
 def test_empty_report_has_summary_only():
     assert emit_report([], [], "text") == "0 messages\n"
     assert emit_report([], [], "html") == "<ul>\n</ul>\n<p>0 messages</p>\n"
+
+
+# every character html.escape rewrites, and its replacements' own letters
+@given(st.text(alphabet=st.sampled_from('&<>"\'#x27;amplgtquo é\u2028')
+               | st.characters()), st.booleans())
+@settings(max_examples=500)
+def test_escape_equals_html_escape(s, quote):
+    assert escape(s, quote) == html.escape(s, quote)
+    assert escape(s) == html.escape(s)
+
+
+# any str, lone surrogates included, as a file name read from the disk can be
+ANY_TEXT = st.text(st.characters(blacklist_categories=())
+                   | st.sampled_from('\udcff\ud800"\\\n\x00\u2028é'))
+
+
+@given(st.lists(st.tuples(ANY_TEXT, st.integers(0, 10**6),
+                          st.integers(0, 300), ANY_TEXT, ANY_TEXT),
+                max_size=5),
+       st.lists(ANY_TEXT, max_size=3))
+@settings(max_examples=300)
+def test_machine_lines_equal_json_dumps(rows, diagnostics):
+    msgs = [Message(SourcePos(file, line), rule, html, text, "")
+            for file, line, rule, html, text in rows]
+    ordered = sorted(set(msgs), key=Message.sort_key)
+    want = [json.dumps({"diagnostic": d}, sort_keys=True)
+            for d in sorted(set(diagnostics))]
+    want += [json.dumps({"file": m.pos.file, "line": m.pos.line,
+                         "rule": m.rule_index, "text": m.text,
+                         "html": m.html}, sort_keys=True) for m in ordered]
+    want.append(json.dumps({"messages": len(ordered)}))
+    assert emit_report(msgs, diagnostics, "machine") == "\n".join(want) + "\n"
