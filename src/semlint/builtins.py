@@ -15,7 +15,7 @@ from . import DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT
 from .engine import BuiltinError, BuiltinRegistry
 from .matcher import Bindings, bind, string_projection, unify
 from .record import Record
-from .terms import Functor, Term, Var
+from .terms import Functor, Term, Var, is_ground, term_to_text
 
 
 class InstantiationError(BuiltinError):
@@ -29,6 +29,10 @@ def _bound(t: Term, b: Bindings, pred: str) -> str | Functor:
             raise InstantiationError(f"{pred}: argument ${t.name} must be "
                                      f"bound")
         t = b[t.name]
+    # only a term written in a rule holds a variable, and its text is no value
+    if isinstance(t, Functor) and not is_ground(t):
+        raise InstantiationError(f"{pred}: argument {term_to_text(t)} must "
+                                 f"be ground")
     return t if isinstance(t, Functor) else string_projection(t)
 
 

@@ -324,10 +324,10 @@ class _Parser:
             # which binds nothing
             if test.polarity is Polarity.IF_PRESENT:
                 bound |= set(term_vars(test.goal))
-            names = list(consequence_vars(test.consequence))
+            self.check_bound(rule, consequence_vars(test.consequence), bound)
+            # <$_> and name=$_ bind nothing, even where a term binds a $_
             if _shows_anon(test.consequence):
-                names.append(ANON)  # which nothing binds
-            self.check_bound(rule, names, bound)
+                self.check_bound(rule, [ANON], set())
 
     def check_bound(self, rule: Rule, names, bound: set[str]) -> None:
         for name in names:

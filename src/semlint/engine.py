@@ -354,28 +354,25 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
             diagnostics.append(f"{dt.pos.file}:{dt.pos.line}: {exc}")
             continue
 
-        try:
-            if dt.test.polarity is Polarity.IF_ABSENT:
-                if not solutions:
-                    html, text = reporting.render_consequence(
-                        dt.test.consequence, dt.captured)
-                    messages.append(reporting.Message(
-                        dt.pos, dt.rule_index, html, text, ""))
-            else:
-                # per html, the smallest key: the order of facts never shows
-                best: dict[str, tuple[str, str]] = {}
-                for sol in solutions:
-                    html, text = reporting.render_consequence(
-                        dt.test.consequence, sol)
-                    found = (_solution_key(sol, dt.captured), text)
-                    best[html] = min(best.get(html, found), found)
-                for html, (key, text) in best.items():
-                    messages.append(reporting.Message(
-                        dt.pos, dt.rule_index, html, text, key))
-        except reporting.UnboundInConsequence as exc:
-            diagnostics.append(
-                f"{dt.pos.file}:{dt.pos.line}: message template uses "
-                f"unbound variable ${exc.var}")
+        # validate, ground facts and the builtins' checks leave no variable
+        # of a message unbound, so rendering cannot fail
+        if dt.test.polarity is Polarity.IF_ABSENT:
+            if not solutions:
+                html, text = reporting.render_consequence(
+                    dt.test.consequence, dt.captured)
+                messages.append(reporting.Message(
+                    dt.pos, dt.rule_index, html, text, ""))
+        else:
+            # per html, the smallest key: the order of facts never shows
+            best: dict[str, tuple[str, str]] = {}
+            for sol in solutions:
+                html, text = reporting.render_consequence(
+                    dt.test.consequence, sol)
+                found = (_solution_key(sol, dt.captured), text)
+                best[html] = min(best.get(html, found), found)
+            for html, (key, text) in best.items():
+                messages.append(reporting.Message(
+                    dt.pos, dt.rule_index, html, text, key))
     return messages, diagnostics
 
 

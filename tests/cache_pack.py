@@ -1,9 +1,11 @@
 """Read and edit the one cache file of a cache dir, line by line.
 
-The file is zlib-compressed.  Its lines are:
-- KEY: [format number, [major, minor] of the interpreter, [[rule file,
-  digest of its text], ...], --format, --normalize-names, inputs]; a pack
-  whose first three fields differ is a miss as a whole, entries included;
+The file is zlib-compressed, at the default level when semlint writes it;
+any level reads.  Its lines are:
+- KEY: [digest of semlint's code (cli._code_digest: its *.py files by name
+  and bytes), [major, minor] of the interpreter, [[rule file, digest of its
+  text], ...], --format, --normalize-names, inputs]; a pack whose first
+  three fields differ is a miss as a whole, entries included;
 - OUTCOME: [messages, diagnostics], or null after an online run;
 - INDEX: [[path, digest of the input its entry was computed from], ...],
   the only copy of each input digest;

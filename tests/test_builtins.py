@@ -161,6 +161,24 @@ def test_output_variable_already_bound_is_an_instantiation_error(name, args):
         call(reg, name, 3, args, b={"A": "x"}, store=PUBS)
 
 
+# a variable in a written compound is never substituted: its text would be
+# compared, looked up or probed as if it were a value, and a solution would
+# leave it unbound for the message
+@pytest.mark.parametrize("name, args", [
+    ("sameyear", (Functor("f", (Var("Z"),)), Functor("f", (Var("Z"),)))),
+    ("personne1", (Functor("f", (Var("Z"),)), "Martin", "acacia")),
+    ("pubbyotherproject", (Functor("f", ("t", Var("Z"))), "acacia",
+                           Var("A"))),
+    ("testurl", (Functor("f", (Var("Z"),)), Var("A"), Var("B"))),
+])
+def test_a_compound_input_with_a_variable_is_an_instantiation_error(name,
+                                                                    args):
+    reg = make_registry(StubProber())
+    with pytest.raises(InstantiationError,
+                       match=r"argument f\(.*\$Z\) must be ground"):
+        call(reg, name, len(args), args, b={"Z": "x"}, store=PUBS)
+
+
 def test_testurl_offline_mode_never_probes():
     prober = StubProber()
     reg = make_registry(prober, offline=True)
@@ -182,6 +200,8 @@ def test_urls_to_probe_projects_bound_url_arguments():
                                     Var("B"))), {}),
         # unbound, another predicate, another arity: nothing to probe
         delayed(Functor("testurl", (Var("U"), Var("A"), Var("B"))), {}),
+        delayed(Functor("testurl", (Functor("f", (Var("U"),)), Var("A"),
+                                    Var("B"))), {"U": node}),
         delayed(Functor("sameyear", ("http://x/no", "1")), {}),
         delayed(Functor("testurl", ("http://x/no",)), {}),
     ]

@@ -2,8 +2,9 @@
 
 Whatever the rules and the document, a run ends with exit code 0, 2 (a
 rules, input or engine error), or 1 only under --fail-on-warnings; no
-exception escapes and no traceback is printed.  A warm run repeats the
-cold run's output exactly.
+exception escapes and no traceback is printed.  No message is rendered
+with an unbound variable.  A warm run repeats the cold run's output
+exactly.
 
 The generator mostly draws variables that are already bound, so that most
 rule files pass validation and reach both passes; now and then it draws
@@ -231,6 +232,9 @@ def test_any_rules_on_any_document_end_in_a_clean_exit(drawn,
             code, _, stderr = cold
             assert code in ((0, 1, 2) if fail_on_warnings else (0, 2)), cold
             assert "Traceback" not in stderr
+            # validate, ground facts and the builtins bind every variable
+            # of a message before it is rendered
+            assert "message template uses unbound variable" not in stderr
             warm = run_once(root, rules_path, doc_path, offline,
                             fail_on_warnings, format)
             assert warm == cold

@@ -237,14 +237,17 @@ def test_if_absent_template_cannot_use_what_only_its_goal_binds():
     parse_rules(text.replace("<$Z> </li>", "<$Y> </li>"), "r.rules")
 
 
+# in a term, $_ is a variable like any other, which a goal or a condition
+# binds; <$_> and name=$_ still bind nothing
+@pytest.mark.parametrize("binder", ["? p($X)", "? p($_)", "& e = $_ ? p($X)"])
 @pytest.mark.parametrize("polarity", ["/", "->"])
 @pytest.mark.parametrize("template", [
     "<li> <$_> </li>", "<li y=$_> k </li>", "<li y=$_/>",
     "<li> <b> k <$_> </b> </li>", "<li> <b z=$_/> </li>"])
-def test_a_message_template_cannot_show_anon(polarity, template):
+def test_a_message_template_cannot_show_anon(binder, polarity, template):
     # $_ binds nothing, so rendering the message could only fail
     text = ('<a x=$X/> => p($X);\n'
-            f'<a x=$X/> ? p($X) {polarity} {template};\n')
+            f'<a x=$X/> {binder} {polarity} {template};\n')
     with pytest.raises(ParseError) as exc:
         parse_rules(text, "r.rules")
     assert str(exc.value) == ("r.rules:2: variable $_ is not bound by the "

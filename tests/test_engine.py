@@ -256,6 +256,19 @@ def test_if_absent_emits_single_message():
     assert msgs[0].pos.line == 1
 
 
+def test_every_variable_of_a_message_is_bound_when_it_is_rendered():
+    # a solution binds each variable of its goal: a fact is ground, and a
+    # builtin binds its outputs; one whose input holds a variable raises
+    rules = ('<a x=$X/> => q(f($X), "k");\n'
+             '<a x=$X/> ? q(f($Y), $K) -> <li> <$Y> <$K> </li> ;\n'
+             '<a x=$X/> ? sameyear(f($Z), f($Z)) -> <li> <$Z> </li> ;\n')
+    result = ev(rules, '<a x="1"/>')
+    msgs, diags = resolve_tests(list(result.tests), merge_facts([result]),
+                                make_registry(HttpProber(), offline=True))
+    assert [m.text for m in msgs] == ["1 k"]
+    assert diags == ["doc.xml:1: sameyear: argument f($Z) must be ground"]
+
+
 def test_message_reports_rule_position_data():
     rules = '<a/> ? q("z") / <li> warn line <$SourceLine> </li> ;'
     result = ev(rules + '\n<b/> => q("other");', "<root>\n<a/>\n<b/></root>",

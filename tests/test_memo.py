@@ -71,9 +71,9 @@ def damage(cache: Path, target: str, input_path: str, how: str) -> None:
     elif target == "pack" and how == "not-json":
         path.write_bytes(zlib.compress(b"[1, 2"))
     elif how == "older" and target != "entry":
-        # a consistent file of an older format
+        # a consistent file written by other code
         key = json.loads(cache_pack.read_lines(cache)[cache_pack.KEY])
-        key[0] -= 1
+        key[0] = "0" * 64
         cache_pack.set_line(cache, cache_pack.KEY, json.dumps(key))
     elif target == "memo":
         line = cache_pack.read_lines(cache)[cache_pack.OUTCOME]

@@ -7,10 +7,13 @@ once at start-up and written at most once per run; entries of paths that a
 run does not use are carried over while those paths exist.
 """
 
+import compileall
 import hashlib
 import io
 import json
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -227,15 +230,15 @@ def rewrite_key(cache, field: int, value) -> None:
     cache_pack.set_line(cache, cache_pack.KEY, json.dumps(key))
 
 
-# a pack of another format number, interpreter or ruleset is a miss as a
-# whole: str methods follow the interpreter's Unicode version, so an entry
+# a pack of other code, another interpreter or another ruleset is a miss as
+# a whole: str methods follow the interpreter's Unicode version, so an entry
 # computed under one Python may not hold under another
 @pytest.mark.parametrize("field, value", [
-    (0, cli.PACK_FORMAT - 1),
+    (0, "0" * 64),
     (1, [sys.version_info[0], sys.version_info[1] - 1]),
     (1, [sys.version_info[0] + 1, sys.version_info[1]]),
     (2, None),
-], ids=["format", "older-python", "newer-python", "rules"])
+], ids=["code", "older-python", "newer-python", "rules"])
 def test_a_key_of_another_pack_makes_every_entry_a_miss(tmp_path, monkeypatch,
                                                         field, value):
     rules, inputs = write_corpus(tmp_path, n_files=3)
@@ -250,7 +253,7 @@ def test_a_key_of_another_pack_makes_every_entry_a_miss(tmp_path, monkeypatch,
     assert again.evaluated == inputs and again.cached == [] and solved
     assert outcome(again) == outcome(first) == cold(tmp_path, rules, inputs)
     assert json.loads(cache_pack.read_lines(cache)[cache_pack.KEY])[:2] == [
-        cli.PACK_FORMAT, list(sys.version_info[:2])]
+        cli._code_digest(), list(sys.version_info[:2])]
 
 
 def test_an_entry_of_other_input_content_is_a_miss(tmp_path, monkeypatch):
@@ -297,3 +300,118 @@ def test_the_entry_of_a_deleted_input_is_dropped(tmp_path):
     back = execute(config(tmp_path, rules, [*a, b]))
     assert back.evaluated == [b]
     assert outcome(back) == cold(tmp_path, rules, [*a, b])
+
+
+def test_a_pack_is_written_at_the_default_level(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=3)
+    execute(config(tmp_path, rules, inputs))
+    raw = cache_pack.pack_file(tmp_path / "cache").read_bytes()
+    assert raw == zlib.compress(zlib.decompress(raw))
+
+
+# zlib reads every level; a pack written at level 1 by earlier code replays
+@pytest.mark.parametrize("level", [1, 9])
+def test_a_pack_of_any_level_is_read(tmp_path, monkeypatch, level):
+    rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0, 2))
+    cfg = config(tmp_path, rules, inputs)
+    first = execute(cfg)
+    pack = cache_pack.pack_file(tmp_path / "cache")
+
+    def recompress():
+        pack.write_bytes(zlib.compress(zlib.decompress(pack.read_bytes()),
+                                       level))
+    recompress()
+    solved = count_pass2(monkeypatch)
+    warm = execute(cfg)
+    assert warm.cached == inputs and solved == []
+    assert outcome(warm) == outcome(first)
+    recompress()
+    Path(inputs[1]).write_text(Path(inputs[0]).read_text(encoding="utf-8"),
+                               encoding="utf-8")
+    edited = execute(cfg)
+    assert edited.evaluated == [inputs[1]]
+    assert edited.cached == [inputs[0], inputs[2]]
+    assert outcome(edited) == cold(tmp_path, rules, inputs)
+
+
+# -- the key holds a digest of semlint's own modules -------------------------
+
+PACKAGE = Path(cli.__file__).resolve().parent
+
+# one offline run of the copy on PYTHONPATH: the cli module it loaded, its
+# report, and the inputs it evaluated and took from the cache
+RUN = """import json, sys
+import semlint.cli as cli
+o = cli.execute(cli.RunConfig(rule_files=[sys.argv[1]], cache_dir=sys.argv[2],
+                              inputs=sys.argv[3:], offline=True))
+print(json.dumps([cli.__file__, o.report, o.evaluated, o.cached]))"""
+
+
+def copy_package(root: Path) -> Path:
+    """A copy of the package, without bytecode; returns its directory."""
+    dest = root / "semlint"
+    shutil.copytree(PACKAGE, dest,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def edit(path: Path, old: str, new: str) -> None:
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def run_copy(package: Path, rules: str, cache: Path, inputs) -> list:
+    """[report, evaluated, cached] of a run of the package in a new
+    interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, rules, str(cache), *inputs],
+        capture_output=True, text=True, cwd=package.parent, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package.parent)})
+    assert proc.returncode == 0, proc.stderr
+    module, *rest = json.loads(proc.stdout)
+    assert Path(module).parent == package
+    return rest
+
+
+def test_an_edited_module_makes_every_entry_a_miss(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=3)
+    package = copy_package(tmp_path / "copy")
+    cache = tmp_path / "cache"
+    report, evaluated, _ = run_copy(package, rules, cache, inputs)
+    assert evaluated == inputs
+    assert run_copy(package, rules, cache, inputs) == [report, [], inputs]
+    edit(package / "engine.py", "# -- pass 2 ", "# -- pass two ")
+    assert run_copy(package, rules, cache, inputs) == [report, inputs, []]
+
+
+def test_bytecode_leaves_the_key_unchanged(tmp_path):
+    rules, inputs = write_corpus(tmp_path, n_files=2)
+    package = copy_package(tmp_path / "copy")
+    cache = tmp_path / "cache"
+    report, _, _ = run_copy(package, rules, cache, inputs)
+    assert compileall.compile_dir(package, quiet=1)
+    assert list((package / "__pycache__").glob("engine.*.pyc"))
+    assert run_copy(package, rules, cache, inputs) == [report, [], inputs]
+
+
+def test_two_versions_of_semlint_share_a_cache_dir(tmp_path):
+    # version b finds the opposite of sameyear: its outcome differs
+    (tmp_path / "check.rules").write_text(
+        '<a y=$Y z=$Z/> ? sameyear($Y,$Z) / <li> <$Y> differs </li>;\n',
+        encoding="utf-8")
+    doc = tmp_path / "years.xml"
+    doc.write_text('<r><a y="1" z="2"/><a y="3" z="3"/></r>\n',
+                   encoding="utf-8")
+    rules, inputs = str(tmp_path / "check.rules"), [str(doc)]
+    a = copy_package(tmp_path / "a")
+    b = copy_package(tmp_path / "b")
+    edit(b / "builtins.py", "return [b] if equal else []",
+         "return [] if equal else [b]")
+    # each one's cold report, in a cache dir of its own
+    want = {package: run_copy(package, rules, tempfile.mkdtemp(dir=tmp_path),
+                              inputs)[0] for package in (a, b)}
+    assert want[a] != want[b]
+    for package in (a, b, a, b):
+        assert run_copy(package, rules, tmp_path / "shared", inputs) == [
+            want[package], inputs, []]
