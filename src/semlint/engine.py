@@ -8,9 +8,9 @@ element name of their head (like Rete alpha memories), so each node tries
 only the rules whose head can match it.  From the same rules, `projection`
 derives the nodes that pass 1 can observe, and the parser builds only those
 (XML projection, Marian and Simeon, VLDB 2003).  Facts and tests produced
-for a file can be cached on disk as a JSON document and replayed
-bit-exactly; a cached test refers to its rule by index instead of copying
-the rule.
+for a file can be cached on disk as a JSON document that holds each
+distinct string once, and replayed bit-exactly; a cached test refers to its
+rule by index instead of copying the rule.
 """
 
 from __future__ import annotations
@@ -384,43 +384,64 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 
 # -- pass-1 result cache ------------------------------------------------------
 #
-# One JSON list [facts, tests, diagnostics] per input file; the cache file
-# names the ruleset and the input content it was computed from (see cli).  A
-# term is a string or a list [name, *args] (Functor); a fact is such a term.
-# A delayed test is [rule_index, line, row]: its goal and consequence are
-# read back from the ruleset, and row holds a term, or null where unbound,
-# for each name of the rule's TestRule.captured in order, but $SourceFile and
+# One JSON list [strings, facts, tests, diagnostics] per input file; the
+# cache file names the ruleset and the input content it was computed from
+# (see cli).  strings holds each distinct string of the entry once, in order
+# of first use, predicate and functor names included, as a Prolog system
+# keeps each atom once in its atom table.  A term is an int, the index of a
+# string, or a list [name index, *args] (Functor); a fact is such a list.  A
+# delayed test is [rule_index, line, row]: its goal and consequence are read
+# back from the ruleset, and row holds a term, or null where unbound, for
+# each name of the rule's TestRule.captured in order, but $SourceFile and
 # $SourceLine: always the input path and the test's line, so an entry does
-# not depend on the path.
+# not depend on the path.  Diagnostics are plain strings.
 
 _POSITION_VARS = ("SourceFile", "SourceLine")
 
 
 def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
-    tests = []
-    for dt in result.tests:
-        tests.append([dt.rule_index, dt.pos.line, [
-            _term_to_json(dt.captured[name]) if name in dt.captured else None
-            for name in rules.rules[dt.rule_index].body.captured
-            if name not in _POSITION_VARS]])
-    return json.dumps([[_term_to_json(fact) for fact in result.facts], tests,
-                       list(result.diagnostics)], separators=(",", ":"))
+    table: dict[str, int] = {}
+
+    def encode(t: Term):
+        if isinstance(t, str):
+            return table.setdefault(t, len(table))
+        if isinstance(t, Functor):
+            return [table.setdefault(t.name, len(table)),
+                    *map(encode, t.args)]
+        raise ValueError(f"non-ground term not serializable: {t!r}")
+
+    facts = [encode(fact) for fact in result.facts]
+    tests = [[dt.rule_index, dt.pos.line, [
+        encode(dt.captured[name]) if name in dt.captured else None
+        for name in rules.rules[dt.rule_index].body.captured
+        if name not in _POSITION_VARS]] for dt in result.tests]
+    return json.dumps([list(table), facts, tests, list(result.diagnostics)],
+                      separators=(",", ":"))
 
 
 def parse_pass1(text: str, source_file: str, rules: RuleSet) -> PassOneResult:
-    """ValueError unless text is a complete entry for this ruleset."""
-    # unpacking raises ValueError unless the list has three items
-    facts_doc, tests_doc, diags_doc = _typed(json.loads(text), list)
-    facts = []
-    for item in _typed(facts_doc, list):
-        term = _term_from_json(item)
-        if not isinstance(term, Functor):
-            raise ValueError(f"bad cached fact {item!r}")
-        facts.append(term)
-    tests = tuple(_test_from_json(item, source_file, rules)
+    """ValueError unless text is a complete entry for this ruleset.  Equal
+    strings of its terms are one object."""
+    # unpacking raises ValueError unless the list has four items
+    strings, facts_doc, tests_doc, diags_doc = _typed(json.loads(text), list)
+    table = _typed(strings, list)
+    if not all(type(s) is str for s in table):
+        raise ValueError(f"bad cached string table {table!r}")
+
+    def decode(item) -> Term:
+        # exact type checks: bool is an int subclass and must not pass as one
+        if type(item) is int and 0 <= item < len(table):
+            return table[item]
+        if type(item) is list and item and type(item[0]) is int:
+            return Functor(decode(item[0]), tuple(map(decode, item[1:])))
+        raise ValueError(f"bad cached term {item!r}")
+
+    facts = tuple(decode(_typed(item, list))
+                  for item in _typed(facts_doc, list))
+    tests = tuple(_test_from_json(item, source_file, rules, decode)
                   for item in _typed(tests_doc, list))
     diagnostics = tuple(_typed(d, str) for d in _typed(diags_doc, list))
-    return PassOneResult(tuple(facts), tests, diagnostics)
+    return PassOneResult(facts, tests, diagnostics)
 
 
 def _typed(value, kind: type):
@@ -430,23 +451,8 @@ def _typed(value, kind: type):
     return value
 
 
-def _term_to_json(t: Term):
-    if isinstance(t, str):
-        return t
-    if isinstance(t, Functor):
-        return [t.name, *(_term_to_json(a) for a in t.args)]
-    raise ValueError(f"non-ground term not serializable: {t!r}")
-
-
-def _term_from_json(item) -> Term:
-    if type(item) is str:
-        return item
-    if type(item) is list and item and type(item[0]) is str:
-        return Functor(item[0], tuple(_term_from_json(a) for a in item[1:]))
-    raise ValueError(f"bad cached term {item!r}")
-
-
-def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
+def _test_from_json(item, source_file: str, rules: RuleSet,
+                    decode: Callable[[object], Term]) -> DelayedTest:
     if type(item) is not list or len(item) != 3:
         raise ValueError(f"bad cached test {item!r}")
     index, line, row = (_typed(item[0], int), _typed(item[1], int),
@@ -458,7 +464,7 @@ def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     names = [name for name in rule.body.captured if name not in position]
     if len(row) != len(names):
         raise ValueError(f"cached test row {row!r} does not fit rule {index}")
-    captured = {name: _term_from_json(value)
+    captured = {name: decode(value)
                 for name, value in zip(names, row) if value is not None}
     captured.update((name, position[name]) for name in rule.body.captured
                     if name in position)

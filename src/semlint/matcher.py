@@ -124,7 +124,7 @@ def _bind_value(name: str, value: Value, b: Bindings) -> Optional[Bindings]:
 def _same(a: Value, c: Value) -> bool:
     """a == c, except that nodes compare by content and not by line.
 
-    An explicit stack instead of recursion, as in Element.__eq__.
+    Bound subtrees compare here, not by Element.__eq__, on an explicit stack.
     """
     stack = [(a, c)]
     while stack:

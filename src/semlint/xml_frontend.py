@@ -36,8 +36,8 @@ class EncodingError(SemlintError):
 
 
 # Nodes are records but not frozen ones: nothing hashes a node, and a hash
-# would recurse through its subtree.  Equal subtrees are only compared (one
-# variable bound twice), by an Element.__eq__ that does not recurse.
+# would recurse through its subtree.  Bound subtrees are only compared (one
+# variable bound twice), by matcher._same, by content and not by line.
 class Text(Record):
     __slots__ = ("content", "pos")
 

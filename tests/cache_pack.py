@@ -9,8 +9,11 @@ any level reads.  Its lines are:
 - OUTCOME: [messages, diagnostics], or null after an online run;
 - INDEX: [[path, digest of the input its entry was computed from], ...],
   the only copy of each input digest;
-- one pass-1 entry, [facts, tests, diagnostics], per index row in that
-  order.
+- one pass-1 entry, [strings, facts, tests, diagnostics], per index row in
+  that order.  strings lists each distinct string of the entry once, in
+  order of first use; a term is an index into it, or [name index, *args]
+  for a compound; a test is [rule index, line, row], its row a term or
+  null per captured name; diagnostics are plain strings.
 """
 
 import json
@@ -21,7 +24,7 @@ from semlint.cli import PACK_NAME
 
 KEY, OUTCOME, INDEX = 0, 1, 2
 # the fields of an entry
-FACTS, TESTS, DIAGS = 0, 1, 2
+STRINGS, FACTS, TESTS, DIAGS = 0, 1, 2, 3
 
 
 def pack_file(cache_dir) -> Path:

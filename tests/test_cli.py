@@ -210,8 +210,8 @@ def test_cached_tests_do_not_depend_on_the_input_path(tmp_path):
     cold = execute(cfg)
     entries = [json.loads(cache_pack.entry(cfg.cache_dir, path))
                for path in (short, str(longer))]
-    tests = [entry[cache_pack.TESTS] for entry in entries]
-    assert tests[0] and tests[0] == tests[1]
+    # a row's values are indices into the entry's strings: compare both
+    assert entries[0][cache_pack.TESTS] and entries[0] == entries[1]
     warm = execute(cfg)
     assert warm.cached == cfg.inputs and warm.report == cold.report
     assert str(longer) in warm.report
@@ -253,8 +253,9 @@ def test_truncated_cache_entry_is_reevaluated(tmp_path):
 @pytest.mark.parametrize("damage", [
     lambda data: "[" * 200000,
     # a current entry whose one fact nests 5,000 deep
-    lambda data: json.dumps([["@"], *data[cache_pack.FACTS + 1:]]).replace(
-        '"@"', '["p",' * 5000 + '"x"' + "]" * 5000),
+    lambda data: json.dumps([data[cache_pack.STRINGS], ["@"],
+                             *data[cache_pack.FACTS + 1:]]).replace(
+        '"@"', "[0," * 5000 + "0" + "]" * 5000),
 ], ids=["brackets", "deep-fact"])
 def test_deeply_nested_cache_entry_is_a_miss(tmp_path, damage):
     rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))

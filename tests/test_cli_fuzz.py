@@ -8,7 +8,10 @@ exactly.
 
 The generator mostly draws variables that are already bound, so that most
 rule files pass validation and reach both passes; now and then it draws
-any variable, which the parser may reject with a clean exit 2.
+any variable, which the parser may reject with a clean exit 2.  A term of
+a goal or a condition sometimes holds $_, and a goal's inputs are often a
+compound holding a variable that nothing binds, which a -> message then
+shows: such a rule must fail cleanly, at load or at the goal.
 """
 
 import io
@@ -51,14 +54,16 @@ def variable(draw, bound):
 
 
 @st.composite
-def term(draw, bound, depth=0):
+def term(draw, bound, depth=0, anon=False):
+    """A term; if anon, one variable in four is $_."""
     kind = draw(st.sampled_from(["string", "var", "functor"] if depth < 2
                                 else ["string", "var"]))
     if kind == "string":
         return quoted(draw(st.sampled_from(STRINGS)))
     if kind == "var":
-        return "$" + draw(variable(bound))
-    args = draw(st.lists(term(bound, depth + 1), max_size=2))
+        return "$" + ("_" if anon and draw(st.integers(0, 3)) == 0
+                      else draw(variable(bound)))
+    args = draw(st.lists(term(bound, depth + 1, anon), max_size=2))
     return f"f({', '.join(args)})"
 
 
@@ -135,14 +140,14 @@ def rule(draw):
     conditions = ""
     # an env condition holds only under an ancestor's assignment: few of them
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        node_vars = bound - {"SourceFile", "SourceLine"}
+        node_vars = bound - {"SourceFile", "SourceLine", "_"}
         if node_vars and draw(st.booleans()):
             var = draw(variable(node_vars))
             conditions += f" & ${var} contains {draw(pattern(bound, 1))[0]}"
         else:
-            rhs = draw(term(bound | set(VARS)))
+            rhs = draw(term(bound | set(VARS), anon=True))
             conditions += f" & {draw(st.sampled_from(ENV_VARS))} = {rhs}"
-            bound |= {v for v in VARS if "$" + v in rhs}
+            bound |= {v for v in VARS + ["_"] if "$" + v in rhs}
     if draw(st.booleans()):
         actions = []
         for _ in range(draw(st.integers(1, 2))):
@@ -156,17 +161,23 @@ def rule(draw):
         body = "=> " + " & ".join(actions)
     else:
         name, modes = draw(st.sampled_from(GOALS))
+        # in half the goals, every input is one compound that holds a
+        # variable nothing binds, $F or $_, and most -> messages of those
+        # goals show it: a builtin must not take such an input as ground
+        hole = draw(st.sampled_from([None, "F", "_"]))
         # one argument in ten is given the other mode
-        args = [draw(st.sampled_from(["$A", "$B", "$O"])
-                     if (mode == "o") == bool(draw(st.integers(0, 9)))
-                     else term(bound))
+        args = [draw(st.sampled_from(["$A", "$B", "$O"]))
+                if (mode == "o") == bool(draw(st.integers(0, 9)))
+                else hole and f"f(${hole})" or draw(term(bound, anon=True))
                 for mode in modes]
         polarity = draw(st.sampled_from(["/", "->"]))
         # an if-absent ("/") message cannot read what the goal binds
         goal_vars = {v for v in ("A", "B", "O") if polarity == "->" and any(
             a == "$" + v for a in args)}
-        body = (f"? {name}({', '.join(args)}) {polarity} "
-                f"{draw(consequence(bound | goal_vars))}")
+        message = (f"<li> <${hole}> </li>" if hole and polarity == "->"
+                   and draw(st.integers(0, 3))
+                   else draw(consequence(bound | goal_vars)))
+        body = f"? {name}({', '.join(args)}) {polarity} {message}"
     return f"{skipped}{head}{conditions}\n  {body};\n", instance
 
 

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_entry
 from semlint.builtins import HttpProber, make_registry
 from semlint.dsl_parser import parse_rule_texts, parse_rules
-from semlint.engine import (DelayedTest, FactStore, UnknownPredicate,
-                            evaluate_file, merge_facts, parse_pass1,
-                            resolve_tests, serialize_pass1, solve)
+from semlint.engine import (DelayedTest, FactStore, PassOneResult,
+                            UnknownPredicate, evaluate_file, merge_facts,
+                            parse_pass1, resolve_tests, serialize_pass1,
+                            solve)
 from semlint.rule_ast import Polarity, Rule, RuleSet
 from semlint.terms import Functor, Var
-from semlint.xml_frontend import parse_xml
+from semlint.xml_frontend import SourcePos, parse_xml
 
 NO_BUILTINS = {}
 
@@ -340,7 +342,7 @@ def decode(text, rules=None):
 
 
 # the positions of an entry's fields, and of a cached test's
-FACTS, TESTS, DIAGS = 0, 1, 2
+STRINGS, FACTS, TESTS, DIAGS = 0, 1, 2, 3
 RULE, LINE, ROW = 0, 1, 2
 
 
@@ -355,16 +357,27 @@ def test_cache_round_trip_is_bit_exact():
     assert parsed.tests == result.tests
 
 
+def test_an_entry_stores_each_distinct_string_once():
+    # in order of first use: the fact's name and values, then the rows'
+    entry = json.loads(encode(ev(MINI_RULES, MINI_DOC)))
+    assert entry[STRINGS] == ["personne", "Anne", "Martin", "acacia",
+                              "Unknown", "Zoe"]
+    assert entry[FACTS] == [[0, 1, 2, 3]]
+    assert [row for _, _, row in entry[TESTS]] == [[2, 1, 3], [4, 5, 3]]
+
+
 def test_a_cached_test_is_a_value_row_in_captured_order():
     rules = mini_ruleset()
     result = ev(MINI_RULES, MINI_DOC)
-    tests = json.loads(encode(result, rules))[TESTS]
+    entry = json.loads(encode(result, rules))
+    tests = entry[TESTS]
     assert tests and len(tests) == len(result.tests)
     for (index, line, row), dt in zip(tests, result.tests):
         names = [name for name in rules.rules[index].body.captured
                  if name not in ("SourceFile", "SourceLine")]
         assert (index, line) == (dt.rule_index, dt.pos.line)
-        assert row == [dt.captured.get(name) for name in names]
+        assert [entry[STRINGS][i] for i in row] == [
+            dt.captured.get(name) for name in names]
 
 
 def test_an_unbound_name_is_null_in_its_row():
@@ -380,6 +393,76 @@ def test_an_unbound_name_is_null_in_its_row():
              if n not in ("SourceFile", "SourceLine")]
     assert test[ROW][names.index("Z")] is None
     assert decode(blob, rules).tests == result.tests
+
+
+# a differential test of the entry codec against the one it replaced
+# (legacy_entry): values repeat, and some equal a predicate or functor name
+CODEC_RULES = """\
+<a x=$X y=$Y/> => p($X) & q(f($Y), g());
+<a x=$X y=$Y/> ? q($X, $Z) / <li> <$X> <$Y> <$SourceFile> </li>;
+<b x=$X/> & e = $W ? p($X) -> <li> <$W> line <$SourceLine> </li>;
+<b x=$X/> ? p($X) -> <li> k </li>;
+"""
+NAMES = ["p", "q", "f", "g", "é"]
+VALUES = st.one_of(st.sampled_from(["", "0", "12", "-1", "1.5", "1e3", "p",
+                                    "f", "Zoë", "名前", "a\"b\\"]),
+                   st.text(max_size=4))
+TERMS = st.recursive(VALUES, lambda args: st.builds(
+    Functor, st.sampled_from(NAMES), st.lists(args, max_size=3).map(tuple)),
+    max_leaves=8)
+
+
+@st.composite
+def pass_one_results(draw):
+    rules = parse_rules(CODEC_RULES, "r.rules")
+    facts = draw(st.lists(st.builds(
+        Functor, st.sampled_from(NAMES),
+        st.lists(TERMS, max_size=3).map(tuple)), max_size=4))
+    tests = []
+    for index in draw(st.lists(st.sampled_from([1, 2, 3]), max_size=4)):
+        line = draw(st.integers(1, 50))
+        position = {"SourceFile": "doc.xml", "SourceLine": str(line)}
+        rule = rules.rules[index]
+        # a name left unbound is null in its row
+        captured = {name: position.get(name) or draw(TERMS)
+                    for name in rule.body.captured
+                    if name in position or draw(st.integers(0, 3))}
+        tests.append(DelayedTest(index, rule.body.test, captured,
+                                 SourcePos("doc.xml", line)))
+    diagnostics = draw(st.lists(VALUES, max_size=2))
+    return rules, PassOneResult(tuple(facts), tuple(tests),
+                                tuple(diagnostics))
+
+
+def _strings(result):
+    """Each string of the result's facts and captured values, names
+    included, but the position names'."""
+    stack = list(result.facts) + [
+        value for dt in result.tests for name, value in dt.captured.items()
+        if name not in ("SourceFile", "SourceLine")]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            yield t
+        else:
+            yield t.name
+            stack.extend(t.args)
+
+
+@given(pass_one_results())
+@settings(max_examples=300, deadline=None)
+def test_the_entry_codec_agrees_with_the_legacy_one(drawn):
+    rules, result = drawn
+    blob = serialize_pass1(result, rules)
+    decoded = parse_pass1(blob, "doc.xml", rules)
+    assert decoded == result
+    assert serialize_pass1(decoded, rules) == blob
+    assert decoded == legacy_entry.parse_pass1(
+        legacy_entry.serialize_pass1(result, rules), "doc.xml", rules)
+    # equal strings are one object
+    shared = {}
+    for s in _strings(decoded):
+        assert shared.setdefault(s, s) is s
 
 
 def test_cached_tests_resolve_identically():
@@ -412,6 +495,8 @@ def test_cache_rejects_every_truncation():
     result = ev(MINI_RULES, MINI_DOC)
     assert result.facts and result.tests
     blob = encode(result).rstrip()
+    # cuts fall in the string table, the facts and the tests alike
+    assert all(json.loads(blob)[:DIAGS])
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
             decode(blob[:cut])
@@ -423,12 +508,20 @@ def _mutated_entry(mutate):
     return json.dumps(entry)
 
 
+def _legacy_entry():
+    """The entry as the layout before the string table wrote it: [facts,
+    tests, diagnostics], each value written out at each use."""
+    return json.dumps(json.loads(legacy_entry.serialize_pass1(
+        ev(MINI_RULES, MINI_DOC), mini_ruleset())))
+
+
 def _earlier_layout(format):
-    """The entry as the previous layout wrote it: a dict that also held a
+    """The entry as an older layout wrote it: a dict that also held a
     format number and the input and rules digests, and a test's captured
     values by name."""
     rules = mini_ruleset()
-    facts, tests, diags = json.loads(encode(ev(MINI_RULES, MINI_DOC), rules))
+    facts, tests, diags = json.loads(legacy_entry.serialize_pass1(
+        ev(MINI_RULES, MINI_DOC), rules))
     by_name = []
     for index, line, row in tests:
         names = [n for n in rules.rules[index].body.captured
@@ -455,17 +548,42 @@ def _row_slot(entry, name):
     _mutated_entry(lambda e: e[TESTS][0].__setitem__(RULE, -1)),
     _mutated_entry(lambda e: e[TESTS][0].__setitem__(RULE, True)),
     _mutated_entry(lambda e: e[TESTS][0].__setitem__(LINE, "3")),
+    # a value written out instead of indexed
     _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
-        _row_slot(e, "P"), 7)),
+        _row_slot(e, "P"), "Anne")),
     # a row one value too long, and one too short
-    _mutated_entry(lambda e: e[TESTS][0][ROW].append("x")),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].append(0)),
     _mutated_entry(lambda e: e[TESTS][0][ROW].pop()),
-    _mutated_entry(lambda e: e[TESTS][0].__setitem__(ROW, {"P": "Zoe"})),
-    _mutated_entry(lambda e: e[FACTS].append("personne")),
+    _mutated_entry(lambda e: e[TESTS][0].__setitem__(ROW, {"P": 5})),
+    # a fact that is a string, one whose name is written out, and one with
+    # an argument that is neither an index nor a compound
+    _mutated_entry(lambda e: e[FACTS].append(0)),
     _mutated_entry(lambda e: e[FACTS].append(["personne", 1])),
+    _mutated_entry(lambda e: e[FACTS].append([0, {}])),
     _mutated_entry(lambda e: e.append([])),
     _mutated_entry(lambda e: e.pop(DIAGS)),
+    _mutated_entry(lambda e: e.pop(STRINGS)),
+    # a bad index: a bool, a float, a negative one and one out of range, in
+    # a fact's name, a fact's argument and a row
+    _mutated_entry(lambda e: e[FACTS][0].__setitem__(0, False)),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
+        _row_slot(e, "P"), True)),
+    _mutated_entry(lambda e: e[FACTS][0].__setitem__(1, 1.0)),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
+        _row_slot(e, "P"), 5.0)),
+    _mutated_entry(lambda e: e[FACTS][0].__setitem__(1, -1)),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
+        _row_slot(e, "P"), -6)),
+    _mutated_entry(lambda e: e[FACTS][0].__setitem__(
+        0, len(e[STRINGS]))),
+    _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
+        _row_slot(e, "P"), len(e[STRINGS]))),
+    # a string table that holds a non-string, and one that is not a list
+    _mutated_entry(lambda e: e[STRINGS].__setitem__(1, 1)),
+    _mutated_entry(lambda e: e[STRINGS].__setitem__(1, ["Anne"])),
+    _mutated_entry(lambda e: e.__setitem__(STRINGS, {"0": "personne"})),
     "[]",
+    _legacy_entry(),
     _earlier_layout(3),
     _earlier_layout(1),
 ])
