@@ -5,9 +5,11 @@ input, the ruleset and semlint's own modules and on the interpreter's
 major.minor, so an unchanged file is never re-evaluated and a warm run
 reproduces the cold-run report byte for byte.  As under make, an offline
 run whose rules, inputs and options are all unchanged replays the messages
-and diagnostics memoised by the last one and renders them, without loading
-the engine.  A cache dir holds one file, compressed at zlib's default
-level, read once and written at most once per run.
+and diagnostics memoised by the last one, without loading the engine: a
+message is memoised as the values of its rule's template, which a replay
+fills with record.fill, as pass 2 did.  A cache dir holds one file,
+compressed at zlib's default level, read once and written at most once
+per run.
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ from pathlib import Path
 
 from . import (DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT, FORMATS,
                MAX_URL_TIMEOUT, SemlintError)
-from .record import Message, Record, SourcePos, emit_report
+from .record import (ARG, ATTR, CONTENT, POSITION_VARS, Message, Record,
+                     SourcePos, emit_report, fill)
 
 CACHE_DIR_ENV = "SEMLINT_CACHE_DIR"
 # its lines: the key, the outcome (null after an online run), the index of
 # [path, digest of the input its entry was computed from], and one pass-1
-# entry per index row in that order.  Each input digest is stored once.
+# entry per index row in that order.  Each input digest is stored once.  The
+# outcome is [templates, messages, diagnostics]: [rule index, *template]
+# once per rule that a message uses, and a message as [file, line, rule
+# index, values, solution key], its values those of the template's names
+# but $SourceFile and $SourceLine, which are its file and line.
 PACK_NAME = "run.cache"
 # the module of each name that a run binds here on its first miss; through
 # __getattr__ (PEP 562) cli.<name> is readable and patchable before that
@@ -166,21 +173,51 @@ def _read_pack(cache_dir: str, key: list) -> tuple[list, list[bytes], list]:
     return [], [], []
 
 
-# a memoised message: file, line, rule index, html, text and solution key
-_MESSAGE_ROW = [str, int, int, str, str, str]
+def _strings(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
+
+
+def _form(form, names: list) -> bool:
+    """Whether a decoded template form holds literals and slots alone."""
+    return type(form) is list and all(
+        type(s) is str or type(s) is list and list(map(type, s)) == [int, str]
+        and 0 <= s[0] < len(names) and s[1] in (CONTENT, ATTR, ARG)
+        for s in form)
 
 
 def _read_outcome(text: bytes):
     """(messages, diagnostics) from the outcome line, or None."""
     try:
-        messages, diagnostics = json.loads(text)
-        if _rows(messages, _MESSAGE_ROW) and type(diagnostics) is list and all(
-                type(d) is str for d in diagnostics):
-            return ([Message(SourcePos(file, line), *rest)
-                     for file, line, *rest in messages], diagnostics)
-    except (ValueError, TypeError, RecursionError):
-        pass
-    return None
+        templates, rows, diagnostics = json.loads(text)
+        if not (_rows(templates, [int, list, list, list])
+                and _rows(rows, [str, int, int, list, str])
+                and _strings(diagnostics)):
+            return None
+        # rule index -> its forms, the types of a message's values, and the
+        # place of each of its position's values among them
+        by_rule = {}
+        for rule, names, html, text in templates:
+            if rule in by_rule or not (_strings(names) and _form(
+                    html, names) and _form(text, names)):
+                return None
+            places = [(i, name) for i, name in enumerate(names)
+                      if name in POSITION_VARS]
+            by_rule[rule] = (html, text, [str] * (len(names) - len(places)),
+                             places)
+        messages = []
+        for file, line, rule, values, key in rows:
+            html, text, types, places = by_rule[rule]
+            if list(map(type, values)) != types:
+                return None
+            full = values[:]
+            for i, name in places:
+                full.insert(i, file if name == "SourceFile" else str(line))
+            messages.append(Message(
+                SourcePos(file, line), rule, fill(html, full, True),
+                fill(text, full, False), key, values))
+        return messages, diagnostics
+    except (ValueError, TypeError, LookupError, RecursionError):
+        return None
 
 
 def _write_cache(path: Path, data: bytes) -> bytes:
@@ -305,9 +342,12 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
             report, messages, diagnostics = _resolve(cfg, prober, [
                 results[path] for path in inputs])
             if cfg.offline:
-                outcome = [[[m.pos.file, m.pos.line, m.rule_index, m.html,
-                             m.text, m.solution_key] for m in messages],
-                           diagnostics]
+                # each template that a message uses, once
+                templates = {m.rule_index: ruleset.rules[
+                    m.rule_index].body.test.template for m in messages}
+                outcome = [[[i, *t] for i, t in templates.items()], [
+                    [m.pos.file, m.pos.line, m.rule_index, m.values,
+                     m.solution_key] for m in messages], diagnostics]
     finally:
         # one write, also when a bad input stops the run.  The entries this
         # run did not use are carried over verbatim while their path exists;

@@ -11,14 +11,13 @@ from __future__ import annotations
 import re
 
 from . import SemlintError
-from .record import Record, SourcePos
+from .record import POSITION_VARS, Record, SourcePos
 from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
                        EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
                        Pattern, Polarity, Rule, RuleSet, Test, TestRule,
-                       consequence_vars, pattern_vars)
+                       compile_consequence, pattern_vars)
 from .terms import Functor, Term, Var, term_vars
 
-PREDEFINED_VARS = frozenset({"SourceFile", "SourceLine"})
 MAX_NESTING = 200  # the matcher and the cache recurse once per level
 
 
@@ -191,10 +190,11 @@ class _Parser:
             else:
                 raise ParseError(self.cur.pos, "expected '/' or '->' after "
                                                "test goal")
-            test = Test(polarity, goal, self.parse_consequence())
+            consequence = self.parse_consequence()
+            test = Test(polarity, goal, consequence,
+                        compile_consequence(consequence))
             body = TestRule(test, tuple(sorted({
-                *term_vars(goal), *consequence_vars(test.consequence),
-                *PREDEFINED_VARS})))
+                *term_vars(goal), *test.template[0], *POSITION_VARS})))
         else:
             raise ParseError(self.cur.pos, "expected '=>' or '?' after "
                                            "rule pattern")
@@ -304,7 +304,7 @@ class _Parser:
         return tuple(attrs)
 
     def validate(self, rule: Rule) -> None:
-        bound = set(pattern_vars(rule.pattern)) | PREDEFINED_VARS
+        bound = {*pattern_vars(rule.pattern), *POSITION_VARS}
         for cond in rule.conditions:
             if isinstance(cond, Contains):
                 if cond.var not in bound:
@@ -324,9 +324,14 @@ class _Parser:
             # which binds nothing
             if test.polarity is Polarity.IF_PRESENT:
                 bound |= set(term_vars(test.goal))
-            self.check_bound(rule, consequence_vars(test.consequence), bound)
-            # <$_> and name=$_ bind nothing, even where a term binds a $_
-            if _shows_anon(test.consequence):
+            # <$_> and name=$_ bind nothing, even where a term binds a $_:
+            # in a pattern's template, $_ is a slot that nothing fills
+            names = test.template[0]
+            anon = ANON in names and not isinstance(test.consequence,
+                                                    (Var, str, Functor))
+            self.check_bound(rule, [n for n in names if not anon or n != ANON],
+                             bound)
+            if anon:
                 self.check_bound(rule, [ANON], set())
 
     def check_bound(self, rule: Rule, names, bound: set[str]) -> None:
@@ -335,15 +340,6 @@ class _Parser:
                 raise ParseError(rule.pos,
                                  f"variable ${name} is not bound by the "
                                  f"rule's pattern or conditions")
-
-
-def _shows_anon(p: Pattern | Term) -> bool:
-    """Whether a message template holds a <$_> or a name=$_ anywhere."""
-    if isinstance(p, PAnon):
-        return True
-    return isinstance(p, (PElem, PEmptyElem)) and (
-        any(a.value is None for a in p.attrs)
-        or isinstance(p, PElem) and any(map(_shows_anon, p.children)))
 
 
 def parse_rule_texts(pairs: list[tuple[str, str]]) -> RuleSet:

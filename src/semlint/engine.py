@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from . import SemlintError, reporting, terms
 from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
                       match_node, resolve, string_projection, unify)
-from .record import Record
+from .record import POSITION_VARS, Record
 from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
                        PEmptyElem, Polarity, PText, PVar, Rule, RuleSet, Test,
                        TestRule)
@@ -358,21 +358,21 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
         # of a message unbound, so rendering cannot fail
         if dt.test.polarity is Polarity.IF_ABSENT:
             if not solutions:
-                html, text = reporting.render_consequence(
-                    dt.test.consequence, dt.captured)
+                html, text, values = reporting.render_consequence(
+                    dt.test.template, dt.captured)
                 messages.append(reporting.Message(
-                    dt.pos, dt.rule_index, html, text, ""))
+                    dt.pos, dt.rule_index, html, text, "", values))
         else:
             # per html, the smallest key: the order of facts never shows
-            best: dict[str, tuple[str, str]] = {}
+            best: dict[str, tuple[str, str, list]] = {}
             for sol in solutions:
-                html, text = reporting.render_consequence(
-                    dt.test.consequence, sol)
-                found = (_solution_key(sol, dt.captured), text)
+                html, text, values = reporting.render_consequence(
+                    dt.test.template, sol)
+                found = (_solution_key(sol, dt.captured), text, values)
                 best[html] = min(best.get(html, found), found)
-            for html, (key, text) in best.items():
+            for html, (key, text, values) in best.items():
                 messages.append(reporting.Message(
-                    dt.pos, dt.rule_index, html, text, key))
+                    dt.pos, dt.rule_index, html, text, key, values))
     return messages, diagnostics
 
 
@@ -396,9 +396,6 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 # $SourceLine: always the input path and the test's line, so an entry does
 # not depend on the path.  Diagnostics are plain strings.
 
-_POSITION_VARS = ("SourceFile", "SourceLine")
-
-
 def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
     table: dict[str, int] = {}
 
@@ -414,7 +411,7 @@ def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
     tests = [[dt.rule_index, dt.pos.line, [
         encode(dt.captured[name]) if name in dt.captured else None
         for name in rules.rules[dt.rule_index].body.captured
-        if name not in _POSITION_VARS]] for dt in result.tests]
+        if name not in POSITION_VARS]] for dt in result.tests]
     return json.dumps([list(table), facts, tests, list(result.diagnostics)],
                       separators=(",", ":"))
 
@@ -438,7 +435,8 @@ def parse_pass1(text: str, source_file: str, rules: RuleSet) -> PassOneResult:
 
     facts = tuple(decode(_typed(item, list))
                   for item in _typed(facts_doc, list))
-    tests = tuple(_test_from_json(item, source_file, rules, decode)
+    layouts: dict[int, tuple] = {}  # worked out once per rule
+    tests = tuple(_test_from_json(item, source_file, rules, decode, layouts)
                   for item in _typed(tests_doc, list))
     diagnostics = tuple(_typed(d, str) for d in _typed(diags_doc, list))
     return PassOneResult(facts, tests, diagnostics)
@@ -452,21 +450,26 @@ def _typed(value, kind: type):
 
 
 def _test_from_json(item, source_file: str, rules: RuleSet,
-                    decode: Callable[[object], Term]) -> DelayedTest:
+                    decode: Callable[[object], Term],
+                    layouts: dict[int, tuple]) -> DelayedTest:
     if type(item) is not list or len(item) != 3:
         raise ValueError(f"bad cached test {item!r}")
     index, line, row = (_typed(item[0], int), _typed(item[1], int),
                         _typed(item[2], list))
-    rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
-    if rule is None or not isinstance(rule.body, TestRule):
-        raise ValueError(f"cached test names rule {index}, not a test rule")
-    position = {"SourceFile": source_file, "SourceLine": str(line)}
-    names = [name for name in rule.body.captured if name not in position]
+    if index not in layouts:
+        rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
+        if rule is None or not isinstance(rule.body, TestRule):
+            raise ValueError(f"cached test names rule {index}, not a test "
+                             f"rule")
+        names = rule.body.captured  # a row's, then the position's
+        layouts[index] = (rule.body.test,
+                          [n for n in names if n not in POSITION_VARS],
+                          [n for n in names if n in POSITION_VARS])
+    test, names, positions = layouts[index]
     if len(row) != len(names):
         raise ValueError(f"cached test row {row!r} does not fit rule {index}")
     captured = {name: decode(value)
                 for name, value in zip(names, row) if value is not None}
-    captured.update((name, position[name]) for name in rule.body.captured
-                    if name in position)
-    return DelayedTest(index, rule.body.test, captured,
-                       SourcePos(source_file, line))
+    for name in positions:
+        captured[name] = source_file if name == "SourceFile" else str(line)
+    return DelayedTest(index, test, captured, SourcePos(source_file, line))

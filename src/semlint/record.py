@@ -8,8 +8,8 @@ lists its fields, in order, in ``__slots__`` and stores them in its own
 ``__init__``; this base gives it a dataclass's equality and repr, and a
 hash if it is declared ``frozen``.  Records are never changed after
 construction, frozen or not: that is a convention, not enforced.
-SourcePos, Message and emit_report are here so that a run replaying its
-memo renders the report without loading the parser or the engine.
+SourcePos, Message, fill and emit_report are here so that a run replaying
+its memo renders the report without loading the parser or the engine.
 """
 
 from __future__ import annotations
@@ -53,19 +53,26 @@ class SourcePos(Record, frozen=True):
 
 
 class Message(Record, frozen=True):
-    __slots__ = ("pos", "rule_index", "html", "text", "solution_key")
+    __slots__ = ("pos", "rule_index", "html", "text", "solution_key",
+                 "values")
 
     def __init__(self, pos: SourcePos, rule_index: int, html: str, text: str,
-                 solution_key: str):
+                 solution_key: str, values=()):
         self.pos = pos
         self.rule_index = rule_index
         self.html = html
         self.text = text
         self.solution_key = solution_key
+        self.values = values
 
     def sort_key(self):
         return (self.pos.file, self.pos.line, self.rule_index,
                 self.solution_key, self.html)
+
+
+# values, those of its template's slots but the position's, are left out:
+# values that differ in whitespace alone fill one message
+Message._key = attrgetter("__class__", *Message.__slots__[:-1])
 
 
 def escape(s: str, quote: bool = True) -> str:
@@ -73,6 +80,42 @@ def escape(s: str, quote: bool = True) -> str:
     s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     if quote:
         s = s.replace('"', "&quot;").replace("'", "&#x27;")
+    return s
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
+def quote_string(s: str) -> str:
+    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
+
+
+# the variables of a message's position, and the kinds of a template slot:
+# element content, an attribute value (html only) and a term argument
+POSITION_VARS = ("SourceFile", "SourceLine")
+CONTENT, ATTR, ARG = "c", "a", "t"
+
+
+def fill(form, values: list[str], html: bool) -> str:
+    """One form of a template (rule_ast.compile_consequence) with values[i]
+    in each slot of names[i]; a form with a content or attribute slot, a
+    pattern's, is whitespace-normalized."""
+    parts, spaced = [], False
+    for segment in form:
+        if segment.__class__ is not str:
+            index, kind = segment
+            value = values[index]
+            if kind == ARG:
+                value = quote_string(value)
+            spaced = spaced or kind != ARG
+            segment = escape(value, kind == ATTR) if html else value
+        parts.append(segment)
+    s = "".join(parts)
+    # its literals are normalized already, and a printable string holds no
+    # whitespace but " ": most forms need no split
+    if spaced and not (s.isprintable() and "  " not in s
+                       and s[:1] != " " != s[-1:]):
+        s = " ".join(s.split())
     return s
 
 

@@ -1,20 +1,19 @@
 """Message rendering; the report is assembled by emit_report in record.
 
-Templates are the consequence patterns written in the rule file.  Rendering
-substitutes the string projection of bound variables, entity-escaping them
-in the HTML form only, and normalizes whitespace so that pretty-printed
-templates produce stable one-line messages.
+Each test rule's consequence is compiled once, when the rule is loaded,
+into a template of merged, pre-escaped literals and variable slots.
+Rendering fills the slots with the string projections of the variables'
+bindings, entity-escaped in the HTML form only, and normalizes whitespace
+so that pretty-printed templates produce stable one-line messages.  A
+replay fills the same templates, stored in the cache, from the values
+memoised with each message, through the same record.fill.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 from . import FORMATS
-from .matcher import Bindings, normalize_ws, string_projection
-from .record import Message, emit_report, escape
-from .rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
-from .terms import Functor, Term, Var, term_to_text
+from .matcher import Bindings, string_projection
+from .record import POSITION_VARS, Message, emit_report, fill
 
 # re-exported: a replay renders its report through record alone
 __all__ = ["FORMATS", "Message", "UnboundInConsequence", "emit_report",
@@ -27,53 +26,16 @@ class UnboundInConsequence(Exception):
         self.var = var
 
 
-def render_consequence(c: Union[Pattern, Term],
-                       b: Bindings) -> tuple[str, str]:
-    """Render a test consequence into (html, text) forms."""
-    if isinstance(c, (Var, str, Functor)):
-        text = term_to_text(_subst_term(c, b))
-        return escape(text, quote=False), text
-    html, text = _render_pattern(c, b)
-    return normalize_ws(html), normalize_ws(text)
-
-
-def _subst_term(t: Term, b: Bindings) -> Term:
-    if isinstance(t, Var):
-        value = b.get(t.name)
+def render_consequence(template: tuple, b: Bindings) -> tuple[str, str, list]:
+    """(html, text) of a test's template (rule_ast.compile_consequence)
+    filled with the string projections of its names' bindings, and the
+    values of the names but the position's."""
+    names, html, text = template
+    values = []
+    for name in names:
+        value = b.get(name)
         if value is None:
-            raise UnboundInConsequence(t.name)
-        return string_projection(value)
-    if isinstance(t, Functor):
-        return Functor(t.name, tuple(_subst_term(a, b) for a in t.args))
-    return t
-
-
-def _render_pattern(p: Pattern, b: Bindings) -> tuple[str, str]:
-    if isinstance(p, PText):
-        return p.content, p.content
-    if isinstance(p, PVar):
-        value = b.get(p.name)
-        if value is None:
-            raise UnboundInConsequence(p.name)
-        projection = string_projection(value)
-        return escape(projection, quote=False), projection
-    if isinstance(p, PAnon):
-        raise UnboundInConsequence("_")
-    attrs = "".join(f' {a.name}="{_attr_value(a, b)}"' for a in p.attrs)
-    if isinstance(p, PEmptyElem):
-        return f"<{p.name}{attrs}/>", ""
-    parts = [_render_pattern(c, b) for c in p.children]
-    inner_html = " ".join(h for h, _ in parts)
-    inner_text = " ".join(t for _, t in parts)
-    return f"<{p.name}{attrs}> {inner_html} </{p.name}>", inner_text
-
-
-def _attr_value(a, b: Bindings) -> str:
-    if a.value is None:
-        raise UnboundInConsequence("_")
-    if isinstance(a.value, str):
-        return escape(a.value, quote=True)
-    value = b.get(a.value.name)
-    if value is None:
-        raise UnboundInConsequence(a.value.name)
-    return escape(string_projection(value), quote=True)
+            raise UnboundInConsequence(name)
+        values.append(string_projection(value))
+    return fill(html, values, True), fill(text, values, False), [
+        v for name, v in zip(names, values) if name not in POSITION_VARS]

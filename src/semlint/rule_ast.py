@@ -7,11 +7,14 @@ environment actions (assignments / fact assertions) or a delayed test.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
+from itertools import groupby
 from typing import Iterator, Union
 
-from .record import Record, SourcePos
-from .terms import Functor, Term, Var, term_vars
+from .record import (ARG, ATTR, CONTENT, Record, SourcePos, escape,
+                     quote_string)
+from .terms import Functor, Term, Var
 
 ANON = "_"
 
@@ -108,13 +111,15 @@ class Polarity(Enum):
 
 class Test(Record, frozen=True):
     __test__ = False
-    __slots__ = ("polarity", "goal", "consequence")
+    __slots__ = ("polarity", "goal", "consequence", "template")
 
     def __init__(self, polarity: Polarity, goal: Functor,
-                 consequence: Union[Pattern, Term]):
+                 consequence: Union[Pattern, Term], template: tuple):
         self.polarity = polarity
         self.goal = goal
         self.consequence = consequence
+        # compile_consequence(consequence), made once when the rule is loaded
+        self.template = template
 
 
 class EnvRule(Record, frozen=True):
@@ -169,8 +174,56 @@ def pattern_vars(p: Pattern) -> Iterator[str]:
                 yield from pattern_vars(c)
 
 
-def consequence_vars(c: Union[Pattern, Term]) -> Iterator[str]:
-    if isinstance(c, (PElem, PEmptyElem, PVar, PAnon, PText)):
-        yield from pattern_vars(c)
-    else:
-        yield from term_vars(c)
+def compile_consequence(c: Union[Pattern, Term]) -> tuple:
+    """A test's message template (names, html, text).  A term renders as
+    its term text, escaped in html; a pattern with its elements in html
+    only, children joined by spaces, and its whitespace normalized.  A form
+    is a tuple of merged literals and (index into names, kind) slots; names
+    are in order of first use."""
+    def pieces(p) -> Iterator[tuple]:
+        """(html, text) pairs, a slot as (name, kind)."""
+        if isinstance(p, (Var, PVar, PAnon)):  # <$_>: a slot nothing binds
+            yield ((getattr(p, "name", ANON),
+                    ARG if isinstance(p, Var) else CONTENT),) * 2
+        elif isinstance(p, str):
+            yield escape(quote_string(p), False), quote_string(p)
+        elif isinstance(p, Functor):
+            yield escape(p.name, False) + "(", p.name + "("
+            for i, arg in enumerate(p.args):
+                yield ("," if i else "",) * 2
+                yield from pieces(arg)
+            yield ")", ")"
+        elif isinstance(p, PText):
+            yield p.content, p.content
+        else:
+            yield f"<{p.name}", ""
+            for a in p.attrs:
+                yield f' {a.name}="', ""
+                yield (escape(a.value) if isinstance(a.value, str) else (
+                    getattr(a.value, "name", ANON), ATTR)), ""
+                yield '"', ""
+            yield "/>" if isinstance(p, PEmptyElem) else ">", ""
+            for child in getattr(p, "children", ()):
+                yield " ", " "
+                yield from pieces(child)
+            yield (f" </{p.name}>" if isinstance(p, PElem) else ""), ""
+
+    pairs = list(pieces(c))
+    names = list(dict.fromkeys(h[0] for h, _ in pairs if type(h) is tuple))
+    forms, pattern = [], not isinstance(c, (Var, str, Functor))
+    for form_pieces in zip(*pairs):
+        form: list = []
+        for literal, run in groupby(form_pieces, lambda p: type(p) is str):
+            form += ["".join(run)] if literal else [
+                (names.index(name), kind) for name, kind in run]
+        # a pattern's literals, normalized as far as they can be before a
+        # fill: all of a form without slots, which fill leaves as it is
+        if pattern:
+            form = [re.sub(r"\s+", " ", s) if type(s) is str else s
+                    for s in form]
+            if type(form[0]) is str:
+                form[0] = form[0].lstrip()
+            if type(form[-1]) is str:
+                form[-1] = form[-1].rstrip()
+        forms.append(tuple(s for s in form if s != ""))
+    return tuple(names), *forms

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .record import Record
+from .record import Record, quote_string
 
 
 class Var(Record, frozen=True):
@@ -44,13 +44,6 @@ def term_vars(t: Term) -> Iterator[str]:
     elif isinstance(t, Functor):
         for a in t.args:
             yield from term_vars(a)
-
-
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def quote_string(s: str) -> str:
-    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
 
 
 def term_to_text(t: Term) -> str:

@@ -6,7 +6,16 @@ any level reads.  Its lines are:
   and bytes), [major, minor] of the interpreter, [[rule file, digest of its
   text], ...], --format, --normalize-names, inputs]; a pack whose first
   three fields differ is a miss as a whole, entries included;
-- OUTCOME: [messages, diagnostics], or null after an online run;
+- OUTCOME: [templates, messages, diagnostics], or null after an online
+  run.  templates holds, once each, [rule index, names, html, text] for
+  each rule that a message uses: its consequence compiled when the rule
+  was loaded (rule_ast.compile_consequence).  A form, html or text, is a
+  list of literals and [index into names, kind] slots; a kind is "c"
+  (element content), "a" (attribute value) or "t" (term argument).  A
+  message is [file, line, rule index, values, solution key]: values holds
+  the value of each name of its template in order, but $SourceFile and
+  $SourceLine, which are its file and line.  No message is stored as
+  html or text;
 - INDEX: [[path, digest of the input its entry was computed from], ...],
   the only copy of each input digest;
 - one pass-1 entry, [strings, facts, tests, diagnostics], per index row in
@@ -23,6 +32,11 @@ from pathlib import Path
 from semlint.cli import PACK_NAME
 
 KEY, OUTCOME, INDEX = 0, 1, 2
+# the fields of an outcome, of one of its templates and of one of its
+# messages
+TEMPLATES, MESSAGES, DIAGNOSTICS = 0, 1, 2
+NAMES, HTML, TEXT = 1, 2, 3
+FILE, LINE, RULE, VALUES, SOLUTION_KEY = 0, 1, 2, 3, 4
 # the fields of an entry
 STRINGS, FACTS, TESTS, DIAGS = 0, 1, 2, 3
 

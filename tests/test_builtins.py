@@ -11,7 +11,7 @@ from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
                               UrlProbeResult, _iri_to_uri, make_registry,
                               probe_answers, strip_accents, urls_to_probe)
 from semlint.engine import DelayedTest, FactStore
-from semlint.rule_ast import Polarity, Test
+from semlint.rule_ast import Polarity, Test, compile_consequence
 from semlint.terms import Functor, Var
 from semlint.xml_frontend import SourcePos, parse_xml
 from stub_prober import StubProber
@@ -189,8 +189,8 @@ def test_testurl_offline_mode_never_probes():
 
 def test_urls_to_probe_projects_bound_url_arguments():
     def delayed(goal, captured):
-        return DelayedTest(0, Test(Polarity.IF_PRESENT, goal, "m"), captured,
-                           SourcePos("f.xml", 1))
+        test = Test(Polarity.IF_PRESENT, goal, "m", compile_consequence("m"))
+        return DelayedTest(0, test, captured, SourcePos("f.xml", 1))
     node = parse_xml(b"<u> http://x/n </u>", "f.xml")
     tests = [
         delayed(Functor("testurl", ("http://x/s", Var("A"), Var("B"))), {}),

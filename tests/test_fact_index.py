@@ -25,7 +25,7 @@ from semlint.cli import RunConfig, execute
 from semlint.engine import (DelayedTest, FactStore, UnknownPredicate,
                             merge_facts, resolve_tests, solve)
 from semlint.matcher import resolve, unify
-from semlint.rule_ast import Polarity, Test
+from semlint.rule_ast import Polarity, Test, compile_consequence
 from semlint.terms import Functor, Var, is_ground
 from semlint.xml_frontend import SourcePos
 from stub_prober import StubProber
@@ -256,7 +256,8 @@ def goal_tests(n):
         Functor("member", (Var("M"),)),
     ]
     return [DelayedTest(i, Test(Polarity.IF_ABSENT, goals[i % len(goals)],
-                                "warn"), B0, SourcePos("f.xml", i + 1))
+                                "warn", compile_consequence("warn")), B0,
+                        SourcePos("f.xml", i + 1))
             for i in range(n)]
 
 

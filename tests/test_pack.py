@@ -24,6 +24,7 @@ import pytest
 
 from semlint import cli
 from semlint.cli import PACK_NAME, RunConfig, execute, run
+from semlint.dsl_parser import parse_rules
 from semlint.xml_frontend import MalformedXml
 
 import cache_pack
@@ -151,6 +152,78 @@ def test_an_outcome_that_does_not_decode_is_a_miss(tmp_path, monkeypatch):
     assert len(solved) == 1 and outcome(again) == outcome(first)
 
 
+def damaged_outcome(doc, how: str) -> None:
+    """Damage a decoded outcome in place; its one template is rule 1's,
+    whose names are N, SourceLine and SourceFile."""
+    templates, messages, _ = doc
+    (rule, names, html, text), message = templates[0], messages[0]
+    slot = next(i for i, s in enumerate(html) if type(s) is list)
+    if how == "templates-not-a-list":
+        doc[cache_pack.TEMPLATES] = {str(rule): [names, html, text]}
+    elif how == "form-not-a-list":
+        templates[0][cache_pack.HTML] = "".join(s for s in html
+                                                if type(s) is str)
+    elif how == "segment-not-a-slot":
+        html[slot] = [html[slot][0]]
+    elif how == "slot-index-a-bool":
+        html[slot][0] = bool(html[slot][0])
+    elif how == "slot-index-out-of-range":
+        html[slot][0] = len(names)
+    elif how == "slot-of-no-kind":
+        html[slot][1] = "x"
+    elif how == "name-not-a-string":
+        names[0] = 1
+    elif how == "template-twice":
+        templates.append(templates[0])
+    elif how == "template-rule-a-bool":
+        templates[0][0] = True
+    elif how == "message-of-a-rule-with-no-template":
+        message[cache_pack.RULE] = 0
+    elif how == "message-rule-a-bool":
+        message[cache_pack.RULE] = True
+    elif how == "line-a-bool":
+        message[cache_pack.LINE] = True
+    elif how == "values-too-short":
+        message[cache_pack.VALUES] = []
+    elif how == "values-too-long":
+        message[cache_pack.VALUES].append("x")
+    elif how == "value-not-a-string":
+        message[cache_pack.VALUES] = [7]
+    else:
+        raise AssertionError(how)
+
+
+# a damaged memo is a miss as a whole: the outcome is computed again, as a
+# cold run computes it
+@pytest.mark.parametrize("how", [
+    "templates-not-a-list", "form-not-a-list", "segment-not-a-slot",
+    "slot-index-a-bool", "slot-index-out-of-range", "slot-of-no-kind",
+    "name-not-a-string", "template-twice", "template-rule-a-bool",
+    "message-of-a-rule-with-no-template", "message-rule-a-bool",
+    "line-a-bool", "values-too-short", "values-too-long",
+    "value-not-a-string"])
+def test_a_damaged_memo_is_a_miss(tmp_path, monkeypatch, how):
+    rules, inputs = write_corpus(tmp_path, n_files=3, unknown_in=(0, 2))
+    cfg = config(tmp_path, rules, inputs, format="machine")
+    first = execute(cfg)
+    cache = tmp_path / "cache"
+    doc = json.loads(cache_pack.read_lines(cache)[cache_pack.OUTCOME])
+    assert [row[0] for row in doc[cache_pack.TEMPLATES]] == [1]
+    damaged_outcome(doc, how)
+    cache_pack.set_line(cache, cache_pack.OUTCOME, json.dumps(doc))
+    decoded = []
+    read_outcome = cli._read_outcome
+    monkeypatch.setattr(cli, "_read_outcome",
+                        lambda text: decoded.append(read_outcome(text))
+                        or decoded[-1])
+    solved = count_pass2(monkeypatch)
+    again = execute(cfg)
+    assert decoded == [None] and len(solved) == 1
+    assert again.evaluated == [] and again.cached == inputs
+    assert outcome(again) == outcome(first) == cold(tmp_path, rules, inputs,
+                                                   format="machine")
+
+
 def test_files_of_the_earlier_layout_are_ignored_and_kept(tmp_path):
     rules, inputs = write_corpus(tmp_path, n_files=2)
     cache = tmp_path / "cache"
@@ -199,11 +272,20 @@ def test_each_input_digest_is_stored_once(tmp_path):
         [p, d] for p, d in zip(inputs, digests)]
     for digest in digests:
         assert data.count(digest) == 1
-    # the outcome is [messages, diagnostics] and holds no report
+    # the outcome is [templates, messages, diagnostics] and holds no report:
+    # the template of each rule that a message uses, once, and each message
+    # as the values of its rule's slots but $SourceFile and $SourceLine,
+    # which are its position
     lines = data.split("\n")
-    messages, diagnostics = json.loads(lines[cache_pack.OUTCOME])
-    assert messages == [[m.pos.file, m.pos.line, m.rule_index, m.html,
-                         m.text, m.solution_key] for m in first.messages]
+    templates, messages, diagnostics = json.loads(lines[cache_pack.OUTCOME])
+    template = parse_rules(Path(rules).read_text(encoding="utf-8"),
+                           rules).rules[1].body.test.template
+    assert template[0] == ("N", "SourceLine", "SourceFile")
+    assert templates == json.loads(json.dumps([[1, *template]]))
+    assert len(first.messages) == 3  # team0.xml is checked twice
+    assert messages == [[m.pos.file, m.pos.line, 1, ["ghost"],
+                         m.solution_key] for m in first.messages]
+    assert not any(m.text in data or m.html in data for m in first.messages)
     assert diagnostics == first.diagnostics
     assert len(lines) == cache_pack.INDEX + 1 + len(inputs)
 

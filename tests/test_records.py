@@ -27,7 +27,8 @@ from semlint.xml_frontend import Element, Projection, SourcePos, Text
 from test_rule_index import trees
 
 # class, frozen, fields; a field with a default is (name, default), and a
-# default of `list` is a fresh list per instance
+# default of `list` is a fresh list per instance; (name, default, "not
+# compared") is a field that equality and the hash leave out
 RECORDS = [
     (Var, True, ["name"]),
     (Functor, True, ["name", ("args", ())]),
@@ -45,7 +46,7 @@ RECORDS = [
     (Contains, True, ["var", "pattern"]),
     (Assign, True, ["env_var", "value"]),
     (Assert, True, ["fact"]),
-    (Test, True, ["polarity", "goal", "consequence"]),
+    (Test, True, ["polarity", "goal", "consequence", "template"]),
     (EnvRule, True, ["actions"]),
     (TestRule, True, ["test", "captured"]),
     (Rule, True, ["index", "pattern", "conditions", "body", "skipped",
@@ -53,7 +54,8 @@ RECORDS = [
     (RuleSet, True, ["rules"]),
     (DelayedTest, True, ["rule_index", "test", "captured", "pos"]),
     (PassOneResult, True, ["facts", "tests", "diagnostics"]),
-    (Message, True, ["pos", "rule_index", "html", "text", "solution_key"]),
+    (Message, True, ["pos", "rule_index", "html", "text", "solution_key",
+                     ("values", (), "not compared")]),
     (Token, True, ["kind", "lexeme", "pos"]),
     (UrlProbeResult, True, ["url", "kind", ("status", None),
                             ("detail", "")]),
@@ -77,7 +79,8 @@ def make_twin(cls, frozen, fields):
             specs.append((field[0], object,
                           dataclasses.field(default_factory=list)))
         else:
-            specs.append((field[0], object, field[1]))
+            specs.append((field[0], object, dataclasses.field(
+                default=field[1], compare=len(field) == 2)))
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=frozen)
 
 
