@@ -250,9 +250,10 @@ def _read_rules(cfg: RunConfig) -> list[tuple[str, str]]:
     return pairs
 
 
-def _load_ruleset(cfg: RunConfig, pairs=None):
+def _load_ruleset(pairs: list[tuple[str, str]]):
+    """The ruleset of the rule texts that the cache key digested."""
     _load_engine()
-    return parse_rule_texts(pairs or _read_rules(cfg))
+    return parse_rule_texts(pairs)
 
 
 def _resolve(cfg: RunConfig, prober, ordered: list):
@@ -286,7 +287,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
     key += [cfg.format, cfg.normalize_names]
     replay = cfg.offline and old[:5] == key
     # the rules of a memo were parsed when it was written; parse them on a miss
-    ruleset = None if replay else _load_ruleset(cfg, rules)
+    ruleset = None if replay else _load_ruleset(rules)
     inputs = expand_inputs(cfg.inputs)
     key.append(inputs)
     replay = replay and old == key
@@ -311,7 +312,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
                 continue
             replay = False
             if entries is None:
-                ruleset = ruleset or _load_ruleset(cfg, rules)
+                ruleset = ruleset or _load_ruleset(rules)
                 # a miss builds only the nodes that the rules can observe
                 projected = projection(ruleset)
                 # path -> (digest of the input it was computed from, entry)

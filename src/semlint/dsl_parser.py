@@ -36,12 +36,9 @@ class ParseError(SemlintError):
 
 
 class Token(Record, frozen=True):
-    __slots__ = ("kind", "lexeme", "pos")
-
-    def __init__(self, kind: str, lexeme: str, pos: SourcePos):
-        self.kind = kind    # punctuation lexeme, or NAME / STRING / TEXT / EOF
-        self.lexeme = lexeme
-        self.pos = pos
+    __slots__ = (
+        "kind",  # punctuation lexeme, or NAME / STRING / TEXT / EOF
+        "lexeme", "pos")
 
 
 def _is_name_rest(c: str) -> bool:

@@ -23,7 +23,7 @@ from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
                       match_node, resolve, string_projection, unify)
 from .record import POSITION_VARS, Record
 from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
-                       PEmptyElem, Polarity, PText, PVar, Rule, RuleSet, Test,
+                       PEmptyElem, Polarity, PText, PVar, Rule, RuleSet,
                        TestRule)
 from .terms import Functor, Term, Var, is_ground
 from .xml_frontend import (KEEP, SKIP, WHOLE, Element, Projection, SourcePos,
@@ -56,25 +56,14 @@ BuiltinRegistry = dict[tuple[str, int], BuiltinFn]
 
 
 class DelayedTest(Record, frozen=True):
-    __slots__ = ("rule_index", "test", "captured", "pos")
-
-    def __init__(self, rule_index: int, test: Test, captured: Bindings,
-                 pos: SourcePos):
-        self.rule_index = rule_index
+    __slots__ = (
+        "rule_index",
         # the rule's own Test record: its goal, polarity and template
-        self.test = test
-        self.captured = captured
-        self.pos = pos
+        "test", "captured", "pos")
 
 
 class PassOneResult(Record, frozen=True):
     __slots__ = ("facts", "tests", "diagnostics")
-
-    def __init__(self, facts: tuple[Functor, ...],
-                 tests: tuple[DelayedTest, ...], diagnostics: tuple[str, ...]):
-        self.facts = facts
-        self.tests = tests
-        self.diagnostics = diagnostics
 
 
 def evaluate_file(doc: XmlNode, rules: RuleSet, file: str) -> PassOneResult:

@@ -4,10 +4,11 @@ The value classes used to be ``@dataclass`` classes.  Building them and
 importing ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) cost
 35-45 ms of every start-up on a 2-core VM with Python 3.11: most of what
 a warm check of a cached corpus spent in semlint.  A Record subclass
-lists its fields, in order, in ``__slots__`` and stores them in its own
-``__init__``; this base gives it a dataclass's equality and repr, and a
-hash if it is declared ``frozen``.  Records are never changed after
-construction, frozen or not: that is a convention, not enforced.
+lists its fields, in order, in ``__slots__``; this base gives it a
+dataclass's equality and repr, a hash if it is declared ``frozen``, and,
+unless it writes its own, an ``__init__`` that takes its fields in that
+order.  Records are never changed after construction, frozen or not:
+that is a convention, not enforced.
 SourcePos, Message, fill and emit_report are here so that a run replaying
 its memo renders the report without loading the parser or the engine.
 """
@@ -29,6 +30,8 @@ class Record:
         cls._key = attrgetter("__class__", *cls.__slots__)
         if frozen:
             cls.__hash__ = Record._hash
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _make_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -44,12 +47,21 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _make_init(cls):
+    """__init__(self, <the slots in order>), compiled once per class: it
+    costs a call what a written one does, where a setattr loop costs about
+    three times as much."""
+    fields = cls.__slots__
+    body = "".join(f"\n    self.{f} = {f}" for f in fields) or "\n    pass"
+    namespace = {}
+    exec(f"def __init__({', '.join(('self', *fields))}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class SourcePos(Record, frozen=True):
     __slots__ = ("file", "line")
-
-    def __init__(self, file: str, line: int):
-        self.file = file
-        self.line = line
 
 
 class Message(Record, frozen=True):
@@ -83,11 +95,9 @@ def escape(s: str, quote: bool = True) -> str:
     return s
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
 def quote_string(s: str) -> str:
-    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
+    s = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return '"' + s.replace("\t", "\\t").replace("\r", "\\r") + '"'
 
 
 # the variables of a message's position, and the kinds of a template slot:

@@ -12,45 +12,29 @@ from enum import Enum
 from itertools import groupby
 from typing import Iterator, Union
 
-from .record import (ARG, ATTR, CONTENT, Record, SourcePos, escape,
-                     quote_string)
+from .record import ARG, ATTR, CONTENT, Record, escape, quote_string
 from .terms import Functor, Term, Var
 
 ANON = "_"
 
 
 class AttrPattern(Record, frozen=True):
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: Union[str, Var, None]):
-        self.name = name
+    __slots__ = (
+        "name",
         # str (exact match), Var (bind/check) or None for $_ (presence only)
-        self.value = value
+        "value")
 
 
 class PElem(Record, frozen=True):
     __slots__ = ("name", "attrs", "children")
 
-    def __init__(self, name: str, attrs: tuple[AttrPattern, ...],
-                 children: tuple["Pattern", ...]):
-        self.name = name
-        self.attrs = attrs
-        self.children = children
-
 
 class PEmptyElem(Record, frozen=True):
     __slots__ = ("name", "attrs")
 
-    def __init__(self, name: str, attrs: tuple[AttrPattern, ...]):
-        self.name = name
-        self.attrs = attrs
-
 
 class PVar(Record, frozen=True):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
 
 
 class PAnon(Record, frozen=True):
@@ -60,9 +44,6 @@ class PAnon(Record, frozen=True):
 class PText(Record, frozen=True):
     __slots__ = ("content",)
 
-    def __init__(self, content: str):
-        self.content = content
-
 
 Pattern = Union[PElem, PEmptyElem, PVar, PAnon, PText]
 
@@ -70,17 +51,9 @@ Pattern = Union[PElem, PEmptyElem, PVar, PAnon, PText]
 class Eq(Record, frozen=True):
     __slots__ = ("env_var", "rhs")
 
-    def __init__(self, env_var: str, rhs: Term):
-        self.env_var = env_var
-        self.rhs = rhs
-
 
 class Contains(Record, frozen=True):
     __slots__ = ("var", "pattern")
-
-    def __init__(self, var: str, pattern: Pattern):
-        self.var = var
-        self.pattern = pattern
 
 
 Condition = Union[Eq, Contains]
@@ -89,16 +62,9 @@ Condition = Union[Eq, Contains]
 class Assign(Record, frozen=True):
     __slots__ = ("env_var", "value")
 
-    def __init__(self, env_var: str, value: Term):
-        self.env_var = env_var
-        self.value = value
-
 
 class Assert(Record, frozen=True):
     __slots__ = ("fact",)
-
-    def __init__(self, fact: Functor):
-        self.fact = fact
 
 
 Action = Union[Assign, Assert]
@@ -111,54 +77,30 @@ class Polarity(Enum):
 
 class Test(Record, frozen=True):
     __test__ = False
-    __slots__ = ("polarity", "goal", "consequence", "template")
-
-    def __init__(self, polarity: Polarity, goal: Functor,
-                 consequence: Union[Pattern, Term], template: tuple):
-        self.polarity = polarity
-        self.goal = goal
-        self.consequence = consequence
+    __slots__ = (
+        "polarity", "goal", "consequence",
         # compile_consequence(consequence), made once when the rule is loaded
-        self.template = template
+        "template")
 
 
 class EnvRule(Record, frozen=True):
     __slots__ = ("actions",)
 
-    def __init__(self, actions: tuple[Action, ...]):
-        self.actions = actions
-
 
 class TestRule(Record, frozen=True):
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("test", "captured")
-
-    def __init__(self, test: Test, captured: tuple[str, ...]):
-        self.test = test
+    __slots__ = (
+        "test",
         # the sorted names that a delayed test of this rule captures
-        self.captured = captured
+        "captured")
 
 
 class Rule(Record, frozen=True):
     __slots__ = ("index", "pattern", "conditions", "body", "skipped", "pos")
 
-    def __init__(self, index: int, pattern: Pattern,
-                 conditions: tuple[Condition, ...],
-                 body: Union[EnvRule, TestRule], skipped: bool,
-                 pos: SourcePos):
-        self.index = index
-        self.pattern = pattern
-        self.conditions = conditions
-        self.body = body
-        self.skipped = skipped
-        self.pos = pos
-
 
 class RuleSet(Record, frozen=True):
     __slots__ = ("rules",)
-
-    def __init__(self, rules: tuple[Rule, ...]):
-        self.rules = rules
 
 
 def pattern_vars(p: Pattern) -> Iterator[str]:

@@ -14,9 +14,6 @@ from .record import Record, quote_string
 class Var(Record, frozen=True):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-
 
 class Functor(Record, frozen=True):
     __slots__ = ("name", "args")

@@ -41,20 +41,9 @@ class EncodingError(SemlintError):
 class Text(Record):
     __slots__ = ("content", "pos")
 
-    def __init__(self, content: str, pos: SourcePos):
-        self.content = content
-        self.pos = pos
-
 
 class Element(Record):
     __slots__ = ("name", "attrs", "children", "pos")
-
-    def __init__(self, name: str, attrs: tuple[tuple[str, str], ...],
-                 children: tuple["XmlNode", ...], pos: SourcePos):
-        self.name = name
-        self.attrs = attrs
-        self.children = children
-        self.pos = pos
 
     def __eq__(self, other):
         # field by field as Record does, with an explicit stack instead of
@@ -86,12 +75,10 @@ SKIP, KEEP, WHOLE = 0, 1, 2
 
 
 class Projection(Record):
-    __slots__ = ("heads", "rows")
+    __slots__ = (
+        "heads",  # always built
+        "rows")  # name -> (kinds of the fixed positions, the rest's)
 
-    def __init__(self, heads: frozenset[str],
-                 rows: dict[str, tuple[tuple[int, ...], int]]):
-        self.heads = heads  # always built
-        self.rows = rows  # name -> (kinds of the fixed positions, the rest's)
 
 _CODES = expat.errors.codes
 _TOKEN = re.compile(rb"[^\s>;]*;?")

@@ -3,10 +3,12 @@
 Every class below but ``Projection``, which is younger, was a
 ``@dataclass``.  Its twin is built here with ``dataclasses.make_dataclass``
 from the same fields, defaults and frozen flag, and both are given the same
-field values: equality, hashability, hashes, repr and defaults must agree.
+field values: equality, hashability, hashes, repr, defaults and the calls
+that raise TypeError must agree.
 """
 
 import dataclasses
+import inspect
 import sys
 
 from hypothesis import given, settings
@@ -180,6 +182,21 @@ def test_records_behave_as_their_dataclass_twins(drawn):
         assert hash(r1) == hash(r2)
     assert repr(r1) == repr(t1)
     assert cls(**dict(zip(FIELDS[cls], first))) == r1
+    # the parameters are the fields, in order, whether the constructor is
+    # generated from __slots__ or written out
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    for args, kwargs in ((first[:-1], {}), ([*first, None], {}),
+                         (first, {"unknown": None})):
+        assert raises_type_error(cls, args, kwargs) is raises_type_error(
+            twin, args, kwargs), (args, kwargs)
+
+
+def raises_type_error(cls, args, kwargs) -> bool:
+    try:
+        cls(*args, **kwargs)
+    except TypeError:
+        return True
+    return False
 
 
 def required_only(cls):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlint.dsl_parser import parse_rules
-from semlint.record import escape
+from semlint.record import escape, quote_string
 from semlint.reporting import (Message, UnboundInConsequence, emit_report,
                                render_consequence)
 from semlint.rule_ast import (AttrPattern, PAnon, PElem, PEmptyElem, PText,
@@ -173,6 +173,22 @@ def test_empty_report_has_summary_only():
 def test_escape_equals_html_escape(s, quote):
     assert escape(s, quote) == html.escape(s, quote)
     assert escape(s) == html.escape(s)
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
+def quote_string_by_character(s):
+    # quote_string as it was: one dict lookup per character
+    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
+
+
+# each escaped character, next to each other and to what an escape writes
+@given(st.text(alphabet=st.sampled_from('ab"\\\n\t\r é\0nrt')
+               | st.characters()))
+@settings(max_examples=500)
+def test_quote_string_equals_the_character_by_character_quote(s):
+    assert quote_string(s) == quote_string_by_character(s)
 
 
 # any str, lone surrogates included, as a file name read from the disk can be
