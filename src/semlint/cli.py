@@ -392,7 +392,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semlint",
         description="Check XML documents against semantic consistency rules")
-    parser.add_argument("--rules", nargs="+", required=True, metavar="FILE",
+    parser.add_argument("--rules", nargs="+", action="extend", required=True,
+                        metavar="FILE",
                         help="rule file(s), concatenated in order")
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV),
                         help=f"pass-1 cache directory (or ${CACHE_DIR_ENV})")

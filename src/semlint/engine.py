@@ -379,11 +379,13 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 # of first use, predicate and functor names included, as a Prolog system
 # keeps each atom once in its atom table.  A term is an int, the index of a
 # string, or a list [name index, *args] (Functor); a fact is such a list.  A
-# delayed test is [rule_index, line, row]: its goal and consequence are read
-# back from the ruleset, and row holds a term, or null where unbound, for
-# each name of the rule's TestRule.captured in order, but $SourceFile and
-# $SourceLine: always the input path and the test's line, so an entry does
-# not depend on the path.  Diagnostics are plain strings.
+# delayed test is [rule_index, step, row]: step is its line minus the line of
+# the test before it (the first test's is its line) and may be negative;
+# tests in document order give small steps, which compress well.  Its goal and
+# consequence are read back from the ruleset, and row holds a term, or null
+# where unbound, for each name of the rule's TestRule.captured in order, but
+# $SourceFile and $SourceLine: always the input path and the test's line, so
+# an entry does not depend on the path.  Diagnostics are plain strings.
 
 def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
     table: dict[str, int] = {}
@@ -397,10 +399,12 @@ def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
         raise ValueError(f"non-ground term not serializable: {t!r}")
 
     facts = [encode(fact) for fact in result.facts]
-    tests = [[dt.rule_index, dt.pos.line, [
+    lines = [dt.pos.line for dt in result.tests]
+    tests = [[dt.rule_index, line - previous, [
         encode(dt.captured[name]) if name in dt.captured else None
         for name in rules.rules[dt.rule_index].body.captured
-        if name not in POSITION_VARS]] for dt in result.tests]
+        if name not in POSITION_VARS]]
+        for dt, line, previous in zip(result.tests, lines, [0, *lines])]
     return json.dumps([list(table), facts, tests, list(result.diagnostics)],
                       separators=(",", ":"))
 
@@ -425,10 +429,13 @@ def parse_pass1(text: str, source_file: str, rules: RuleSet) -> PassOneResult:
     facts = tuple(decode(_typed(item, list))
                   for item in _typed(facts_doc, list))
     layouts: dict[int, tuple] = {}  # worked out once per rule
-    tests = tuple(_test_from_json(item, source_file, rules, decode, layouts)
-                  for item in _typed(tests_doc, list))
+    tests, line = [], 0  # a line is the running sum of the steps
+    for item in _typed(tests_doc, list):
+        tests.append(_test_from_json(item, line, source_file, rules, decode,
+                                     layouts))
+        line = tests[-1].pos.line
     diagnostics = tuple(_typed(d, str) for d in _typed(diags_doc, list))
-    return PassOneResult(facts, tests, diagnostics)
+    return PassOneResult(facts, tuple(tests), diagnostics)
 
 
 def _typed(value, kind: type):
@@ -438,12 +445,12 @@ def _typed(value, kind: type):
     return value
 
 
-def _test_from_json(item, source_file: str, rules: RuleSet,
+def _test_from_json(item, previous: int, source_file: str, rules: RuleSet,
                     decode: Callable[[object], Term],
                     layouts: dict[int, tuple]) -> DelayedTest:
     if type(item) is not list or len(item) != 3:
         raise ValueError(f"bad cached test {item!r}")
-    index, line, row = (_typed(item[0], int), _typed(item[1], int),
+    index, line, row = (_typed(item[0], int), previous + _typed(item[1], int),
                         _typed(item[2], list))
     if index not in layouts:
         rule = rules.rules[index] if 0 <= index < len(rules.rules) else None

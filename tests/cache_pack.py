@@ -21,8 +21,9 @@ any level reads.  Its lines are:
 - one pass-1 entry, [strings, facts, tests, diagnostics], per index row in
   that order.  strings lists each distinct string of the entry once, in
   order of first use; a term is an index into it, or [name index, *args]
-  for a compound; a test is [rule index, line, row], its row a term or
-  null per captured name; diagnostics are plain strings.
+  for a compound; a test is [rule index, step, row], its step its line
+  minus the line of the test before it (the first test's is its line), its
+  row a term or null per captured name; diagnostics are plain strings.
 """
 
 import json

@@ -287,13 +287,23 @@ def _text_format(data, cfg, path: str) -> str:
             f'personne($N),bindings(),term("x")) %diags ')
 
 
+def _restep_test(data, step):
+    data[cache_pack.TESTS][0][1] = step
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("make_entry", [
     lambda data, cfg, path: '{"format": 2}',
     lambda data, cfg, path: _retarget_test(data, 99),
     # rule 0 of RULES asserts personne/1; only rule 1 is a check
     lambda data, cfg, path: _retarget_test(data, 0),
     _text_format,
-], ids=["format-only", "rule-99", "environment-rule", "text-format"])
+    # the check is on line 3, so each of these would sum to a line
+    lambda data, cfg, path: _restep_test(data, True),
+    lambda data, cfg, path: _restep_test(data, 3.0),
+    lambda data, cfg, path: _restep_test(data, "3"),
+], ids=["format-only", "rule-99", "environment-rule", "text-format",
+        "step-a-bool", "step-a-float", "step-a-string"])
 def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
     cfg = config(tmp_path, rules, inputs)
@@ -474,6 +484,22 @@ def test_main_entry_point(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert json.loads(lines[-1]) == {"messages": 1}
+
+
+def test_repeated_rules_options_concatenate_in_order(tmp_path, capsys):
+    _, inputs = write_corpus(tmp_path)
+    facts, checks = RULES.splitlines(keepends=True)
+    (tmp_path / "a.rules").write_text(facts, encoding="utf-8")
+    (tmp_path / "b.rules").write_text(checks, encoding="utf-8")
+    a, b = str(tmp_path / "a.rules"), str(tmp_path / "b.rules")
+    reports = []
+    for i, rule_args in enumerate([["--rules", a, b],
+                                   ["--rules", a, "--rules", b]]):
+        code = main([*rule_args, "--cache-dir", str(tmp_path / f"c{i}"),
+                     "--offline", *inputs])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1]
+    assert "ghost is unknown" in reports[1][1].out
 
 
 def test_main_requires_cache_dir(tmp_path, capsys, monkeypatch):

@@ -343,7 +343,7 @@ def decode(text, rules=None):
 
 # the positions of an entry's fields, and of a cached test's
 STRINGS, FACTS, TESTS, DIAGS = 0, 1, 2, 3
-RULE, LINE, ROW = 0, 1, 2
+RULE, STEP, ROW = 0, 1, 2
 
 
 def test_cache_round_trip_is_bit_exact():
@@ -372,9 +372,13 @@ def test_a_cached_test_is_a_value_row_in_captured_order():
     entry = json.loads(encode(result, rules))
     tests = entry[TESTS]
     assert tests and len(tests) == len(result.tests)
-    for (index, line, row), dt in zip(tests, result.tests):
+    # a test stores its line as the step from the test before it
+    assert [test[STEP] for test in tests] == [6, 1]
+    line = 0
+    for (index, step, row), dt in zip(tests, result.tests):
         names = [name for name in rules.rules[index].body.captured
                  if name not in ("SourceFile", "SourceLine")]
+        line += step
         assert (index, line) == (dt.rule_index, dt.pos.line)
         assert [entry[STRINGS][i] for i in row] == [
             dt.captured.get(name) for name in names]
@@ -393,6 +397,40 @@ def test_an_unbound_name_is_null_in_its_row():
              if n not in ("SourceFile", "SourceLine")]
     assert test[ROW][names.index("Z")] is None
     assert decode(blob, rules).tests == result.tests
+
+
+STEP_RULES = '<b x=$X/> ? p($X) -> <li> <$X> </li>;\n'
+
+
+def test_tests_on_one_line_store_a_step_of_0():
+    rules = parse_rules(STEP_RULES, "r.rules")
+    result = ev(STEP_RULES, '<r>\n<b x="1"/><b x="2"/><b x="3"/>\n</r>')
+    blob = encode(result, rules)
+    assert [test[STEP] for test in json.loads(blob)[TESTS]] == [2, 0, 0]
+    decoded = decode(blob, rules)
+    assert [dt.pos.line for dt in decoded.tests] == [2, 2, 2]
+    assert decoded.tests == result.tests
+
+
+def _tests_on_lines(rules, lines):
+    body = rules.rules[0].body
+    return PassOneResult((), tuple(DelayedTest(
+        0, body.test, {"SourceFile": "doc.xml", "SourceLine": str(line),
+                       "X": "v"}, SourcePos("doc.xml", line))
+        for line in lines), ())
+
+
+def test_a_negative_step_decodes_to_the_line_it_sums_to():
+    rules = parse_rules(STEP_RULES, "r.rules")
+    result = _tests_on_lines(rules, [9, 4, 12])
+    blob = encode(result, rules)
+    assert [test[STEP] for test in json.loads(blob)[TESTS]] == [9, -5, 8]
+    assert decode(blob, rules) == result
+    # a step written by hand sums the same way
+    entry = json.loads(blob)
+    entry[TESTS][1][STEP] = -8
+    assert [dt.pos.line for dt in decode(json.dumps(entry), rules).tests] \
+        == [9, 1, 9]
 
 
 # a differential test of the entry codec against the one it replaced
@@ -547,7 +585,10 @@ def _row_slot(entry, name):
 @pytest.mark.parametrize("text", [
     _mutated_entry(lambda e: e[TESTS][0].__setitem__(RULE, -1)),
     _mutated_entry(lambda e: e[TESTS][0].__setitem__(RULE, True)),
-    _mutated_entry(lambda e: e[TESTS][0].__setitem__(LINE, "3")),
+    # a step that is a string, a bool or a float
+    _mutated_entry(lambda e: e[TESTS][0].__setitem__(STEP, "3")),
+    _mutated_entry(lambda e: e[TESTS][1].__setitem__(STEP, True)),
+    _mutated_entry(lambda e: e[TESTS][1].__setitem__(STEP, 1.0)),
     # a value written out instead of indexed
     _mutated_entry(lambda e: e[TESTS][0][ROW].__setitem__(
         _row_slot(e, "P"), "Anne")),
