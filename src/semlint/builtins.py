@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT
 from .engine import BuiltinError, BuiltinRegistry
-from .matcher import Bindings, bind, string_projection, unify
+from .matcher import Bindings, match_term, string_projection
 from .record import Record
 from .terms import Functor, Term, Var, is_ground, term_to_text
 
@@ -386,8 +386,10 @@ def make_registry(prober=None, offline: bool = False,
     def sameyear(args, b, store):
         a = _bound_text(args[0], b, "sameyear").strip()
         c = _bound_text(args[1], b, "sameyear").strip()
+        # as numbers only if both are digits: int() would also read "+2002"
+        # and "2_002".  ValueError: more digits than int() converts
         try:
-            equal = int(a) == int(c)
+            equal = int(a) == int(c) if (a + c).isdecimal() else a == c
         except ValueError:
             equal = a == c
         return [b] if equal else []
@@ -404,7 +406,7 @@ def make_registry(prober=None, offline: bool = False,
         title = _bound_text(args[0], b, "pubbyotherproject")
         project = _bound_text(args[1], b, "pubbyotherproject")
         other = _unbound_name(args[2], b, "pubbyotherproject")
-        return [bind(b, other, fact.args[1])
+        return [{**b, other: fact.args[1]}
                 for fact in store.index("pub", 2, (0,)).get((title,), ())
                 if isinstance(fact.args[1], str) and fact.args[1] != project]
 
@@ -419,7 +421,7 @@ def make_registry(prober=None, offline: bool = False,
             return []
         # the second output may be the first one's variable again, as in
         # testurl($U, $A, $A): then there is a solution only if they agree
-        solution = unify(args[2], answers[1], bind(b, a1, answers[0]))
+        solution = match_term(args[2], answers[1], {**b, a1: answers[0]})
         return [] if solution is None else [solution]
 
     return {

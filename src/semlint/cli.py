@@ -256,10 +256,10 @@ def _load_ruleset(pairs: list[tuple[str, str]]):
     return parse_rule_texts(pairs)
 
 
-def _resolve(cfg: RunConfig, prober, ordered: list):
+def _resolve(cfg: RunConfig, prober, ordered: list, ruleset):
     """Pass 2 over the inputs' pass-1 results, in order, and the report."""
     from . import builtins as builtins_mod
-    store = merge_facts(ordered)
+    store = merge_facts(ordered, ruleset)
     tests = [dt for result in ordered for dt in result.tests]
     if prober is None:
         prober = builtins_mod.HttpProber(cfg.url_timeout, cfg.max_probes)
@@ -341,7 +341,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
             cached = distinct
         else:
             report, messages, diagnostics = _resolve(cfg, prober, [
-                results[path] for path in inputs])
+                results[path] for path in inputs], ruleset)
             if cfg.offline:
                 # each template that a message uses, once
                 templates = {m.rule_index: ruleset.rules[

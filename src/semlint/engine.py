@@ -20,9 +20,9 @@ from typing import Callable, Optional
 
 from . import SemlintError, reporting, terms
 from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
-                      match_node, resolve, string_projection, unify)
+                      match_node, match_term, string_projection)
 from .record import POSITION_VARS, Record
-from .rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
+from .rule_ast import (Assert, Assign, Contains, EnvRule, Eq, PAnon, PElem,
                        PEmptyElem, Polarity, PText, PVar, Rule, RuleSet,
                        TestRule)
 from .terms import Functor, Term, Var, is_ground
@@ -215,7 +215,7 @@ def _eval_condition(cond, b: Bindings,
         value = env.get(cond.env_var)
         if value is None:
             return None
-        return unify(cond.rhs, value, b)
+        return match_term(cond.rhs, value, b)
     root = b.get(cond.var)
     if root is None:
         return None
@@ -264,10 +264,15 @@ class FactStore:
     first use and dropped by the next add to the bucket.
     """
 
-    def __init__(self):
-        # a bucket is a dict used as an insertion-ordered set
-        self._by_key: dict[tuple[str, int], dict[Functor, None]] = {}
+    def __init__(self, known=()):
+        # a bucket is a dict used as an insertion-ordered set; a known
+        # (name, arity) has one from the start, even if no fact comes
+        self._by_key: dict[tuple[str, int], dict[Functor, None]] = {
+            key: {} for key in known}
         self._indexes: dict[tuple[str, int], dict[tuple, dict]] = {}
+
+    def __contains__(self, key: tuple[str, int]) -> bool:
+        return key in self._by_key
 
     def add(self, fact: Functor) -> None:
         key = (fact.name, len(fact.args))
@@ -295,8 +300,15 @@ class FactStore:
         return sum(len(bucket) for bucket in self._by_key.values())
 
 
-def merge_facts(results: list[PassOneResult]) -> FactStore:
-    store = FactStore()
+def merge_facts(results: list[PassOneResult],
+                rules: RuleSet | None = None) -> FactStore:
+    """The facts of results; a predicate that a live rule of rules asserts
+    is known with no fact too, so that its goals fail instead of raising."""
+    store = FactStore((act.fact.name, len(act.fact.args))
+                      for rule in (rules.rules if rules else ())
+                      if not rule.skipped and isinstance(rule.body, EnvRule)
+                      for act in rule.body.actions
+                      if isinstance(act, Assert))
     for result in results:
         for fact in result.facts:
             store.add(fact)
@@ -308,16 +320,16 @@ def solve(goal: Functor, b: Bindings, store: FactStore,
     key = (goal.name, len(goal.args))
     if key in builtins:
         return builtins[key](goal.args, b, store)
-    # the arguments that are ground once resolved pick the facts to try
-    args = [resolve(a, b) for a in goal.args]
+    if key not in store:
+        raise UnknownPredicate(*key)
+    # the arguments that are ground once bound pick the facts to try
+    args = [b.get(a.name, a) if isinstance(a, Var) else a for a in goal.args]
     ground = tuple(i for i, a in enumerate(args)
                    if isinstance(a, (str, Functor)) and is_ground(a))
     groups = store.index(goal.name, len(args), ground)
-    if not groups:
-        raise UnknownPredicate(*key)
     out = []
     for fact in groups.get(tuple(args[i] for i in ground), ()):
-        b2 = unify(goal, fact, b)
+        b2 = match_term(goal, fact, b)
         if b2 is not None:
             out.append(b2)
     return out

@@ -1,8 +1,10 @@
-"""Pattern matching against XML nodes and term unification.
+"""Pattern matching against XML nodes, and rule terms against ground values.
 
 All operations are pure: bindings are plain dicts that are extended into
 new dicts, never mutated, and a failed match is the ordinary ``None``
-outcome rather than an error.
+outcome rather than an error.  Matching is one-way: validate enforces
+Datalog's range restriction, so every fact and every bound value is ground
+and only the rule's side of a match holds variables.
 """
 
 from __future__ import annotations
@@ -10,14 +12,14 @@ from __future__ import annotations
 from typing import Iterator, Optional, Union
 
 from .rule_ast import AttrPattern, PAnon, PEmptyElem, PText, PVar, Pattern
-from .terms import Functor, Var, is_ground, term_to_text
+from .terms import Functor, Term, Var, term_to_text
 from .xml_frontend import Element, Text, XmlNode, walk
 
 
-# A bound value is the term or node it denotes: a str, a ground Functor, a
-# Var (an alias of another variable), an Element or Text node, or a tuple of
-# nodes (the rest of a child list).
-Value = Union[str, Functor, Var, XmlNode, tuple[XmlNode, ...]]
+# A bound value is the ground term or node it denotes: a str, a ground
+# Functor, an Element or Text node, or a tuple of nodes (the rest of a child
+# list).
+Value = Union[str, Functor, XmlNode, tuple[XmlNode, ...]]
 
 
 class TypeMismatch(Exception):
@@ -26,16 +28,8 @@ class TypeMismatch(Exception):
         self.kind = kind
 
 
-# variable name -> Value; never changed once built, bind() extends a copy
+# variable name -> Value; never changed once built, a match extends a copy
 Bindings = dict[str, Value]
-
-
-def bind(b: Bindings, name: str, value: Value) -> Bindings:
-    """b extended by name; ValueError if name already holds another value."""
-    existing = b.get(name)
-    if existing is not None and not _same(existing, value):
-        raise ValueError(f"rebinding {name!r} to a different value")
-    return {**b, name: value}
 
 
 def normalize_ws(s: str) -> str:
@@ -161,38 +155,17 @@ def deep_contains(root: Value, p: Pattern, b: Bindings) -> list[Bindings]:
     return out
 
 
-# -- unification -------------------------------------------------------------
-
-def resolve(t: Value, b: Bindings) -> Value:
-    """Dereference variables (including var-to-var aliases) through b."""
-    seen = set()
-    while isinstance(t, Var) and t.name not in seen:
-        seen.add(t.name)
-        bound = b.get(t.name)
-        if bound is None:
-            return t
-        t = bound
-    return t
-
-
-def unify(t1: Value, t2: Value, b: Bindings) -> Optional[Bindings]:
-    a = resolve(t1, b)
-    c = resolve(t2, b)
-    if isinstance(a, Var):
-        if isinstance(c, Var) and a.name == c.name:
-            return b
-        a, c = c, a
-    if isinstance(c, Var):
-        # a variable holds anything but a functor with variables in it
-        if isinstance(a, Functor) and not is_ground(a):
+def match_term(t: Term, value: Value, b: Bindings) -> Optional[Bindings]:
+    """b extended so that the rule term t equals the ground value, or None."""
+    if isinstance(t, Var):
+        return _bind_value(t.name, value, b)
+    if isinstance(t, Functor):
+        if (not isinstance(value, Functor) or t.name != value.name
+                or len(t.args) != len(value.args)):
             return None
-        return bind(b, c.name, a)
-    if isinstance(a, Functor) and isinstance(c, Functor):
-        if a.name != c.name or len(a.args) != len(c.args):
-            return None
-        for x, y in zip(a.args, c.args):
-            b = unify(x, y, b)
+        for x, y in zip(t.args, value.args):
+            b = match_term(x, y, b)
             if b is None:
                 return None
         return b
-    return b if _same(a, c) else None
+    return b if t == value else None

@@ -3,16 +3,18 @@ the terms and nodes themselves.
 
 A bound value was wrapped: SVal (a string), TermVal (a functor or a variable
 alias), NodeVal (a node) or NodeListVal (the rest of a child list).  Kept
-unchanged as a test-only oracle: the differential test in test_matcher.py
-checks that matcher.unify gives this unify's result once the wrappers are
-mapped away (see unwrap).  Not imported by the program.
+as a test-only oracle, with its own copy of the raising bind that the
+program no longer has: the differential tests in test_matcher.py check that
+matcher.match_term, matching a rule term against a ground value, gives this
+unify's result both ways round once the wrappers are mapped away (see
+unwrap), and test_fact_index.py solves by a full scan through it.  Not
+imported by the program.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from semlint.matcher import Bindings, bind
 from semlint.record import Record
 from semlint.terms import Functor, Term, Var, is_ground
 from semlint.xml_frontend import XmlNode
@@ -47,6 +49,15 @@ class TermVal(Record, frozen=True):
 
 
 Value = Union[SVal, NodeVal, NodeListVal, TermVal]
+Bindings = dict[str, Value]
+
+
+def bind(b: Bindings, name: str, value: Value) -> Bindings:
+    """b extended by name; ValueError if name already holds another value."""
+    existing = b.get(name)
+    if existing is not None and existing != value:
+        raise ValueError(f"rebinding {name!r} to a different value")
+    return {**b, name: value}
 
 
 def unwrap(value: Value):

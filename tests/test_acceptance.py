@@ -10,14 +10,16 @@ import time
 from semlint.cli import RunConfig, execute
 from semlint.dsl_parser import parse_rules
 from semlint.matcher import (deep_contains, match_children, match_node,
-                             string_projection, unify)
+                             match_term, string_projection)
 from semlint.rule_ast import (AttrPattern, EnvRule, PAnon, PElem, PVar,
                               TestRule)
 from semlint.terms import Functor, Var
 from semlint.xml_frontend import Element, parse_xml
 
 import cache_pack
-from test_matcher import oracle_contains, random_pattern, random_tree
+import legacy_unify
+from test_matcher import (oracle_contains, plain_bindings, random_pattern,
+                          random_tree)
 
 B0 = {}
 
@@ -177,14 +179,14 @@ def test_criterion_7_incrementality(tmp_path):
 
 def test_criterion_8_matching_invariants():
     rng = random.Random(2816)
-    checked = {"monotone": 0, "attrs": 0, "tail": 0, "unify": 0}
+    checked = {"monotone": 0, "attrs": 0, "tail": 0, "match": 0}
 
-    def rand_term(depth=0):
+    def rand_term(depth=0, leaves=(Var("X"), Var("Y"), "0", "1")):
         k = rng.random()
         if k < 0.35 or depth >= 3:
-            return rng.choice([Var("X"), Var("Y"), "0", "1"])
+            return rng.choice(leaves)
         return Functor(rng.choice("fg"), tuple(
-            rand_term(depth + 1) for _ in range(rng.randint(0, 3))))
+            rand_term(depth + 1, leaves) for _ in range(rng.randint(0, 3))))
 
     from semlint.xml_frontend import walk
 
@@ -228,10 +230,13 @@ def test_criterion_8_matching_invariants():
             extra = parse_xml(b"<extra/>", "x")
             assert match_children(ps, ns + [extra], B0) is not None
 
-        # unify success-symmetry
-        t1, t2 = rand_term(), rand_term()
-        checked["unify"] += 1
-        assert (unify(t1, t2, B0) is not None) == \
-            (unify(t2, t1, B0) is not None)
+        # a rule term matches a ground value exactly when unification
+        # succeeds, with the ground side on either hand
+        t, g = rand_term(), rand_term(leaves=("0", "1"))
+        b = match_term(t, g, B0)
+        for old in (legacy_unify.unify(t, g, B0),
+                    legacy_unify.unify(g, t, B0)):
+            assert b == (None if old is None else plain_bindings(old))
+        checked["match"] += b is not None
 
     assert all(count > 20 for count in checked.values()), checked

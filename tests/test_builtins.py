@@ -40,6 +40,19 @@ def call(registry, name, arity, args, b=B0, store=None):
     ("2001", "2002", False),
     ("MMII", "MMII", True),      # non-numeric falls back to string equality
     ("MMII", "2002", False),
+    # only digits compare as numbers, not the rest of int()'s syntax
+    ("2_002", "2002", False),
+    ("+2002", "2002", False),
+    ("2002", "+2002", False),
+    ("+2002", "+2002", True),
+    ("2002", "2002.0", False),
+    ("", "2002", False),
+    ("", "", True),
+    pytest.param("\u0662\u0660\u0660\u0662", "2002", True,
+                 id="arabic-indic-digits"),
+    # past int()'s digit limit, the strings are compared
+    pytest.param("9" * 5000, "9" * 5000, True, id="5000-digits-equal"),
+    pytest.param("9" * 5000, "8" * 5000, False, id="5000-digits-differ"),
 ])
 def test_sameyear(a, b, match):
     sols = call(OFFLINE, "sameyear", 2, (a, b))

@@ -502,6 +502,31 @@ def test_repeated_rules_options_concatenate_in_order(tmp_path, capsys):
     assert "ghost is unknown" in reports[1][1].out
 
 
+def test_an_asserted_predicate_with_no_fact_has_no_solution(tmp_path,
+                                                            capsys):
+    # a predicate that a live rule asserts is known even when no fact comes,
+    # so its if-absent test warns; it used to be reported as never asserted,
+    # with 0 messages.  One that only a skipped rule asserts stays unknown
+    rules = tmp_path / "check.rules"
+    rules.write_text(
+        '<pers nom=$N/> => personne($N);\n'
+        '<* <pers nom=$N/> => member($N);\n'
+        '<check nom=$N/> ? personne($N) / <li> <$N> is unknown. </li> ;\n'
+        '<check nom=$N/> ? member($N) / <li> <$N> is no member. </li> ;\n',
+        encoding="utf-8")
+    doc = tmp_path / "team.xml"
+    doc.write_text('<team>\n<check nom="ghost"/>\n</team>\n', encoding="utf-8")
+    runs = [(main(["--rules", str(rules), "--cache-dir",
+                   str(tmp_path / "cache"), "--offline", str(doc)]),
+             capsys.readouterr()) for _ in range(2)]  # cold, then a replay
+    assert runs[0] == runs[1]
+    code, (out, err) = runs[0]
+    assert code == 0
+    assert "ghost is unknown" in out and "is no member" not in out
+    assert "personne/1" not in err
+    assert "unknown predicate member/1" in err
+
+
 def test_main_requires_cache_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SEMLINT_CACHE_DIR", raising=False)
     rules, inputs = write_corpus(tmp_path)
@@ -575,6 +600,31 @@ def test_unprobeable_urls_are_reported_not_raised(tmp_path):
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout.count("Malformed URL") == len(urls)
+
+
+def test_reports_and_packs_do_not_depend_on_the_hash_seed(tmp_path,
+                                                          seeded_corpus):
+    # set and dict orders of str keys follow PYTHONHASHSEED; nothing that a
+    # run prints or stores may
+    src = Path(__file__).resolve().parent.parent / "src"
+    for format in FORMATS:
+        for offline in ([], ["--offline"]):
+            outputs = []
+            for seed in ("0", "1"):
+                cache = tmp_path / f"{format}{len(offline)}-{seed}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "semlint.cli", "--rules",
+                     *seeded_corpus["rules"], "--cache-dir", str(cache),
+                     "--format", format, *offline, *seeded_corpus["inputs"]],
+                    env={**os.environ, "PYTHONPATH": str(src),
+                         "PYTHONHASHSEED": seed},
+                    capture_output=True, timeout=60)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append((proc.stdout, zlib.decompress(
+                    (cache / cli.PACK_NAME).read_bytes())))
+            assert outputs[0] == outputs[1]
+            # online, the corpus's dead link is probed and reported
+            assert offline or b"404" in outputs[0][0]
 
 
 def test_a_port_out_of_range_is_reported_malformed(tmp_path,

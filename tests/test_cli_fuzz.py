@@ -4,7 +4,8 @@ Whatever the rules and the document, a run ends with exit code 0, 2 (a
 rules, input or engine error), or 1 only under --fail-on-warnings; no
 exception escapes and no traceback is printed.  No message is rendered
 with an unbound variable.  A warm run repeats the cold run's output
-exactly.
+exactly.  Every value that either pass binds is ground, which is what
+lets matcher.match_term match one way.
 
 The generator mostly draws variables that are already bound, so that most
 rule files pass validation and reach both passes; now and then it draws
@@ -17,13 +18,19 @@ shows: such a rule must fail cleanly, at load or at the goal.
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlint.builtins import OK, UrlProbeResult
+from semlint import SemlintError, engine
+from semlint.builtins import OK, UrlProbeResult, make_registry
 from semlint.cli import RunConfig, run
+from semlint.dsl_parser import parse_rules
+from semlint.engine import EngineError, evaluate_file, merge_facts, solve
 from semlint.reporting import FORMATS
+from semlint.terms import Functor, Var, is_ground
+from semlint.xml_frontend import parse_xml
 from stub_prober import StubProber
 
 ELEMENTS = ["a", "b", "c"]
@@ -249,3 +256,51 @@ def test_any_rules_on_any_document_end_in_a_clean_exit(drawn,
             warm = run_once(root, rules_path, doc_path, offline,
                             fail_on_warnings, format)
             assert warm == cold
+
+
+def is_ground_value(value):
+    """Not a variable, nor a functor that holds one: a str, a node, a tuple
+    of nodes or a ground functor."""
+    return not isinstance(value, Var) and (not isinstance(value, Functor)
+                                           or is_ground(value))
+
+
+@given(corpus())
+@settings(max_examples=250, deadline=None)
+def test_every_value_bound_by_either_pass_is_ground(drawn):
+    rules_text, doc_text = drawn
+    try:
+        rules = parse_rules(rules_text, "fuzz.rules")
+    except SemlintError:
+        return  # a rule file that fails at load binds nothing
+    bound = []
+    real = engine._eval_condition
+
+    def watched(cond, b, env):
+        # the environment that an = condition matches against, and what
+        # either kind of condition binds
+        result = real(cond, b, env)
+        bound.extend(env.values())
+        bound.extend(result.values() if result is not None else ())
+        return result
+
+    with mock.patch.object(engine, "_eval_condition", watched):
+        result = evaluate_file(parse_xml(doc_text.encode("utf-8"), "doc.xml"),
+                               rules, "doc.xml")
+    store = merge_facts([result], rules)
+    registry = make_registry(StubProber(PROBER_RESULTS))
+    # each test's goal, and a goal of fresh variables for each predicate
+    # that has a fact, which every one of its facts answers
+    goals = [(dt.test.goal, dt.captured) for dt in result.tests]
+    goals += [(Functor(name, tuple(Var(f"V{i}") for i in range(arity))), {})
+              for name, arity in {(f.name, len(f.args)) for f in result.facts}]
+    for goal, captured in goals:
+        bound.extend(captured.values())
+        try:
+            solutions = solve(goal, captured, store, registry)
+        except EngineError:
+            continue
+        for solution in solutions:
+            bound.extend(solution.values())
+    assert all(map(is_ground_value, bound)), bound
+    assert all(map(is_ground_value, result.facts)), result.facts

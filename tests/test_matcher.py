@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_unify
-from semlint.matcher import (TypeMismatch, bind, deep_contains,
-                             match_children, match_node, string_projection,
-                             unify)
+from semlint.matcher import (TypeMismatch, deep_contains, match_children,
+                             match_node, match_term, string_projection)
 from semlint.rule_ast import AttrPattern, PAnon, PElem, PEmptyElem, PText, PVar
 from semlint.terms import Functor, Var
 from semlint.xml_frontend import Element, MalformedXml, Text, parse_xml, walk
@@ -130,47 +129,61 @@ def test_string_projection_flattens_and_normalizes():
     assert string_projection(Functor("f", ("x",))) == 'f("x")'
 
 
-# -- unification --------------------------------------------------------------
+# -- matching rule terms against ground values --------------------------------
 
-def test_unify_flat_ground():
+def test_match_term_flat_ground():
     goal = Functor("head", (Var("P"), Var("X")))
     fact = Functor("head", ("Smith", "CS"))
-    b = unify(goal, fact, B0)
+    b = match_term(goal, fact, B0)
     assert b["P"] == "Smith"
     assert b["X"] == "CS"
 
 
-def test_unify_functor_clash():
-    assert unify(Functor("f", (Var("A"),)), Functor("g", (Var("A"),)),
-                 B0) is None
+def test_match_term_functor_clash():
+    assert match_term(Functor("f", (Var("A"),)), Functor("g", ("a",)),
+                      B0) is None
 
 
-def test_unify_with_prebound_variable():
+def test_match_term_functor_arity_clash():
+    # zip would stop at the shorter argument list
+    assert match_term(Functor("f", (Var("A"),)), Functor("f", ("a", "b")),
+                      B0) is None
+    assert match_term(Functor("f", ("a", Var("A"))), Functor("f", ("a",)),
+                      B0) is None
+
+
+def test_match_term_with_prebound_variable():
     title = "Three knowledge representation formalisms"
     b = {"T": title}
     goal = Functor("pub", (Var("T"), Var("O")))
     fact = Functor("pub", (title, "orpailleur"))
-    b2 = unify(goal, fact, b)
+    b2 = match_term(goal, fact, b)
     assert b2["O"] == "orpailleur"
     wrong = Functor("pub", ("other", "x"))
-    assert unify(goal, wrong, b) is None
+    assert match_term(goal, wrong, b) is None
 
 
-def test_unify_nested():
-    b = unify(Functor("f", (Functor("g", (Var("X"),)), "1")),
-              Functor("f", (Functor("g", ("v",)), "1")), B0)
+def test_match_term_repeated_variable_must_agree():
+    goal = Functor("p", (Var("X"), Var("X")))
+    assert match_term(goal, Functor("p", ("a", "a")), B0) == {"X": "a"}
+    assert match_term(goal, Functor("p", ("a", "b")), B0) is None
+
+
+def test_match_term_nested():
+    b = match_term(Functor("f", (Functor("g", (Var("X"),)), "1")),
+                   Functor("f", (Functor("g", ("v",)), "1")), B0)
     assert b["X"] == "v"
 
 
-def test_unify_node_values_require_identity():
+def test_match_term_node_values_require_equal_content():
     node = parse_xml(b"<a/>", "f")
     other = parse_xml(b"<b/>", "f")
     b = {"X": node}
-    assert unify(Var("X"), Var("Y"), b)["Y"] == node
-    assert unify(Var("X"), node, {"X": node}) \
-        is not None
-    assert unify(Var("X"), other, b) is None
-    assert unify(Var("X"), "a", b) is None
+    assert match_term(Var("X"), node, {"X": node}) is not None
+    assert match_term(Var("X"), other, b) is None
+    assert match_term(Var("X"), "a", b) is None
+    assert match_term("a", node, B0) is None
+    assert match_term(Functor("a", ()), node, B0) is None
 
 
 # -- randomized trees + oracle -----------------------------------------------
@@ -329,22 +342,10 @@ terms = st.recursive(
     max_leaves=8)
 
 
-@given(terms, terms)
-@settings(max_examples=300, deadline=None)
-def test_unify_success_symmetry(t1, t2):
-    assert (unify(t1, t2, B0) is not None) == (unify(t2, t1, B0) is not None)
-
-
-@given(terms, terms)
-@settings(max_examples=300, deadline=None)
-def test_unify_extends_input_bindings(t1, t2):
-    seeded = {"Pre": "v"}
-    b = unify(t1, t2, seeded)
-    if b is not None:
-        assert b["Pre"] == "v"
-
-
-# -- unify against the wrapper-based unify it replaced -------------------------
+# -- match_term against the wrapper-based unify it replaced -------------------
+#
+# Every fact and every bound value is ground, so a match has a ground side:
+# the oracle must give the same result with the ground side on either hand.
 
 POOL_ROOT = parse_xml(b"<r><a>x</a><a>x</a><b/>y</r>", "pool.xml")
 # the two <a> elements are distinct objects with equal content
@@ -362,7 +363,7 @@ ground_terms = st.recursive(
 
 
 def wrapped_values():
-    """A bound value other than an alias, as the old matcher held it."""
+    """A bound value, as the old matcher held it."""
     return st.one_of(
         st.sampled_from(["0", "1", "2"]).map(legacy_unify.SVal),
         st.builds(Functor, st.sampled_from(["f", "g"]),
@@ -372,18 +373,16 @@ def wrapped_values():
         st.sampled_from(POOL_TAILS).map(legacy_unify.NodeListVal))
 
 
+# a ground value, as a plain term or as the old matcher's wrapper
+ground_values = st.one_of(ground_terms, wrapped_values())
+
+
 @st.composite
 def wrapped_bindings(draw):
-    """Seeded bindings of X, Y and Z; an alias points only to a later name,
-    so no alias chain is a cycle."""
-    names = ["X", "Y", "Z"]
+    """Seeded bindings of X, Y and Z, each unbound or bound to a value."""
     seeded = {}
-    for i, name in enumerate(names):
-        kind = draw(st.sampled_from(["unbound", "alias", "value"]))
-        if kind == "alias" and i + 1 < len(names):
-            later = draw(st.sampled_from(names[i + 1:]))
-            seeded[name] = legacy_unify.TermVal(Var(later))
-        elif kind == "value":
+    for name in ["X", "Y", "Z"]:
+        if draw(st.booleans()):
             seeded[name] = draw(wrapped_values())
     return seeded
 
@@ -398,27 +397,34 @@ def plain_bindings(b):
     return {name: plain(value) for name, value in b.items()}
 
 
-@given(terms, st.one_of(terms, wrapped_values()), wrapped_bindings(),
-       st.booleans())
+@given(terms, ground_values, wrapped_bindings())
 @settings(max_examples=1000, deadline=None)
-def test_unify_matches_the_wrapper_based_oracle(t1, t2, seeded, swap):
-    if swap:
-        t1, t2 = t2, t1
-    old = legacy_unify.unify(t1, t2, seeded)
-    new = unify(plain(t1), plain(t2), plain_bindings(seeded))
-    if old is None:
-        assert new is None
-    else:
-        assert new == plain_bindings(old)
+def test_match_term_is_the_wrapper_based_unify_both_ways_round(t, g, seeded):
+    new = match_term(t, plain(g), plain_bindings(seeded))
+    for old in (legacy_unify.unify(t, g, seeded),
+                legacy_unify.unify(g, t, seeded)):
+        if old is None:
+            assert new is None
+        else:
+            assert new == plain_bindings(old)
+
+
+@given(terms, ground_values)
+@settings(max_examples=300, deadline=None)
+def test_match_term_extends_input_bindings(t, g):
+    seeded = {"Pre": "v"}
+    b = match_term(t, plain(g), seeded)
+    if b is not None:
+        assert b["Pre"] == "v"
 
 
 # -- bindings are plain dicts that no operation changes ------------------------
 
-@given(patterns(), xml_trees(), terms, terms, wrapped_bindings(),
+@given(patterns(), xml_trees(), terms, ground_values, wrapped_bindings(),
        st.dictionaries(st.sampled_from(["P", "Q", "V", "W"]),
                        wrapped_values().map(plain), max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_operations_leave_the_given_bindings_unchanged(pattern, xml, t1, t2,
+def test_operations_leave_the_given_bindings_unchanged(pattern, xml, t, g,
                                                        seeded, pattern_vars):
     b = {**plain_bindings(seeded), **pattern_vars}
     before = dict(b)
@@ -426,7 +432,7 @@ def test_operations_leave_the_given_bindings_unchanged(pattern, xml, t1, t2,
     match_node(pattern, node, b)
     match_children([pattern, PVar("R")], list(node.children), b)
     deep_contains(node, pattern, b)
-    unify(t1, t2, b)
+    match_term(t, plain(g), b)
     assert b == before
 
 
@@ -474,14 +480,11 @@ def test_walk_and_projection_at_any_depth():
     assert deep_contains(doc, PText("x"), B0) == [B0]
 
 
-def test_unify_compares_nodes_and_node_lists_by_content():
+def test_match_term_compares_nodes_and_node_lists_by_content():
     root = parse_xml(b"<r><a>x<b/></a>\n<a>x<b/></a>\n<a>y<b/></a></r>", "f")
     first, second, other = root.children
     assert first != second  # as records they differ in their lines
-    assert unify(Var("X"), second, {"X": first}) == {"X": first}
-    assert unify(Var("X"), other, {"X": first}) is None
-    assert unify(Var("X"), (second,), {"X": (first,)}) is not None
-    assert unify(Var("X"), (second, other), {"X": (first,)}) is None
-    with pytest.raises(ValueError):
-        bind({"X": first}, "X", other)
-    assert bind({"X": first}, "X", second) == {"X": second}
+    assert match_term(Var("X"), second, {"X": first}) == {"X": first}
+    assert match_term(Var("X"), other, {"X": first}) is None
+    assert match_term(Var("X"), (second,), {"X": (first,)}) is not None
+    assert match_term(Var("X"), (second, other), {"X": (first,)}) is None
