@@ -19,6 +19,12 @@ DEFAULT_MAX_PROBES = 64
 # socket takes (about 9.2e9 s)
 MAX_URL_TIMEOUT = 86400.0
 
+# each builtin's argument modes, as a Prolog mode declaration gives them: a
+# "+" argument is ground when the goal runs, a "-" one is a variable that
+# only the goal binds.  The parser rejects a goal that breaks them
+BUILTIN_MODES = {("sameyear", 2): "++", ("personne1", 3): "+++",
+                 ("pubbyotherproject", 3): "++-", ("testurl", 3): "+--"}
+
 
 class SemlintError(Exception):
     """The base of every error that a run reports with exit code 2."""

@@ -12,51 +12,27 @@ import unicodedata
 from typing import Optional
 
 from . import DEFAULT_MAX_PROBES, DEFAULT_URL_TIMEOUT
-from .engine import BuiltinError, BuiltinRegistry
+from .engine import BuiltinRegistry
 from .matcher import Bindings, match_term, string_projection
 from .record import Record
-from .terms import Functor, Term, Var, is_ground, term_to_text
+from .terms import Functor, Term, Var
 
 
-class InstantiationError(BuiltinError):
-    pass
-
-
-def _bound(t: Term, b: Bindings, pred: str) -> str | Functor:
-    """The value of t: a term as itself, a node as its string projection."""
-    if isinstance(t, Var):
-        if t.name not in b:
-            raise InstantiationError(f"{pred}: argument ${t.name} must be "
-                                     f"bound")
-        t = b[t.name]
-    # only a term written in a rule holds a variable, and its text is no value
-    if isinstance(t, Functor) and not is_ground(t):
-        raise InstantiationError(f"{pred}: argument {term_to_text(t)} must "
-                                 f"be ground")
+def _bound(t: Term, b: Bindings) -> str | Functor:
+    """The value of an input, which BUILTIN_MODES makes ground or bound by
+    b: a term as itself, a node as its string projection."""
+    t = b[t.name] if isinstance(t, Var) else t
     return t if isinstance(t, Functor) else string_projection(t)
 
 
-def _bound_text(t: Term, b: Bindings, pred: str) -> str:
-    return string_projection(_bound(t, b, pred))
-
-
-def _unbound_name(t: Term, b: Bindings, pred: str) -> str:
-    if not isinstance(t, Var) or t.name in b:
-        raise InstantiationError(f"{pred}: output argument must be unbound")
-    return t.name
+def _bound_text(t: Term, b: Bindings) -> str:
+    return string_projection(_bound(t, b))
 
 
 def urls_to_probe(tests) -> list[str]:
-    """The URL of every testurl test whose URL argument is bound."""
-    urls = []
-    for dt in tests:
-        goal = dt.test.goal
-        if goal.name == "testurl" and len(goal.args) == 3:
-            try:
-                urls.append(_bound_text(goal.args[0], dt.captured, "testurl"))
-            except InstantiationError:
-                pass
-    return urls
+    """The URL of every testurl test."""
+    return [_bound_text(dt.test.goal.args[0], dt.captured) for dt in tests
+            if dt.test.goal.name == "testurl" and len(dt.test.goal.args) == 3]
 
 
 # -- URL probing ---------------------------------------------------------------
@@ -384,8 +360,8 @@ def make_registry(prober=None, offline: bool = False,
     prober = prober if prober is not None else HttpProber()
 
     def sameyear(args, b, store):
-        a = _bound_text(args[0], b, "sameyear").strip()
-        c = _bound_text(args[1], b, "sameyear").strip()
+        a = _bound_text(args[0], b).strip()
+        c = _bound_text(args[1], b).strip()
         # as numbers only if both are digits: int() would also read "+2002"
         # and "2_002".  ValueError: more digits than int() converts
         try:
@@ -398,22 +374,21 @@ def make_registry(prober=None, offline: bool = False,
 
     def personne1(args, b, store):
         wanted = tuple(fold(v) if fold and isinstance(v, str) else v
-                       for v in (_bound(a, b, "personne1") for a in args))
+                       for v in (_bound(a, b) for a in args))
         groups = store.index("personne", 3, (0, 1, 2), fold)
         return [b] if wanted in groups else []
 
     def pubbyotherproject(args, b, store):
-        title = _bound_text(args[0], b, "pubbyotherproject")
-        project = _bound_text(args[1], b, "pubbyotherproject")
-        other = _unbound_name(args[2], b, "pubbyotherproject")
+        title = _bound_text(args[0], b)
+        project = _bound_text(args[1], b)
+        other = args[2].name
         return [{**b, other: fact.args[1]}
                 for fact in store.index("pub", 2, (0,)).get((title,), ())
                 if isinstance(fact.args[1], str) and fact.args[1] != project]
 
     def testurl(args, b, store):
-        url = _bound_text(args[0], b, "testurl")
-        a1 = _unbound_name(args[1], b, "testurl")
-        _unbound_name(args[2], b, "testurl")
+        url = _bound_text(args[0], b)
+        a1 = args[1].name
         if offline:
             return []
         answers = probe_answers(prober.probe(url))

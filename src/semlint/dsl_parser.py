@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import re
 
-from . import SemlintError
+from . import BUILTIN_MODES, SemlintError
 from .record import POSITION_VARS, Record, SourcePos
 from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
                        EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
                        Pattern, Polarity, Rule, RuleSet, Test, TestRule,
                        compile_consequence, pattern_vars)
-from .terms import Functor, Term, Var, term_vars
+from .terms import Functor, Term, Var, is_ground, term_to_text, term_vars
 
 MAX_NESTING = 200  # the matcher and the cache recurse once per level
 
@@ -317,6 +317,7 @@ class _Parser:
                 self.check_bound(rule, term_vars(term), bound)
         else:
             test = rule.body.test
+            self.check_modes(rule, test.goal, bound)
             # an if-absent message is given when the goal has no solution,
             # which binds nothing
             if test.polarity is Polarity.IF_PRESENT:
@@ -330,6 +331,19 @@ class _Parser:
                              bound)
             if anon:
                 self.check_bound(rule, [ANON], set())
+
+    def check_modes(self, rule: Rule, goal: Functor, bound: set[str]) -> None:
+        modes = BUILTIN_MODES.get((goal.name, len(goal.args)), "")
+        for arg, mode in zip(goal.args, modes):
+            var = isinstance(arg, Var)
+            ground = arg.name in bound if var else is_ground(arg)
+            if not (ground if mode == "+" else var and not ground):
+                raise ParseError(rule.pos, f"{goal.name}: argument "
+                                 f"{term_to_text(arg)} must be " + (
+                                     "ground or a variable bound by the "
+                                     "rule's pattern or conditions"
+                                     if mode == "+" else
+                                     "a variable that only the goal binds"))
 
     def check_bound(self, rule: Rule, names, bound: set[str]) -> None:
         for name in names:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-from . import SemlintError, reporting, terms
+from . import BUILTIN_MODES, SemlintError, reporting, terms
 from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
                       match_node, match_term, string_projection)
 from .record import POSITION_VARS, Record
@@ -43,10 +43,6 @@ class UnknownPredicate(EngineError):
                          f"never asserted (possible misspelling)")
         self.name = name
         self.arity = arity
-
-
-class BuiltinError(EngineError):
-    pass
 
 
 # builtin evaluator: (goal args, bindings, store) -> solutions
@@ -351,12 +347,9 @@ def resolve_tests(tests: list[DelayedTest], store: FactStore,
                 unknown_reported.add(key)
                 diagnostics.append(str(exc))
             continue
-        except BuiltinError as exc:
-            diagnostics.append(f"{dt.pos.file}:{dt.pos.line}: {exc}")
-            continue
 
-        # validate, ground facts and the builtins' checks leave no variable
-        # of a message unbound, so rendering cannot fail
+        # validate, builtin modes included, and ground facts leave no
+        # variable of a message unbound, so rendering cannot fail
         if dt.test.polarity is Polarity.IF_ABSENT:
             if not solutions:
                 html, text, values = reporting.render_consequence(
@@ -470,11 +463,17 @@ def _test_from_json(item, previous: int, source_file: str, rules: RuleSet,
             raise ValueError(f"cached test names rule {index}, not a test "
                              f"rule")
         names = rule.body.captured  # a row's, then the position's
-        layouts[index] = (rule.body.test,
-                          [n for n in names if n not in POSITION_VARS],
-                          [n for n in names if n in POSITION_VARS])
-    test, names, positions = layouts[index]
-    if len(row) != len(names):
+        goal = rule.body.test.goal
+        # a cold run fills the cell of each variable input of a builtin
+        modes = BUILTIN_MODES.get((goal.name, len(goal.args)), "")
+        inputs = {a.name for a, m in zip(goal.args, modes)
+                  if m == "+" and isinstance(a, Var)}
+        row_names = [n for n in names if n not in POSITION_VARS]
+        layouts[index] = (rule.body.test, row_names,
+                          [n for n in names if n in POSITION_VARS],
+                          [i for i, n in enumerate(row_names) if n in inputs])
+    test, names, positions, inputs = layouts[index]
+    if len(row) != len(names) or any(row[i] is None for i in inputs):
         raise ValueError(f"cached test row {row!r} does not fit rule {index}")
     captured = {name: decode(value)
                 for name, value in zip(names, row) if value is not None}

@@ -118,7 +118,8 @@ def _bind_value(name: str, value: Value, b: Bindings) -> Optional[Bindings]:
 def _same(a: Value, c: Value) -> bool:
     """a == c, except that nodes compare by content and not by line.
 
-    Bound subtrees compare here, not by Element.__eq__, on an explicit stack.
+    Bound subtrees compare here, on an explicit stack, so any depth
+    compares.
     """
     stack = [(a, c)]
     while stack:

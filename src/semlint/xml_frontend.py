@@ -45,26 +45,6 @@ class Text(Record):
 class Element(Record):
     __slots__ = ("name", "attrs", "children", "pos")
 
-    def __eq__(self, other):
-        # field by field as Record does, with an explicit stack instead of
-        # recursion through children, so any depth compares
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if ((a.name, a.attrs, a.pos) != (b.name, b.attrs, b.pos)
-                    or len(a.children) != len(b.children)):
-                return False
-            for x, y in zip(a.children, b.children):
-                if x is y:
-                    continue
-                if x.__class__ is Element and y.__class__ is Element:
-                    stack.append((x, y))
-                elif not x == y:
-                    return False
-        return True
-
 
 XmlNode = Union[Element, Text]
 

@@ -2,14 +2,17 @@ import socket
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
 
+from semlint import BUILTIN_MODES
 from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
-                              UNREACHABLE, HttpProber, InstantiationError,
-                              UrlProbeResult, _iri_to_uri, make_registry,
-                              probe_answers, strip_accents, urls_to_probe)
+                              UNREACHABLE, HttpProber, UrlProbeResult,
+                              _iri_to_uri, make_registry, probe_answers,
+                              strip_accents, urls_to_probe)
+from semlint.dsl_parser import ParseError, parse_rules
 from semlint.engine import DelayedTest, FactStore
 from semlint.rule_ast import Polarity, Test, compile_consequence
 from semlint.terms import Functor, Var
@@ -57,11 +60,6 @@ def call(registry, name, arity, args, b=B0, store=None):
 def test_sameyear(a, b, match):
     sols = call(OFFLINE, "sameyear", 2, (a, b))
     assert bool(sols) is match
-
-
-def test_sameyear_requires_bound_arguments():
-    with pytest.raises(InstantiationError):
-        call(OFFLINE, "sameyear", 2, (Var("Y"), "2002"))
 
 
 # -- personne1 ------------------------------------------------------------------
@@ -124,12 +122,6 @@ def test_pubbyotherproject_excludes_own_project():
     assert sorted(s["O"] for s in sols) == ["miro", "orpailleur"]
 
 
-def test_pubbyotherproject_output_must_be_unbound():
-    with pytest.raises(InstantiationError):
-        call(OFFLINE, "pubbyotherproject", 3,
-             ("Shared Paper", "acacia", "miro"), store=PUBS)
-
-
 # -- testurl --------------------------------------------------------------------
 
 def test_testurl_live_url_yields_no_solutions():
@@ -164,34 +156,6 @@ def test_testurl_answers_for_one_variable_must_agree():
                 ("http://gone/", Var("A"), Var("A"))) == []
 
 
-@pytest.mark.parametrize("name, args", [
-    ("testurl", ("http://gone/", Var("A"), Var("B"))),
-    ("pubbyotherproject", ("Shared Paper", "acacia", Var("A"))),
-])
-def test_output_variable_already_bound_is_an_instantiation_error(name, args):
-    reg = make_registry(StubProber())
-    with pytest.raises(InstantiationError, match="must be unbound"):
-        call(reg, name, 3, args, b={"A": "x"}, store=PUBS)
-
-
-# a variable in a written compound is never substituted: its text would be
-# compared, looked up or probed as if it were a value, and a solution would
-# leave it unbound for the message
-@pytest.mark.parametrize("name, args", [
-    ("sameyear", (Functor("f", (Var("Z"),)), Functor("f", (Var("Z"),)))),
-    ("personne1", (Functor("f", (Var("Z"),)), "Martin", "acacia")),
-    ("pubbyotherproject", (Functor("f", ("t", Var("Z"))), "acacia",
-                           Var("A"))),
-    ("testurl", (Functor("f", (Var("Z"),)), Var("A"), Var("B"))),
-])
-def test_a_compound_input_with_a_variable_is_an_instantiation_error(name,
-                                                                    args):
-    reg = make_registry(StubProber())
-    with pytest.raises(InstantiationError,
-                       match=r"argument f\(.*\$Z\) must be ground"):
-        call(reg, name, len(args), args, b={"Z": "x"}, store=PUBS)
-
-
 def test_testurl_offline_mode_never_probes():
     prober = StubProber()
     reg = make_registry(prober, offline=True)
@@ -211,10 +175,8 @@ def test_urls_to_probe_projects_bound_url_arguments():
                 {"U": node}),
         delayed(Functor("testurl", (Functor("f", ("x",)), Var("A"),
                                     Var("B"))), {}),
-        # unbound, another predicate, another arity: nothing to probe
-        delayed(Functor("testurl", (Var("U"), Var("A"), Var("B"))), {}),
-        delayed(Functor("testurl", (Functor("f", (Var("U"),)), Var("A"),
-                                    Var("B"))), {"U": node}),
+        # another predicate, another arity: nothing to probe; a URL that is
+        # unbound or a compound holding a variable fails to load
         delayed(Functor("sameyear", ("http://x/no", "1")), {}),
         delayed(Functor("testurl", ("http://x/no",)), {}),
     ]
@@ -223,6 +185,76 @@ def test_urls_to_probe_projects_bound_url_arguments():
     prober = HttpProber()
     assert prober.probe('f("x")').kind == MALFORMED
     assert prober.probe_count == 0
+
+
+# -- modes ----------------------------------------------------------------------
+
+def test_the_registry_provides_exactly_the_builtins_with_modes():
+    assert make_registry(StubProber()).keys() == BUILTIN_MODES.keys()
+
+
+# each rule breaks its builtin's modes (+ ground when the goal runs, - a
+# variable that only the goal binds): this fails to load, where it once
+# raised when the goal ran
+@pytest.mark.parametrize("goal, arg, mode", [
+    pytest.param('sameyear($Y, "2002")', "$Y", "+", id="unbound-input"),
+    pytest.param('sameyear($_, $X)', "$_", "+", id="anon-input"),
+    # a variable in a written compound is never substituted: its text would
+    # be compared, looked up or probed as if it were a value, and a solution
+    # would leave it unbound for the message
+    pytest.param('sameyear(f($Z), f($Z))', "f($Z)", "+", id="sameyear-hole"),
+    pytest.param('personne1(f($Z), "Martin", "acacia")', "f($Z)", "+",
+                 id="personne1-hole"),
+    pytest.param('pubbyotherproject(f("t", $Z), "acacia", $A)', 'f("t",$Z)',
+                 "+", id="pubbyotherproject-hole"),
+    pytest.param('testurl(f($Z), $A, $B)', "f($Z)", "+", id="testurl-hole"),
+    # nor is a bound one
+    pytest.param('testurl(f($X), $A, $B)', "f($X)", "+", id="bound-hole"),
+    pytest.param('pubbyotherproject("Shared Paper", "acacia", $X)', "$X", "-",
+                 id="pubbyotherproject-bound-output"),
+    pytest.param('testurl("http://gone/", $X, $B)', "$X", "-",
+                 id="testurl-bound-output"),
+    pytest.param('testurl($X, $A, $X)', "$X", "-", id="output-is-an-input"),
+    pytest.param('pubbyotherproject("Shared Paper", "acacia", "miro")',
+                 '"miro"', "-", id="string-output"),
+    pytest.param('testurl("http://x/", $A, f($B))', "f($B)", "-",
+                 id="compound-output"),
+])
+@pytest.mark.parametrize("skipped", ["", "<* "], ids=["live", "skipped"])
+def test_a_goal_that_breaks_a_mode_fails_to_load(goal, arg, mode, skipped):
+    text = ('<b/> => pub("Shared Paper", "acacia");\n'
+            f'{skipped}<a x=$X/> ? {goal} -> <li> k </li>;\n')
+    with pytest.raises(ParseError) as exc:
+        parse_rules(text, "r.rules")
+    need = ("ground or a variable bound by the rule's pattern or conditions"
+            if mode == "+" else "a variable that only the goal binds")
+    name = goal.partition("(")[0]
+    assert str(exc.value) == f"r.rules:2: {name}: argument {arg} must be {need}"
+
+
+@pytest.mark.parametrize("rule", [
+    # both outputs may be one variable, which then needs two equal answers
+    '<a href=$U/> ? testurl($U, $A, $A) -> <li> <$A> </li>;',
+    '<a href=$U/> ? testurl($U, $_, $_) / <li> <$U> </li>;',
+    # inputs bound by a condition or by the position, ground compounds
+    '<a> <$T> </a> & e = f($P) ? pubbyotherproject($T, $P, $O) -> <li> <$O>'
+    ' </li>;',
+    '<a> <$T> </a> & e = $_ ? sameyear($_, $SourceLine) / <li> <$T> </li>;',
+    '<a/> ? personne1(f("x"), $SourceFile, "p") / <li> k </li>;',
+    '<a> <$X> </a> & $X contains <b y=$Y/> ? sameyear($Y, "1") / <li/>;',
+])
+def test_a_goal_in_its_modes_loads(rule):
+    parse_rules(rule, "r.rules")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.relative_to(ROOT).as_posix() for d in ("tests/fixtures", "perfbench")
+    for p in (ROOT / d).glob("*.rules")))
+def test_every_rule_file_of_the_project_loads(name):
+    assert parse_rules((ROOT / name).read_text(encoding="utf-8"), name).rules
 
 
 def test_probe_answers_malformed():

@@ -24,9 +24,9 @@ RULES = '<pers nom=$N> <$_> </pers> => personne($N);\n' \
         'line <$SourceLine> of <$SourceFile>. </li> ;\n'
 
 
-def write_corpus(root: Path, n_files=3, unknown_in=(1,)):
+def write_corpus(root: Path, n_files=3, unknown_in=(1,), rules_text=RULES):
     rules = root / "check.rules"
-    rules.write_text(RULES, encoding="utf-8")
+    rules.write_text(rules_text, encoding="utf-8")
     inputs = []
     for i in range(n_files):
         check = "ghost" if i in unknown_in else "known"
@@ -292,6 +292,13 @@ def _restep_test(data, step):
     return json.dumps(data)
 
 
+def _set_unset(data):
+    # test 1 is of the pubbyotherproject rule, whose row's cell 0 holds the
+    # input $N
+    data[cache_pack.TESTS][1][2][0] = None
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("make_entry", [
     lambda data, cfg, path: '{"format": 2}',
     lambda data, cfg, path: _retarget_test(data, 99),
@@ -302,10 +309,15 @@ def _restep_test(data, step):
     lambda data, cfg, path: _restep_test(data, True),
     lambda data, cfg, path: _restep_test(data, 3.0),
     lambda data, cfg, path: _restep_test(data, "3"),
+    # a cold run always binds a builtin's input
+    lambda data, cfg, path: _set_unset(data),
 ], ids=["format-only", "rule-99", "environment-rule", "text-format",
-        "step-a-bool", "step-a-float", "step-a-string"])
+        "step-a-bool", "step-a-float", "step-a-string", "input-unset"])
 def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
-    rules, inputs = write_corpus(tmp_path, n_files=2, unknown_in=(0,))
+    rules, inputs = write_corpus(
+        tmp_path, n_files=2, unknown_in=(0,), rules_text=RULES + (
+            '<check nom=$N/> ? pubbyotherproject($N, "p", $O) -> '
+            '<li> <$N> <$O> </li> ;\n'))
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
     data = json.loads(read_entry(cfg, inputs[0]))

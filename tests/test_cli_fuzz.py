@@ -10,9 +10,13 @@ lets matcher.match_term match one way.
 The generator mostly draws variables that are already bound, so that most
 rule files pass validation and reach both passes; now and then it draws
 any variable, which the parser may reject with a clean exit 2.  A term of
-a goal or a condition sometimes holds $_, and a goal's inputs are often a
-compound holding a variable that nothing binds, which a -> message then
-shows: such a rule must fail cleanly, at load or at the goal.
+a goal or a condition sometimes holds $_.  A builtin goal mostly keeps its
+modes (BUILTIN_MODES); one in twenty may break them, as a hole (a compound
+input holding a variable that nothing binds, $F or $_, which a -> message
+then shows) or an argument in the other mode, and then fails at load.  A
+fact goal takes such a hole in half the draws, which its facts then fill.
+So that pass 2 finds solutions, goal inputs are often drawn from what the
+environment rules drawn before them assert, pub/2 and personne/3 included.
 """
 
 import io
@@ -23,7 +27,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlint import SemlintError, engine
+from semlint import BUILTIN_MODES, SemlintError, engine
 from semlint.builtins import OK, UrlProbeResult, make_registry
 from semlint.cli import RunConfig, run
 from semlint.dsl_parser import parse_rules
@@ -43,7 +47,11 @@ STRINGS = ["", "0", "2002", "http://h/live", "http://h/dead", "Anne"]
 GOALS = [("sameyear", "ii"), ("personne1", "iii"),
          ("pubbyotherproject", "iio"), ("testurl", "ioo"), ("p", "i"),
          ("q", "io"), ("r", "i")]
-FACTS = [("p", 1), ("q", 2)]
+FACTS = [("p", 1), ("q", 2), ("pub", 2), ("personne", 3)]
+# the asserted predicate whose arguments a goal's first inputs copy, and
+# how many: pubbyotherproject looks for another project than a pub fact's
+FEEDS = {"p": ("p", 1), "q": ("q", 1), "pubbyotherproject": ("pub", 1),
+         "personne1": ("personne", 3)}
 ROOTS = ["li", "list", "ul"]
 TEXTS = ["w", "0", "http://h/live"]
 
@@ -75,10 +83,11 @@ def term(draw, bound, depth=0, anon=False):
 
 
 @st.composite
-def pattern(draw, binds, depth=0, child=False):
+def pattern(draw, binds, depth=0, child=False, values=None):
     """An XML-shaped pattern and a piece of XML that it matches.
 
-    The variables the pattern binds are added to binds.  A head is an
+    The variables the pattern binds are added to binds, and the value in
+    the XML of each one an attribute binds to values, if given.  A head is an
     element; a contains pattern may also be a variable; a child may also be
     text."""
     kinds = ["element", "empty"]
@@ -103,6 +112,8 @@ def pattern(draw, binds, depth=0, child=False):
         if kind_of_value == "var":
             var = draw(st.sampled_from(VARS))
             binds.add(var)
+            if values is not None:
+                values.setdefault(var, quoted(value))
             attrs += f" {attr}=${var}"
         elif kind_of_value == "anon":
             attrs += f" {attr}=$_"
@@ -111,7 +122,7 @@ def pattern(draw, binds, depth=0, child=False):
         instance_attrs += f" {attr}={quoted(value)}"
     if kind == "empty" or depth >= 2:
         return f"<{name}{attrs}/>", f"<{name}{instance_attrs}/>"
-    children = draw(st.lists(pattern(binds, depth + 1, child=True),
+    children = draw(st.lists(pattern(binds, depth + 1, True, values),
                              max_size=3))
     if draw(st.booleans()):
         # the rest of the content, whatever it is
@@ -136,14 +147,43 @@ def consequence(draw, bound):
 
 
 @st.composite
-def rule(draw):
-    bound = {"SourceFile", "SourceLine"}
+def goal_input(draw, name, i, bound, asserted, strict):
+    """Input i of a name goal, often an argument that a rule asserts; if
+    strict, one that is ground when the goal runs: a string, a compound of
+    strings or a bound variable."""
+    pred, count = FEEDS.get(name, (None, 0))
+    # sameyear and testurl may copy any asserted argument
+    fed = ([args[i] for p, args in asserted if p == pred] if i < count else
+           [a for _, args in asserted for a in args] if pred is None else [])
+    if strict:
+        # a variable in a written compound is never substituted
+        fed = [a for a in fed if "$" not in a or a[1:] in bound]
+    if fed and draw(st.integers(0, 3)) < 3:
+        return draw(st.sampled_from(fed))
+    if not strict:
+        return draw(term(bound, anon=True))
+    kind = draw(st.sampled_from(["string", "var", "functor"]))
+    if kind == "var":
+        return "$" + draw(st.sampled_from(sorted(bound)))
+    strings = st.sampled_from(STRINGS).map(quoted)
+    if kind == "string":
+        return draw(strings)
+    return f"f({', '.join(draw(st.lists(strings, max_size=2)))})"
+
+
+@st.composite
+def rule(draw, asserted=None):
+    """A rule and an instance of its head.  What an environment rule
+    asserts is added to asserted, if given, as (predicate, argument
+    texts)."""
+    asserted = [] if asserted is None else asserted
+    bound, values = {"SourceFile", "SourceLine"}, {}
     skipped = "<* " if draw(st.integers(0, 5)) == 0 else ""
     if draw(st.integers(0, 7)) == 0:
         instance = draw(st.sampled_from(TEXTS))
         head = quoted(instance)
     else:
-        head, instance = draw(pattern(bound))
+        head, instance = draw(pattern(bound, values=values))
     conditions = ""
     # an env condition holds only under an ancestor's assignment: few of them
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
@@ -163,26 +203,41 @@ def rule(draw):
                                f"{draw(term(bound))}")
             else:
                 name, arity = draw(st.sampled_from(FACTS))
-                args = [draw(term(bound)) for _ in range(arity)]
+                # a pub or personne fact holds no compound (a term at depth
+                # 2 is none): its builtin compares strings
+                depth = 2 if name in ("pub", "personne") else 0
+                args = [draw(term(bound, depth)) for _ in range(arity)]
+                # a variable as the value it has in the head's instance
+                asserted.append((name, [values.get(a[1:], a) for a in args]))
                 actions.append(f"{name}({', '.join(args)})")
         body = "=> " + " & ".join(actions)
     else:
-        name, modes = draw(st.sampled_from(GOALS))
-        # in half the goals, every input is one compound that holds a
-        # variable nothing binds, $F or $_, and most -> messages of those
-        # goals show it: a builtin must not take such an input as ground
-        hole = draw(st.sampled_from([None, "F", "_"]))
-        # one argument in ten is given the other mode
+        # half the goals read a predicate that a rule asserts, if any
+        fed = [g for g in GOALS if g[0] in FEEDS and any(
+            pred == FEEDS[g[0]][0] for pred, _ in asserted)]
+        name, modes = draw(st.sampled_from(
+            fed if fed and draw(st.booleans()) else GOALS))
+        # 19 builtin goals in 20 keep their modes.  In the others, and in
+        # fact goals, every input is one compound that holds a variable
+        # nothing binds, $F or $_, in half the draws, and most -> messages
+        # of those goals show it ($_ less often: <$_> in a message fails to
+        # load); one argument in ten is given the other mode
+        strict = (name, len(modes)) in BUILTIN_MODES and draw(
+            st.integers(0, 19)) < 19
+        hole = None if strict else draw(st.sampled_from([None, None, "F",
+                                                         "_"]))
         args = [draw(st.sampled_from(["$A", "$B", "$O"]))
-                if (mode == "o") == bool(draw(st.integers(0, 9)))
-                else hole and f"f(${hole})" or draw(term(bound, anon=True))
-                for mode in modes]
+                if (mode == "o") == (strict or bool(draw(st.integers(0, 9))))
+                else hole and f"f(${hole})" or draw(goal_input(
+                    name, i, bound, asserted, strict))
+                for i, mode in enumerate(modes)]
         polarity = draw(st.sampled_from(["/", "->"]))
         # an if-absent ("/") message cannot read what the goal binds
         goal_vars = {v for v in ("A", "B", "O") if polarity == "->" and any(
             a == "$" + v for a in args)}
         message = (f"<li> <${hole}> </li>" if hole and polarity == "->"
-                   and draw(st.integers(0, 3))
+                   and draw(st.integers(0, 3)) and (hole == "F" or draw(
+                       st.booleans()))
                    else draw(consequence(bound | goal_vars)))
         body = f"? {name}({', '.join(args)}) {polarity} {message}"
     return f"{skipped}{head}{conditions}\n  {body};\n", instance
@@ -201,10 +256,17 @@ def document(draw, depth=0):
 
 
 @st.composite
+def rule_list(draw):
+    """One to four rules, each with an instance of its head; a test rule
+    may read what the environment rules drawn before it assert."""
+    return draw(st.lists(rule([]), min_size=1, max_size=4))
+
+
+@st.composite
 def corpus(draw):
     """Rules, and a document holding an instance of each head among random
     content, at random depths."""
-    rules = draw(st.lists(rule(), min_size=1, max_size=4))
+    rules = draw(rule_list())
     parts = [instance for _, instance in rules]
     parts += draw(st.lists(document(depth=1), max_size=3))
     parts = draw(st.permutations(parts))

