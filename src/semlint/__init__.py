@@ -30,4 +30,13 @@ class SemlintError(Exception):
     """The base of every error that a run reports with exit code 2."""
 
 
+class LineError(SemlintError):
+    """An error at pos, a record.SourcePos: "file:line: detail"."""
+
+    def __init__(self, pos, detail: str):
+        super().__init__(f"{pos.file}:{pos.line}: {detail}")
+        self.pos = pos
+        self.detail = detail
+
+
 __version__ = "0.1.0"

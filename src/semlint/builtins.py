@@ -20,9 +20,8 @@ from .terms import Functor, Term, Var
 
 def _bound(t: Term, b: Bindings) -> str | Functor:
     """The value of an input, which BUILTIN_MODES makes ground or bound by
-    b: a term as itself, a node as its string projection."""
-    t = b[t.name] if isinstance(t, Var) else t
-    return t if isinstance(t, Functor) else string_projection(t)
+    b; pass 2 holds strings and ground functors only, never a node."""
+    return b[t.name] if isinstance(t, Var) else t
 
 
 def _bound_text(t: Term, b: Bindings) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from . import BUILTIN_MODES, SemlintError
+from . import BUILTIN_MODES, LineError
 from .record import POSITION_VARS, Record, SourcePos
 from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
                        EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
@@ -21,18 +21,12 @@ from .terms import Functor, Term, Var, is_ground, term_to_text, term_vars
 MAX_NESTING = 200  # the matcher and the cache recurse once per level
 
 
-class LexError(SemlintError):
-    def __init__(self, pos: SourcePos, detail: str):
-        super().__init__(f"{pos.file}:{pos.line}: {detail}")
-        self.pos = pos
-        self.detail = detail
+class LexError(LineError):
+    pass
 
 
-class ParseError(SemlintError):
-    def __init__(self, pos: SourcePos, detail: str):
-        super().__init__(f"{pos.file}:{pos.line}: {detail}")
-        self.pos = pos
-        self.detail = detail
+class ParseError(LineError):
+    pass
 
 
 class Token(Record, frozen=True):
@@ -175,7 +169,7 @@ class _Parser:
             actions = [self.parse_action()]
             while self.accept("&"):
                 actions.append(self.parse_action())
-            body: EnvRule | TestRule = EnvRule(tuple(actions))
+            body: EnvRule | Test | TestRule = EnvRule(tuple(actions))
         elif self.accept("?"):
             goal = self.parse_term()
             if not isinstance(goal, Functor):
@@ -188,17 +182,29 @@ class _Parser:
                 raise ParseError(self.cur.pos, "expected '/' or '->' after "
                                                "test goal")
             consequence = self.parse_consequence()
-            test = Test(polarity, goal, consequence,
+            body = Test(polarity, goal, consequence,
                         compile_consequence(consequence))
-            body = TestRule(test, tuple(sorted({
-                *term_vars(goal), *test.template[0], *POSITION_VARS})))
         else:
             raise ParseError(self.cur.pos, "expected '=>' or '?' after "
                                            "rule pattern")
         self.expect(";")
+        # the names that every match of the pattern and conditions binds
+        bound = {*pattern_vars(pattern), *POSITION_VARS}
+        for cond in conditions:
+            if isinstance(cond, Contains):
+                if cond.var not in bound:
+                    raise ParseError(pos, f"contains variable ${cond.var} "
+                                          f"is not bound by the rule pattern")
+                bound |= set(pattern_vars(cond.pattern))
+            else:
+                bound |= set(term_vars(cond.rhs))
+        if isinstance(body, Test):
+            body = TestRule(body, tuple(sorted(
+                {*term_vars(body.goal), *body.template[0]}
+                & bound - {*POSITION_VARS})))
         rule = Rule(self.next_index, pattern, tuple(conditions), body,
                     skipped, pos)
-        self.validate(rule)
+        self.validate(rule, bound)
         self.next_index += 1
         return rule
 
@@ -300,17 +306,7 @@ class _Parser:
             attrs.append(AttrPattern(name_tok.lexeme, value))
         return tuple(attrs)
 
-    def validate(self, rule: Rule) -> None:
-        bound = {*pattern_vars(rule.pattern), *POSITION_VARS}
-        for cond in rule.conditions:
-            if isinstance(cond, Contains):
-                if cond.var not in bound:
-                    raise ParseError(
-                        rule.pos, f"contains variable ${cond.var} is not "
-                                  f"bound by the rule pattern")
-                bound |= set(pattern_vars(cond.pattern))
-            else:
-                bound |= set(term_vars(cond.rhs))
+    def validate(self, rule: Rule, bound: set[str]) -> None:
         if isinstance(rule.body, EnvRule):
             for act in rule.body.actions:
                 term = act.value if isinstance(act, Assign) else act.fact
@@ -321,7 +317,7 @@ class _Parser:
             # an if-absent message is given when the goal has no solution,
             # which binds nothing
             if test.polarity is Polarity.IF_PRESENT:
-                bound |= set(term_vars(test.goal))
+                bound = bound | set(term_vars(test.goal))
             # <$_> and name=$_ bind nothing, even where a term binds a $_:
             # in a pattern's template, $_ is a slot that nothing fills
             names = test.template[0]

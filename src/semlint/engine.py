@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-from . import BUILTIN_MODES, SemlintError, reporting, terms
+from . import SemlintError, reporting, terms
 from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
                       match_node, match_term, string_projection)
 from .record import POSITION_VARS, Record
@@ -244,7 +244,7 @@ def _ground_value(term: Term, b: Bindings) -> Value:
 
 def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
     captured = {name: _project_nodes(b[name])
-                for name in rule.body.captured if name in b}
+                for name in (*rule.body.captured, *POSITION_VARS)}
     return DelayedTest(rule.index, rule.body.test, captured, pos)
 
 
@@ -387,28 +387,26 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 # delayed test is [rule_index, step, row]: step is its line minus the line of
 # the test before it (the first test's is its line) and may be negative;
 # tests in document order give small steps, which compress well.  Its goal and
-# consequence are read back from the ruleset, and row holds a term, or null
-# where unbound, for each name of the rule's TestRule.captured in order, but
-# $SourceFile and $SourceLine: always the input path and the test's line, so
-# an entry does not depend on the path.  Diagnostics are plain strings.
+# consequence are read back from the ruleset, and row holds one term for each
+# name of the rule's TestRule.captured in order: the names that pass 1 binds,
+# never null.  $SourceFile and $SourceLine are left out, always the input
+# path and the test's line, so an entry does not depend on the path.
+# Diagnostics are plain strings.
 
 def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
     table: dict[str, int] = {}
 
     def encode(t: Term):
+        # pass 1 binds strings and ground functors only
         if isinstance(t, str):
             return table.setdefault(t, len(table))
-        if isinstance(t, Functor):
-            return [table.setdefault(t.name, len(table)),
-                    *map(encode, t.args)]
-        raise ValueError(f"non-ground term not serializable: {t!r}")
+        return [table.setdefault(t.name, len(table)), *map(encode, t.args)]
 
     facts = [encode(fact) for fact in result.facts]
     lines = [dt.pos.line for dt in result.tests]
     tests = [[dt.rule_index, line - previous, [
-        encode(dt.captured[name]) if name in dt.captured else None
-        for name in rules.rules[dt.rule_index].body.captured
-        if name not in POSITION_VARS]]
+        encode(dt.captured[name])
+        for name in rules.rules[dt.rule_index].body.captured]]
         for dt, line, previous in zip(result.tests, lines, [0, *lines])]
     return json.dumps([list(table), facts, tests, list(result.diagnostics)],
                       separators=(",", ":"))
@@ -433,11 +431,9 @@ def parse_pass1(text: str, source_file: str, rules: RuleSet) -> PassOneResult:
 
     facts = tuple(decode(_typed(item, list))
                   for item in _typed(facts_doc, list))
-    layouts: dict[int, tuple] = {}  # worked out once per rule
     tests, line = [], 0  # a line is the running sum of the steps
     for item in _typed(tests_doc, list):
-        tests.append(_test_from_json(item, line, source_file, rules, decode,
-                                     layouts))
+        tests.append(_test_from_json(item, line, source_file, rules, decode))
         line = tests[-1].pos.line
     diagnostics = tuple(_typed(d, str) for d in _typed(diags_doc, list))
     return PassOneResult(facts, tuple(tests), diagnostics)
@@ -451,32 +447,17 @@ def _typed(value, kind: type):
 
 
 def _test_from_json(item, previous: int, source_file: str, rules: RuleSet,
-                    decode: Callable[[object], Term],
-                    layouts: dict[int, tuple]) -> DelayedTest:
+                    decode: Callable[[object], Term]) -> DelayedTest:
     if type(item) is not list or len(item) != 3:
         raise ValueError(f"bad cached test {item!r}")
     index, line, row = (_typed(item[0], int), previous + _typed(item[1], int),
                         _typed(item[2], list))
-    if index not in layouts:
-        rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
-        if rule is None or not isinstance(rule.body, TestRule):
-            raise ValueError(f"cached test names rule {index}, not a test "
-                             f"rule")
-        names = rule.body.captured  # a row's, then the position's
-        goal = rule.body.test.goal
-        # a cold run fills the cell of each variable input of a builtin
-        modes = BUILTIN_MODES.get((goal.name, len(goal.args)), "")
-        inputs = {a.name for a, m in zip(goal.args, modes)
-                  if m == "+" and isinstance(a, Var)}
-        row_names = [n for n in names if n not in POSITION_VARS]
-        layouts[index] = (rule.body.test, row_names,
-                          [n for n in names if n in POSITION_VARS],
-                          [i for i, n in enumerate(row_names) if n in inputs])
-    test, names, positions, inputs = layouts[index]
-    if len(row) != len(names) or any(row[i] is None for i in inputs):
+    rule = rules.rules[index] if 0 <= index < len(rules.rules) else None
+    if rule is None or not isinstance(rule.body, TestRule):
+        raise ValueError(f"cached test names rule {index}, not a test rule")
+    if len(row) != len(rule.body.captured):
         raise ValueError(f"cached test row {row!r} does not fit rule {index}")
-    captured = {name: decode(value)
-                for name, value in zip(names, row) if value is not None}
-    for name in positions:
-        captured[name] = source_file if name == "SourceFile" else str(line)
-    return DelayedTest(index, test, captured, SourcePos(source_file, line))
+    captured = dict(zip((*rule.body.captured, *POSITION_VARS),
+                        (*map(decode, row), source_file, str(line))))
+    return DelayedTest(index, rule.body.test, captured,
+                       SourcePos(source_file, line))

@@ -91,7 +91,8 @@ class TestRule(Record, frozen=True):
     __test__ = False  # keep pytest from collecting this as a test class
     __slots__ = (
         "test",
-        # the sorted names that a delayed test of this rule captures
+        # the sorted names of the goal and message that pass 1 binds, but
+        # $SourceFile and $SourceLine: the cells of a cached test's row
         "captured")
 
 

@@ -17,15 +17,12 @@ import re
 from typing import Union
 from xml.parsers import expat
 
-from . import SemlintError
+from . import LineError, SemlintError
 from .record import Record, SourcePos
 
 
-class MalformedXml(SemlintError):
-    def __init__(self, pos: SourcePos, detail: str):
-        super().__init__(f"{pos.file}:{pos.line}: {detail}")
-        self.pos = pos
-        self.detail = detail
+class MalformedXml(LineError):
+    pass
 
 
 class EncodingError(SemlintError):

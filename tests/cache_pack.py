@@ -23,7 +23,8 @@ any level reads.  Its lines are:
   order of first use; a term is an index into it, or [name index, *args]
   for a compound; a test is [rule index, step, row], its step its line
   minus the line of the test before it (the first test's is its line), its
-  row a term or null per captured name; diagnostics are plain strings.
+  row a term, never null, per name of its rule's TestRule.captured;
+  diagnostics are plain strings.
 """
 
 import json

@@ -23,12 +23,17 @@ from semlint.xml_frontend import SourcePos
 _POSITION_VARS = ("SourceFile", "SourceLine")
 
 
+def _captured(rule) -> tuple[str, ...]:
+    """TestRule.captured as it was then: the position's names included."""
+    return (*rule.body.captured, *_POSITION_VARS)
+
+
 def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
     tests = []
     for dt in result.tests:
         tests.append([dt.rule_index, dt.pos.line, [
             _term_to_json(dt.captured[name]) if name in dt.captured else None
-            for name in rules.rules[dt.rule_index].body.captured
+            for name in _captured(rules.rules[dt.rule_index])
             if name not in _POSITION_VARS]])
     return json.dumps([[_term_to_json(fact) for fact in result.facts], tests,
                        list(result.diagnostics)], separators=(",", ":"))
@@ -82,12 +87,12 @@ def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
     if rule is None or not isinstance(rule.body, TestRule):
         raise ValueError(f"cached test names rule {index}, not a test rule")
     position = {"SourceFile": source_file, "SourceLine": str(line)}
-    names = [name for name in rule.body.captured if name not in position]
+    names = [name for name in _captured(rule) if name not in position]
     if len(row) != len(names):
         raise ValueError(f"cached test row {row!r} does not fit rule {index}")
     captured = {name: _term_from_json(value)
                 for name, value in zip(names, row) if value is not None}
-    captured.update((name, position[name]) for name in rule.body.captured
+    captured.update((name, position[name]) for name in _captured(rule)
                     if name in position)
     return DelayedTest(index, rule.body.test, captured,
                        SourcePos(source_file, line))

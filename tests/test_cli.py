@@ -292,10 +292,10 @@ def _restep_test(data, step):
     return json.dumps(data)
 
 
-def _set_unset(data):
-    # test 1 is of the pubbyotherproject rule, whose row's cell 0 holds the
-    # input $N
-    data[cache_pack.TESTS][1][2][0] = None
+def _set_row(data, test, make_row):
+    # the row becomes make_row(the value of its $N)
+    tests = data[cache_pack.TESTS]
+    tests[test][2] = make_row(tests[test][2][0])
     return json.dumps(data)
 
 
@@ -309,17 +309,24 @@ def _set_unset(data):
     lambda data, cfg, path: _restep_test(data, True),
     lambda data, cfg, path: _restep_test(data, 3.0),
     lambda data, cfg, path: _restep_test(data, "3"),
-    # a cold run always binds a builtin's input
-    lambda data, cfg, path: _set_unset(data),
+    # tests 0, 1 and 2 are of rules 1, 2 and 3, whose rows hold $N alone.
+    # A cold run binds each name of a row, a builtin's input included, and
+    # writes no cell for $Z, which only the goal binds: here one holds $N's
+    lambda data, cfg, path: _set_row(data, 0, lambda n: [None]),
+    lambda data, cfg, path: _set_row(data, 1, lambda n: [None]),
+    lambda data, cfg, path: _set_row(data, 2, lambda n: [n, n]),
 ], ids=["format-only", "rule-99", "environment-rule", "text-format",
-        "step-a-bool", "step-a-float", "step-a-string", "input-unset"])
+        "step-a-bool", "step-a-float", "step-a-string", "cell-null",
+        "input-unset", "goal-only-cell"])
 def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     rules, inputs = write_corpus(
         tmp_path, n_files=2, unknown_in=(0,), rules_text=RULES + (
             '<check nom=$N/> ? pubbyotherproject($N, "p", $O) -> '
-            '<li> <$N> <$O> </li> ;\n'))
+            '<li> <$N> <$O> </li> ;\n'
+            '<check nom=$N/> ? personne($Z) -> <li> <$N> sees <$Z> </li> ;\n'))
     cfg = config(tmp_path, rules, inputs)
     cold = execute(cfg)
+    assert "ghost sees known" in cold.report
     data = json.loads(read_entry(cfg, inputs[0]))
     write_entry(cfg, inputs[0], make_entry(data, cfg, inputs[0]))
     again = execute(cfg)

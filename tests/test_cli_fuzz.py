@@ -4,8 +4,9 @@ Whatever the rules and the document, a run ends with exit code 0, 2 (a
 rules, input or engine error), or 1 only under --fail-on-warnings; no
 exception escapes and no traceback is printed.  No message is rendered
 with an unbound variable.  A warm run repeats the cold run's output
-exactly.  Every value that either pass binds is ground, which is what
-lets matcher.match_term match one way.
+exactly.  Each test row of a pack that a run writes holds one cell, never
+null, per name of its rule's TestRule.captured.  Every value that either
+pass binds is ground, which is what lets matcher.match_term match one way.
 
 The generator mostly draws variables that are already bound, so that most
 rule files pass validation and reach both passes; now and then it draws
@@ -20,6 +21,7 @@ environment rules drawn before them assert, pub/2 and personne/3 included.
 """
 
 import io
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -35,6 +37,7 @@ from semlint.engine import EngineError, evaluate_file, merge_facts, solve
 from semlint.reporting import FORMATS
 from semlint.terms import Functor, Var, is_ground
 from semlint.xml_frontend import parse_xml
+import cache_pack
 from stub_prober import StubProber
 
 ELEMENTS = ["a", "b", "c"]
@@ -291,6 +294,15 @@ def run_once(root, rules, doc, offline, fail_on_warnings, format):
     out, err = io.StringIO(), io.StringIO()
     code = run(cfg, prober=StubProber(PROBER_RESULTS), stdout=out,
                stderr=err)
+    if cache_pack.pack_file(cfg.cache_dir).exists():
+        # a run writes a pack only once its rules have loaded
+        ruleset = parse_rules(rules.read_text(encoding="utf-8"), str(rules))
+        captured = [getattr(r.body, "captured", None) for r in ruleset.rules]
+        for path in cache_pack.entry_paths(cfg.cache_dir):
+            entry = json.loads(cache_pack.entry(cfg.cache_dir, path))
+            for index, _, row in entry[cache_pack.TESTS]:
+                assert len(row) == len(captured[index]), (row, captured)
+                assert None not in row, row
     return code, out.getvalue(), err.getvalue()
 
 

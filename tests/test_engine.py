@@ -379,26 +379,22 @@ def test_a_cached_test_is_a_value_row_in_captured_order():
     assert [test[STEP] for test in tests] == [6, 1]
     line = 0
     for (index, step, row), dt in zip(tests, result.tests):
-        names = [name for name in rules.rules[index].body.captured
-                 if name not in ("SourceFile", "SourceLine")]
         line += step
         assert (index, line) == (dt.rule_index, dt.pos.line)
         assert [entry[STRINGS][i] for i in row] == [
-            dt.captured.get(name) for name in names]
+            dt.captured[name] for name in rules.rules[index].body.captured]
 
 
-def test_an_unbound_name_is_null_in_its_row():
+def test_a_name_only_the_goal_binds_has_no_cell_in_its_row():
     rules_text = ('<a x=$X/> => p($X);\n'
                   '<b y=$Y/> ? p($Z) -> <li> <$Y> <$Z> </li>;\n')
     rules = parse_rules(rules_text, "r.rules")
     result = ev(rules_text, '<r><a x="1"/><b y="2"/></r>')
     (dt,) = result.tests
-    assert "Z" in rules.rules[1].body.captured and "Z" not in dt.captured
+    assert rules.rules[1].body.captured == ("Y",) and "Z" not in dt.captured
     blob = encode(result, rules)
     (test,) = json.loads(blob)[TESTS]
-    names = [n for n in rules.rules[1].body.captured
-             if n not in ("SourceFile", "SourceLine")]
-    assert test[ROW][names.index("Z")] is None
+    assert len(test[ROW]) == 1 and None not in test[ROW]
     assert decode(blob, rules).tests == result.tests
 
 
@@ -464,10 +460,9 @@ def pass_one_results(draw):
         line = draw(st.integers(1, 50))
         position = {"SourceFile": "doc.xml", "SourceLine": str(line)}
         rule = rules.rules[index]
-        # a name left unbound is null in its row
-        captured = {name: position.get(name) or draw(TERMS)
-                    for name in rule.body.captured
-                    if name in position or draw(st.integers(0, 3))}
+        # pass 1 binds every name of a row, and the position's names
+        captured = {**{name: draw(TERMS) for name in rule.body.captured},
+                    **position}
         tests.append(DelayedTest(index, rule.body.test, captured,
                                  SourcePos("doc.xml", line)))
     diagnostics = draw(st.lists(VALUES, max_size=2))
@@ -565,10 +560,8 @@ def _earlier_layout(format):
         ev(MINI_RULES, MINI_DOC), rules))
     by_name = []
     for index, line, row in tests:
-        names = [n for n in rules.rules[index].body.captured
-                 if n not in ("SourceFile", "SourceLine")]
-        by_name.append([index, line, {n: v for n, v in zip(names, row)
-                                      if v is not None}])
+        by_name.append([index, line,
+                        dict(zip(rules.rules[index].body.captured, row))])
     rules_digest = hashlib.sha256(MINI_RULES.encode("utf-8")).hexdigest()
     return json.dumps({"format": format, "input": "0" * 64,
                        "rules": rules_digest, "facts": facts,
@@ -577,9 +570,8 @@ def _earlier_layout(format):
 
 def _row_slot(entry, name):
     """The position of name's value in the row of the entry's first test."""
-    captured = mini_ruleset().rules[entry[TESTS][0][RULE]].body.captured
-    return [n for n in captured
-            if n not in ("SourceFile", "SourceLine")].index(name)
+    return mini_ruleset().rules[entry[TESTS][0][RULE]].body.captured.index(
+        name)
 
 
 # the CLI tests cover a bare format, rule 99, an environment rule, the older
