@@ -106,17 +106,6 @@ class RunOutcome(Record):
     __slots__ = ("report", "messages", "diagnostics", "exit_code",
                  "evaluated", "cached")
 
-    def __init__(self, report: str, messages: list[Message],
-                 diagnostics: list[str], exit_code: int,
-                 evaluated: list[str] | None = None,
-                 cached: list[str] | None = None):
-        self.report = report
-        self.messages = messages
-        self.diagnostics = diagnostics
-        self.exit_code = exit_code
-        self.evaluated = [] if evaluated is None else evaluated
-        self.cached = [] if cached is None else cached
-
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -331,7 +320,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
                     result = evaluate_file(parse_xml(data, path, projected),
                                            ruleset, path)
                     entries[path] = (digest, serialize_pass1(
-                        result, ruleset).encode("utf-8"))
+                        result).encode("utf-8"))
                     evaluated.append(path)
                 results[path] = result
             waiting.clear()
@@ -345,7 +334,7 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
             if cfg.offline:
                 # each template that a message uses, once
                 templates = {m.rule_index: ruleset.rules[
-                    m.rule_index].body.test.template for m in messages}
+                    m.rule_index].body.template for m in messages}
                 outcome = [[[i, *t] for i, t in templates.items()], [
                     [m.pos.file, m.pos.line, m.rule_index, m.values,
                      m.solution_key] for m in messages], diagnostics]
@@ -362,8 +351,8 @@ def execute(cfg: RunConfig, prober=None) -> RunOutcome:
                     digest, _) in kept.items()])]
                 + [entry for _, entry in kept.values()]))
     exit_code = 1 if cfg.fail_on_warnings and (messages or diagnostics) else 0
-    return RunOutcome(report, messages, diagnostics, exit_code,
-                      evaluated=evaluated, cached=cached)
+    return RunOutcome(report, messages, diagnostics, exit_code, evaluated,
+                      cached)
 
 
 def run(cfg: RunConfig, prober=None,

@@ -12,10 +12,10 @@ import re
 
 from . import BUILTIN_MODES, LineError
 from .record import POSITION_VARS, Record, SourcePos
-from .rule_ast import (ANON, Assert, Assign, AttrPattern, Condition, Contains,
-                       EnvRule, Eq, PAnon, PElem, PEmptyElem, PText, PVar,
-                       Pattern, Polarity, Rule, RuleSet, Test, TestRule,
-                       compile_consequence, pattern_vars)
+from .rule_ast import (ANON, Assign, AttrPattern, Condition, Contains, EnvRule,
+                       Eq, PAnon, PElem, PEmptyElem, PText, PVar, Pattern,
+                       Polarity, Rule, RuleSet, TestRule, compile_consequence,
+                       pattern_vars)
 from .terms import Functor, Term, Var, is_ground, term_to_text, term_vars
 
 MAX_NESTING = 200  # the matcher and the cache recurse once per level
@@ -169,8 +169,8 @@ class _Parser:
             actions = [self.parse_action()]
             while self.accept("&"):
                 actions.append(self.parse_action())
-            body: EnvRule | Test | TestRule = EnvRule(tuple(actions))
         elif self.accept("?"):
+            actions = None
             goal = self.parse_term()
             if not isinstance(goal, Functor):
                 raise ParseError(pos, "test goal must be a predicate term")
@@ -182,8 +182,7 @@ class _Parser:
                 raise ParseError(self.cur.pos, "expected '/' or '->' after "
                                                "test goal")
             consequence = self.parse_consequence()
-            body = Test(polarity, goal, consequence,
-                        compile_consequence(consequence))
+            template = compile_consequence(consequence)
         else:
             raise ParseError(self.cur.pos, "expected '=>' or '?' after "
                                            "rule pattern")
@@ -198,13 +197,19 @@ class _Parser:
                 bound |= set(pattern_vars(cond.pattern))
             else:
                 bound |= set(term_vars(cond.rhs))
-        if isinstance(body, Test):
-            body = TestRule(body, tuple(sorted(
-                {*term_vars(body.goal), *body.template[0]}
-                & bound - {*POSITION_VARS})))
+        if actions is None:
+            body = TestRule(polarity, goal, consequence, template, tuple(sorted(
+                {*term_vars(goal), *template[0]} & bound - {*POSITION_VARS})))
+            self.validate(pos, body, bound)
+        else:
+            # in the order written, so the first unbound variable is named
+            for act in actions:
+                self.check_bound(pos, term_vars(
+                    act.value if isinstance(act, Assign) else act), bound)
+            body = EnvRule(tuple(a for a in actions if isinstance(a, Assign)),
+                           tuple(a for a in actions if isinstance(a, Functor)))
         rule = Rule(self.next_index, pattern, tuple(conditions), body,
                     skipped, pos)
-        self.validate(rule, bound)
         self.next_index += 1
         return rule
 
@@ -220,7 +225,7 @@ class _Parser:
         self.expect("=")
         return Eq(name, self.parse_term())
 
-    def parse_action(self):
+    def parse_action(self) -> Assign | Functor:
         if self.cur.kind == "NAME" and self.peek_kind(1) == ":=":
             name = self.expect("NAME").lexeme
             self.expect(":=")
@@ -229,7 +234,7 @@ class _Parser:
         term = self.parse_term()
         if not isinstance(term, Functor):
             raise ParseError(pos, "assertion must be a predicate term")
-        return Assert(term)
+        return term
 
     def parse_consequence(self):
         if self.cur.kind in ("<", "<$", "TEXT"):
@@ -306,45 +311,41 @@ class _Parser:
             attrs.append(AttrPattern(name_tok.lexeme, value))
         return tuple(attrs)
 
-    def validate(self, rule: Rule, bound: set[str]) -> None:
-        if isinstance(rule.body, EnvRule):
-            for act in rule.body.actions:
-                term = act.value if isinstance(act, Assign) else act.fact
-                self.check_bound(rule, term_vars(term), bound)
-        else:
-            test = rule.body.test
-            self.check_modes(rule, test.goal, bound)
-            # an if-absent message is given when the goal has no solution,
-            # which binds nothing
-            if test.polarity is Polarity.IF_PRESENT:
-                bound = bound | set(term_vars(test.goal))
-            # <$_> and name=$_ bind nothing, even where a term binds a $_:
-            # in a pattern's template, $_ is a slot that nothing fills
-            names = test.template[0]
-            anon = ANON in names and not isinstance(test.consequence,
-                                                    (Var, str, Functor))
-            self.check_bound(rule, [n for n in names if not anon or n != ANON],
-                             bound)
-            if anon:
-                self.check_bound(rule, [ANON], set())
+    def validate(self, pos: SourcePos, test: TestRule,
+                 bound: set[str]) -> None:
+        self.check_modes(pos, test.goal, bound)
+        # an if-absent message is given when the goal has no solution,
+        # which binds nothing
+        if test.polarity is Polarity.IF_PRESENT:
+            bound = bound | set(term_vars(test.goal))
+        # <$_> and name=$_ bind nothing, even where a term binds a $_:
+        # in a pattern's template, $_ is a slot that nothing fills
+        names = test.template[0]
+        anon = ANON in names and not isinstance(test.consequence,
+                                                (Var, str, Functor))
+        self.check_bound(pos, [n for n in names if not anon or n != ANON],
+                         bound)
+        if anon:
+            self.check_bound(pos, [ANON], set())
 
-    def check_modes(self, rule: Rule, goal: Functor, bound: set[str]) -> None:
+    def check_modes(self, pos: SourcePos, goal: Functor,
+                    bound: set[str]) -> None:
         modes = BUILTIN_MODES.get((goal.name, len(goal.args)), "")
         for arg, mode in zip(goal.args, modes):
             var = isinstance(arg, Var)
             ground = arg.name in bound if var else is_ground(arg)
             if not (ground if mode == "+" else var and not ground):
-                raise ParseError(rule.pos, f"{goal.name}: argument "
+                raise ParseError(pos, f"{goal.name}: argument "
                                  f"{term_to_text(arg)} must be " + (
                                      "ground or a variable bound by the "
                                      "rule's pattern or conditions"
                                      if mode == "+" else
                                      "a variable that only the goal binds"))
 
-    def check_bound(self, rule: Rule, names, bound: set[str]) -> None:
+    def check_bound(self, pos: SourcePos, names, bound: set[str]) -> None:
         for name in names:
             if name not in bound:
-                raise ParseError(rule.pos,
+                raise ParseError(pos,
                                  f"variable ${name} is not bound by the "
                                  f"rule's pattern or conditions")
 

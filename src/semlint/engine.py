@@ -22,9 +22,8 @@ from . import SemlintError, reporting, terms
 from .matcher import (Bindings, TypeMismatch, Value, deep_contains,
                       match_node, match_term, string_projection)
 from .record import POSITION_VARS, Record
-from .rule_ast import (Assert, Assign, Contains, EnvRule, Eq, PAnon, PElem,
-                       PEmptyElem, Polarity, PText, PVar, Rule, RuleSet,
-                       TestRule)
+from .rule_ast import (Contains, EnvRule, Eq, PAnon, PElem, PEmptyElem,
+                       Polarity, PText, PVar, Rule, RuleSet, TestRule)
 from .terms import Functor, Term, Var, is_ground
 from .xml_frontend import (KEEP, SKIP, WHOLE, Element, Projection, SourcePos,
                            Text, XmlNode)
@@ -54,7 +53,7 @@ BuiltinRegistry = dict[tuple[str, int], BuiltinFn]
 class DelayedTest(Record, frozen=True):
     __slots__ = (
         "rule_index",
-        # the rule's own Test record: its goal, polarity and template
+        # the rule's own TestRule: its goal, polarity, template and row names
         "test", "captured", "pos")
 
 
@@ -98,21 +97,17 @@ def evaluate_file(doc: XmlNode, rules: RuleSet, file: str) -> PassOneResult:
         assigned_by: dict[str, int] = {}
         for rule, b in applicable:
             if isinstance(rule.body, EnvRule):
-                for act in rule.body.actions:
-                    if isinstance(act, Assign):
-                        if act.env_var in assigned_by:
-                            diagnostics.append(
-                                f"{file}:{node.pos.line}: conflicting "
-                                f"assignments to {act.env_var!r} (rule "
-                                f"{rule.index} overrides rule "
-                                f"{assigned_by[act.env_var]})")
-                        assigned_by[act.env_var] = rule.index
-                        child_env = {**child_env, act.env_var: _ground_value(
-                            act.value, b)}
-                    else:
-                        term = _ground_term(act.fact, b)
-                        assert isinstance(term, Functor)
-                        facts.append(term)
+                for act in rule.body.assigns:
+                    if act.env_var in assigned_by:
+                        diagnostics.append(
+                            f"{file}:{node.pos.line}: conflicting "
+                            f"assignments to {act.env_var!r} (rule "
+                            f"{rule.index} overrides rule "
+                            f"{assigned_by[act.env_var]})")
+                    assigned_by[act.env_var] = rule.index
+                    child_env = {**child_env, act.env_var: _ground_value(
+                        act.value, b)}
+                facts.extend(_ground_term(f, b) for f in rule.body.asserts)
             else:
                 tests.append(_capture_test(rule, b, node.pos))
         return child_env
@@ -212,10 +207,8 @@ def _eval_condition(cond, b: Bindings,
         if value is None:
             return None
         return match_term(cond.rhs, value, b)
-    root = b.get(cond.var)
-    if root is None:
-        return None
-    solutions = deep_contains(root, cond.pattern, b)
+    # the parser rejects a contains variable that nothing before binds
+    solutions = deep_contains(b[cond.var], cond.pattern, b)
     return solutions[0] if solutions else None
 
 
@@ -245,7 +238,7 @@ def _ground_value(term: Term, b: Bindings) -> Value:
 def _capture_test(rule: Rule, b: Bindings, pos: SourcePos) -> DelayedTest:
     captured = {name: _project_nodes(b[name])
                 for name in (*rule.body.captured, *POSITION_VARS)}
-    return DelayedTest(rule.index, rule.body.test, captured, pos)
+    return DelayedTest(rule.index, rule.body, captured, pos)
 
 
 # -- pass 2 -------------------------------------------------------------------
@@ -298,13 +291,13 @@ class FactStore:
 
 def merge_facts(results: list[PassOneResult],
                 rules: RuleSet | None = None) -> FactStore:
-    """The facts of results; a predicate that a live rule of rules asserts
-    is known with no fact too, so that its goals fail instead of raising."""
-    store = FactStore((act.fact.name, len(act.fact.args))
+    """The facts of results; the predicate of each fact in the asserts of a
+    live rule of rules is known with no fact too, so that its goals fail
+    instead of raising."""
+    store = FactStore((fact.name, len(fact.args))
                       for rule in (rules.rules if rules else ())
                       if not rule.skipped and isinstance(rule.body, EnvRule)
-                      for act in rule.body.actions
-                      if isinstance(act, Assert))
+                      for fact in rule.body.asserts)
     for result in results:
         for fact in result.facts:
             store.add(fact)
@@ -320,8 +313,7 @@ def solve(goal: Functor, b: Bindings, store: FactStore,
         raise UnknownPredicate(*key)
     # the arguments that are ground once bound pick the facts to try
     args = [b.get(a.name, a) if isinstance(a, Var) else a for a in goal.args]
-    ground = tuple(i for i, a in enumerate(args)
-                   if isinstance(a, (str, Functor)) and is_ground(a))
+    ground = tuple(i for i, a in enumerate(args) if is_ground(a))
     groups = store.index(goal.name, len(args), ground)
     out = []
     for fact in groups.get(tuple(args[i] for i in ground), ()):
@@ -393,7 +385,7 @@ def _solution_key(solution: Bindings, captured: Bindings) -> str:
 # path and the test's line, so an entry does not depend on the path.
 # Diagnostics are plain strings.
 
-def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
+def serialize_pass1(result: PassOneResult) -> str:
     table: dict[str, int] = {}
 
     def encode(t: Term):
@@ -405,8 +397,7 @@ def serialize_pass1(result: PassOneResult, rules: RuleSet) -> str:
     facts = [encode(fact) for fact in result.facts]
     lines = [dt.pos.line for dt in result.tests]
     tests = [[dt.rule_index, line - previous, [
-        encode(dt.captured[name])
-        for name in rules.rules[dt.rule_index].body.captured]]
+        encode(dt.captured[name]) for name in dt.test.captured]]
         for dt, line, previous in zip(result.tests, lines, [0, *lines])]
     return json.dumps([list(table), facts, tests, list(result.diagnostics)],
                       separators=(",", ":"))
@@ -459,5 +450,5 @@ def _test_from_json(item, previous: int, source_file: str, rules: RuleSet,
         raise ValueError(f"cached test row {row!r} does not fit rule {index}")
     captured = dict(zip((*rule.body.captured, *POSITION_VARS),
                         (*map(decode, row), source_file, str(line))))
-    return DelayedTest(index, rule.body.test, captured,
+    return DelayedTest(index, rule.body, captured,
                        SourcePos(source_file, line))

@@ -68,15 +68,6 @@ class Message(Record, frozen=True):
     __slots__ = ("pos", "rule_index", "html", "text", "solution_key",
                  "values")
 
-    def __init__(self, pos: SourcePos, rule_index: int, html: str, text: str,
-                 solution_key: str, values=()):
-        self.pos = pos
-        self.rule_index = rule_index
-        self.html = html
-        self.text = text
-        self.solution_key = solution_key
-        self.values = values
-
     def sort_key(self):
         return (self.pos.file, self.pos.line, self.rule_index,
                 self.solution_key, self.html)

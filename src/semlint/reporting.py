@@ -16,26 +16,15 @@ from .matcher import Bindings, string_projection
 from .record import POSITION_VARS, Message, emit_report, fill
 
 # re-exported: a replay renders its report through record alone
-__all__ = ["FORMATS", "Message", "UnboundInConsequence", "emit_report",
-           "render_consequence"]
-
-
-class UnboundInConsequence(Exception):
-    def __init__(self, var: str):
-        super().__init__(f"unbound variable ${var} in message template")
-        self.var = var
+__all__ = ["FORMATS", "Message", "emit_report", "render_consequence"]
 
 
 def render_consequence(template: tuple, b: Bindings) -> tuple[str, str, list]:
     """(html, text) of a test's template (rule_ast.compile_consequence)
     filled with the string projections of its names' bindings, and the
-    values of the names but the position's."""
+    values of the names but the position's.  b binds every name: validate
+    and the builtin modes rule an unbound one out when the rule loads."""
     names, html, text = template
-    values = []
-    for name in names:
-        value = b.get(name)
-        if value is None:
-            raise UnboundInConsequence(name)
-        values.append(string_projection(value))
+    values = [string_projection(b[name]) for name in names]
     return fill(html, values, True), fill(text, values, False), [
         v for name, v in zip(names, values) if name not in POSITION_VARS]

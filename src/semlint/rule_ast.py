@@ -1,8 +1,9 @@
 """Typed AST for the rule language.
 
 A rule file is a sequence of rules; each rule has an XML-shaped head
-pattern, optional conditions on the local environment, and either
-environment actions (assignments / fact assertions) or a delayed test.
+pattern, optional conditions on the local environment, and one body: the
+environment actions of an EnvRule (assignments and the facts to assert)
+or the delayed test of a TestRule.
 """
 
 from __future__ import annotations
@@ -63,34 +64,23 @@ class Assign(Record, frozen=True):
     __slots__ = ("env_var", "value")
 
 
-class Assert(Record, frozen=True):
-    __slots__ = ("fact",)
-
-
-Action = Union[Assign, Assert]
-
-
 class Polarity(Enum):
     IF_ABSENT = "ifnot"    # ? pred / conseq  -- warn when pred has no solution
     IF_PRESENT = "if"      # ? pred -> conseq -- warn once per solution
 
 
-class Test(Record, frozen=True):
-    __test__ = False
-    __slots__ = (
-        "polarity", "goal", "consequence",
-        # compile_consequence(consequence), made once when the rule is loaded
-        "template")
-
-
 class EnvRule(Record, frozen=True):
-    __slots__ = ("actions",)
+    __slots__ = (
+        "assigns",  # Assign records, in the order written
+        "asserts")  # the Functor terms to assert as facts, in that order
 
 
 class TestRule(Record, frozen=True):
     __test__ = False  # keep pytest from collecting this as a test class
     __slots__ = (
-        "test",
+        "polarity", "goal", "consequence",
+        # compile_consequence(consequence), made once when the rule is loaded
+        "template",
         # the sorted names of the goal and message that pass 1 binds, but
         # $SourceFile and $SourceLine: the cells of a cached test's row
         "captured")

@@ -18,10 +18,6 @@ class Var(Record, frozen=True):
 class Functor(Record, frozen=True):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: tuple["Term", ...] = ()):
-        self.name = name
-        self.args = args
-
 
 # a string term is a Python str, as a string is an atom in Prolog
 Term = Union[Var, str, Functor]

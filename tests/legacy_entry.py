@@ -94,5 +94,5 @@ def _test_from_json(item, source_file: str, rules: RuleSet) -> DelayedTest:
                 for name, value in zip(names, row) if value is not None}
     captured.update((name, position[name]) for name in _captured(rule)
                     if name in position)
-    return DelayedTest(index, rule.body.test, captured,
+    return DelayedTest(index, rule.body, captured,
                        SourcePos(source_file, line))

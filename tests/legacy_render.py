@@ -16,9 +16,16 @@ from typing import Union
 
 from semlint.matcher import Bindings, normalize_ws, string_projection
 from semlint.record import escape
-from semlint.reporting import UnboundInConsequence
 from semlint.rule_ast import PAnon, PEmptyElem, PText, PVar, Pattern
 from semlint.terms import Functor, Term, Var, term_to_text
+
+
+class UnboundInConsequence(Exception):
+    """A variable of the consequence that the bindings leave unbound."""
+
+    def __init__(self, var: str):
+        super().__init__(f"unbound variable ${var} in message template")
+        self.var = var
 
 
 def render_consequence(c: Union[Pattern, Term],

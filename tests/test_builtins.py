@@ -14,7 +14,7 @@ from semlint.builtins import (DEFAULT_MAX_PROBES, HTTP_ERROR, MALFORMED, OK,
                               strip_accents, urls_to_probe)
 from semlint.dsl_parser import ParseError, parse_rules
 from semlint.engine import DelayedTest, FactStore
-from semlint.rule_ast import Polarity, Test, compile_consequence
+from semlint.rule_ast import Polarity, TestRule, compile_consequence
 from semlint.terms import Functor, Var
 from semlint.xml_frontend import SourcePos, parse_xml
 from stub_prober import StubProber
@@ -166,7 +166,8 @@ def test_testurl_offline_mode_never_probes():
 
 def test_urls_to_probe_projects_bound_url_arguments():
     def delayed(goal, captured):
-        test = Test(Polarity.IF_PRESENT, goal, "m", compile_consequence("m"))
+        test = TestRule(Polarity.IF_PRESENT, goal, "m",
+                        compile_consequence("m"), ())
         return DelayedTest(0, test, captured, SourcePos("f.xml", 1))
     node = parse_xml(b"<u> http://x/n </u>", "f.xml")
     tests = [

@@ -54,6 +54,17 @@ def test_config_validation():
                   url_timeout=0)
 
 
+def test_max_probes_below_one_is_rejected_before_the_run(tmp_path, capsys):
+    rules, inputs = write_corpus(tmp_path)
+    with pytest.raises(CliError, match="max probes must be >= 1"):
+        config(tmp_path, rules, inputs, max_probes=0)
+    assert main(["--rules", rules, "--cache-dir", str(tmp_path / "cache"),
+                 "--max-probes", "0", *inputs]) == 2
+    assert capsys.readouterr().err == (
+        "semlint: error: max probes must be >= 1\n")
+    assert not (tmp_path / "cache").exists()
+
+
 def test_unknown_format_is_rejected_before_the_run(tmp_path):
     rules, inputs = write_corpus(tmp_path)
     with pytest.raises(CliError, match="unknown report format 'xml'"):
@@ -292,6 +303,12 @@ def _restep_test(data, step):
     return json.dumps(data)
 
 
+def _set_test(data, make_test):
+    tests = data[cache_pack.TESTS]
+    tests[0] = make_test(tests[0])
+    return json.dumps(data)
+
+
 def _set_row(data, test, make_row):
     # the row becomes make_row(the value of its $N)
     tests = data[cache_pack.TESTS]
@@ -309,6 +326,8 @@ def _set_row(data, test, make_row):
     lambda data, cfg, path: _restep_test(data, True),
     lambda data, cfg, path: _restep_test(data, 3.0),
     lambda data, cfg, path: _restep_test(data, "3"),
+    lambda data, cfg, path: _set_test(data, json.dumps),
+    lambda data, cfg, path: _set_test(data, lambda test: test[:2]),
     # tests 0, 1 and 2 are of rules 1, 2 and 3, whose rows hold $N alone.
     # A cold run binds each name of a row, a builtin's input included, and
     # writes no cell for $Z, which only the goal binds: here one holds $N's
@@ -316,8 +335,8 @@ def _set_row(data, test, make_row):
     lambda data, cfg, path: _set_row(data, 1, lambda n: [None]),
     lambda data, cfg, path: _set_row(data, 2, lambda n: [n, n]),
 ], ids=["format-only", "rule-99", "environment-rule", "text-format",
-        "step-a-bool", "step-a-float", "step-a-string", "cell-null",
-        "input-unset", "goal-only-cell"])
+        "step-a-bool", "step-a-float", "step-a-string", "test-not-a-list",
+        "test-two-items", "cell-null", "input-unset", "goal-only-cell"])
 def test_inconsistent_cache_entry_is_a_miss(tmp_path, make_entry):
     rules, inputs = write_corpus(
         tmp_path, n_files=2, unknown_in=(0,), rules_text=RULES + (

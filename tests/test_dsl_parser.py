@@ -2,9 +2,8 @@ import pytest
 
 from semlint.dsl_parser import (MAX_NESTING, LexError, ParseError,
                                 parse_rule_texts, parse_rules, tokenize)
-from semlint.rule_ast import (Assert, Assign, Contains, EnvRule, Eq, PAnon,
-                              PElem, PEmptyElem, PText, PVar, Polarity,
-                              TestRule)
+from semlint.rule_ast import (Assign, Contains, EnvRule, Eq, PAnon, PElem,
+                              PEmptyElem, PText, PVar, Polarity, TestRule)
 from semlint.terms import Functor, Var
 
 
@@ -72,8 +71,21 @@ def test_parse_head_rule_from_department_example():
     assert rule.pattern == PElem("head", (), (PVar("P"),))
     assert rule.conditions == (Eq("dept", Var("X")),)
     assert rule.body == EnvRule(
-        (Assert(Functor("head", (Var("P"), Var("X")))),))
+        (), (Functor("head", (Var("P"), Var("X"))),))
     assert not rule.skipped
+
+
+def test_action_variables_are_checked_in_the_order_written():
+    # assignments and assertions are split after the check, so the first
+    # unbound variable of the rule as written is the one named
+    for actions, name in (("p($A) & x := $B", "A"), ("x := $B & p($A)", "B")):
+        with pytest.raises(ParseError) as exc:
+            parse_rules(f"<a/>\n=> {actions};", "r.rules")
+        assert str(exc.value) == (f"r.rules:1: variable ${name} is not bound "
+                                  f"by the rule's pattern or conditions")
+    rule = parse_rules('<a v=$V/> => p($V) & x := $V & q("k");', "r").rules[0]
+    assert rule.body == EnvRule((Assign("x", Var("V")),), (
+        Functor("p", (Var("V"),)), Functor("q", ("k",))))
 
 
 def test_parse_appendix_ruleset_counts(raweb_rules_text):
@@ -110,8 +122,8 @@ def test_parse_empty_element_and_anon_attr():
 def test_parse_test_rule_polarities():
     rs = parse_rules("<a><$_></a> ? p($SourceLine) / q();\n"
                      "<b><$_></b> ? r() -> s();", "r")
-    t0 = rs.rules[0].body.test
-    t1 = rs.rules[1].body.test
+    t0 = rs.rules[0].body
+    t1 = rs.rules[1].body
     assert t0.polarity is Polarity.IF_ABSENT
     assert t1.polarity is Polarity.IF_PRESENT
     assert t0.goal == Functor("p", (Var("SourceLine"),))
@@ -126,7 +138,27 @@ def test_parse_contains_condition():
     assert isinstance(cond, Contains)
     assert cond.var == "A"
     assert cond.pattern == PElem("title", (), (PVar("T"),))
-    assert rs.rules[0].body.actions == (Assign("title", Var("T")),)
+    assert rs.rules[0].body == EnvRule((Assign("title", Var("T")),), ())
+
+
+# each at the line of the token it names, or of the rule for its goal
+@pytest.mark.parametrize("text, where", [
+    ('<a/> => x := "1";\n<b/>\n? $X / "m";',
+     "r.rules:2: test goal must be a predicate term"),
+    ('<a/>\n? p()\n=> "m";',
+     "r.rules:3: expected '/' or '->' after test goal"),
+    ('<a/>\n& x = "1"\n;',
+     "r.rules:3: expected '=>' or '?' after rule pattern"),
+    ('<a><$A></a>\n& $A\nhas <b/> => x := "1";',
+     "r.rules:3: expected 'contains', found 'has'"),
+    ('<a/> =>\nx := "1" &\n"s";',
+     "r.rules:3: assertion must be a predicate term"),
+], ids=["goal-not-a-term", "no-polarity", "no-body", "not-contains",
+        "assertion-not-a-term"])
+def test_a_malformed_rule_body_is_reported_at_its_line(text, where):
+    with pytest.raises(ParseError) as exc:
+        parse_rules(text, "r.rules")
+    assert str(exc.value) == where
 
 
 def test_contains_var_must_come_from_pattern():
@@ -232,7 +264,7 @@ def test_if_absent_template_cannot_use_what_only_its_goal_binds():
                               "rule's pattern or conditions")
     # an if-present message is given per solution, which binds $Z
     rs = parse_rules(text.replace(" / ", " -> "), "r.rules")
-    assert rs.rules[1].body.test.polarity is Polarity.IF_PRESENT
+    assert rs.rules[1].body.polarity is Polarity.IF_PRESENT
     # what the pattern binds stays usable in an if-absent message
     parse_rules(text.replace("<$Z> </li>", "<$Y> </li>"), "r.rules")
 

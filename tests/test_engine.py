@@ -336,10 +336,6 @@ def mini_ruleset():
     return parse_rules(MINI_RULES, "r.rules")
 
 
-def encode(result, rules=None):
-    return serialize_pass1(result, rules or mini_ruleset())
-
-
 def decode(text, rules=None):
     return parse_pass1(text, "doc.xml", rules or mini_ruleset())
 
@@ -353,16 +349,16 @@ def test_cache_round_trip_is_bit_exact():
     # the CLI checks that an entry was computed from the input as read now
     # (test_cli: an index digest that differs from the input's is a miss)
     result = ev(MINI_RULES, MINI_DOC)
-    blob = encode(result)
+    blob = serialize_pass1(result)
     parsed = decode(blob)
-    assert encode(parsed) == blob
+    assert serialize_pass1(parsed) == blob
     assert parsed.facts == result.facts
     assert parsed.tests == result.tests
 
 
 def test_an_entry_stores_each_distinct_string_once():
     # in order of first use: the fact's name and values, then the rows'
-    entry = json.loads(encode(ev(MINI_RULES, MINI_DOC)))
+    entry = json.loads(serialize_pass1(ev(MINI_RULES, MINI_DOC)))
     assert entry[STRINGS] == ["personne", "Anne", "Martin", "acacia",
                               "Unknown", "Zoe"]
     assert entry[FACTS] == [[0, 1, 2, 3]]
@@ -372,7 +368,7 @@ def test_an_entry_stores_each_distinct_string_once():
 def test_a_cached_test_is_a_value_row_in_captured_order():
     rules = mini_ruleset()
     result = ev(MINI_RULES, MINI_DOC)
-    entry = json.loads(encode(result, rules))
+    entry = json.loads(serialize_pass1(result))
     tests = entry[TESTS]
     assert tests and len(tests) == len(result.tests)
     # a test stores its line as the step from the test before it
@@ -392,7 +388,7 @@ def test_a_name_only_the_goal_binds_has_no_cell_in_its_row():
     result = ev(rules_text, '<r><a x="1"/><b y="2"/></r>')
     (dt,) = result.tests
     assert rules.rules[1].body.captured == ("Y",) and "Z" not in dt.captured
-    blob = encode(result, rules)
+    blob = serialize_pass1(result)
     (test,) = json.loads(blob)[TESTS]
     assert len(test[ROW]) == 1 and None not in test[ROW]
     assert decode(blob, rules).tests == result.tests
@@ -404,7 +400,7 @@ STEP_RULES = '<b x=$X/> ? p($X) -> <li> <$X> </li>;\n'
 def test_tests_on_one_line_store_a_step_of_0():
     rules = parse_rules(STEP_RULES, "r.rules")
     result = ev(STEP_RULES, '<r>\n<b x="1"/><b x="2"/><b x="3"/>\n</r>')
-    blob = encode(result, rules)
+    blob = serialize_pass1(result)
     assert [test[STEP] for test in json.loads(blob)[TESTS]] == [2, 0, 0]
     decoded = decode(blob, rules)
     assert [dt.pos.line for dt in decoded.tests] == [2, 2, 2]
@@ -414,15 +410,15 @@ def test_tests_on_one_line_store_a_step_of_0():
 def _tests_on_lines(rules, lines):
     body = rules.rules[0].body
     return PassOneResult((), tuple(DelayedTest(
-        0, body.test, {"SourceFile": "doc.xml", "SourceLine": str(line),
-                       "X": "v"}, SourcePos("doc.xml", line))
+        0, body, {"SourceFile": "doc.xml", "SourceLine": str(line),
+                  "X": "v"}, SourcePos("doc.xml", line))
         for line in lines), ())
 
 
 def test_a_negative_step_decodes_to_the_line_it_sums_to():
     rules = parse_rules(STEP_RULES, "r.rules")
     result = _tests_on_lines(rules, [9, 4, 12])
-    blob = encode(result, rules)
+    blob = serialize_pass1(result)
     assert [test[STEP] for test in json.loads(blob)[TESTS]] == [9, -5, 8]
     assert decode(blob, rules) == result
     # a step written by hand sums the same way
@@ -463,7 +459,7 @@ def pass_one_results(draw):
         # pass 1 binds every name of a row, and the position's names
         captured = {**{name: draw(TERMS) for name in rule.body.captured},
                     **position}
-        tests.append(DelayedTest(index, rule.body.test, captured,
+        tests.append(DelayedTest(index, rule.body, captured,
                                  SourcePos("doc.xml", line)))
     diagnostics = draw(st.lists(VALUES, max_size=2))
     return rules, PassOneResult(tuple(facts), tuple(tests),
@@ -489,10 +485,10 @@ def _strings(result):
 @settings(max_examples=300, deadline=None)
 def test_the_entry_codec_agrees_with_the_legacy_one(drawn):
     rules, result = drawn
-    blob = serialize_pass1(result, rules)
+    blob = serialize_pass1(result)
     decoded = parse_pass1(blob, "doc.xml", rules)
     assert decoded == result
-    assert serialize_pass1(decoded, rules) == blob
+    assert serialize_pass1(decoded) == blob
     assert decoded == legacy_entry.parse_pass1(
         legacy_entry.serialize_pass1(result, rules), "doc.xml", rules)
     # equal strings are one object
@@ -503,7 +499,7 @@ def test_the_entry_codec_agrees_with_the_legacy_one(drawn):
 
 def test_cached_tests_resolve_identically():
     result = ev(MINI_RULES, MINI_DOC)
-    parsed = decode(encode(result))
+    parsed = decode(serialize_pass1(result))
     store = merge_facts([result])
     fresh = resolve_tests(list(result.tests), store, mini_builtins())
     cached = resolve_tests(list(parsed.tests), merge_facts([parsed]),
@@ -516,7 +512,7 @@ def test_cache_preserves_diagnostics():
     result = ev(rules, "<a/>")
     assert result.diagnostics
     ruleset = parse_rules(rules, "r.rules")
-    parsed = decode(encode(result, ruleset), ruleset)
+    parsed = decode(serialize_pass1(result), ruleset)
     assert parsed.diagnostics == result.diagnostics
 
 
@@ -530,7 +526,7 @@ def test_cache_rejects_corrupt_input():
 def test_cache_rejects_every_truncation():
     result = ev(MINI_RULES, MINI_DOC)
     assert result.facts and result.tests
-    blob = encode(result).rstrip()
+    blob = serialize_pass1(result).rstrip()
     # cuts fall in the string table, the facts and the tests alike
     assert all(json.loads(blob)[:DIAGS])
     for cut in range(len(blob)):
@@ -539,7 +535,7 @@ def test_cache_rejects_every_truncation():
 
 
 def _mutated_entry(mutate):
-    entry = json.loads(encode(ev(MINI_RULES, MINI_DOC)))
+    entry = json.loads(serialize_pass1(ev(MINI_RULES, MINI_DOC)))
     mutate(entry)
     return json.dumps(entry)
 

@@ -26,7 +26,7 @@ from semlint.builtins import make_registry, strip_accents
 from semlint.cli import RunConfig, execute
 from semlint.engine import (DelayedTest, FactStore, UnknownPredicate,
                             merge_facts, resolve_tests, solve)
-from semlint.rule_ast import Polarity, Test, compile_consequence
+from semlint.rule_ast import Polarity, TestRule, compile_consequence
 from semlint.terms import Functor, Var, is_ground
 from semlint.xml_frontend import SourcePos
 from legacy_unify import unify, unwrap
@@ -255,9 +255,9 @@ def goal_tests(n):
         Functor("pubbyotherproject", ("Title2", "p0", Var("O"))),
         Functor("member", (Var("M"),)),
     ]
-    return [DelayedTest(i, Test(Polarity.IF_ABSENT, goals[i % len(goals)],
-                                "warn", compile_consequence("warn")), B0,
-                        SourcePos("f.xml", i + 1))
+    return [DelayedTest(i, TestRule(Polarity.IF_ABSENT, goals[i % len(goals)],
+                                    "warn", compile_consequence("warn"), ()),
+                        B0, SourcePos("f.xml", i + 1))
             for i in range(n)]
 
 

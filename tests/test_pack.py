@@ -62,6 +62,19 @@ def test_every_run_leaves_one_file_and_no_temp_file(tmp_path):
         assert os.listdir(cache) == [PACK_NAME], n
 
 
+def test_a_failed_rename_removes_the_temp_file(tmp_path, monkeypatch):
+    rules, inputs = write_corpus(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    err = io.StringIO()
+    assert run(config(tmp_path, rules, inputs), stdout=io.StringIO(),
+               stderr=err) == 2
+    assert err.getvalue() == "semlint: error: rename refused\n"
+    assert os.listdir(tmp_path / "cache") == []
+
+
 def test_alternating_input_sets_share_one_file(tmp_path, monkeypatch):
     rules, inputs = write_corpus(tmp_path, n_files=4, unknown_in=(0, 3))
     a, b = inputs[:2], inputs[2:]
@@ -279,7 +292,7 @@ def test_each_input_digest_is_stored_once(tmp_path):
     lines = data.split("\n")
     templates, messages, diagnostics = json.loads(lines[cache_pack.OUTCOME])
     template = parse_rules(Path(rules).read_text(encoding="utf-8"),
-                           rules).rules[1].body.test.template
+                           rules).rules[1].body.template
     assert template[0] == ("N", "SourceLine", "SourceFile")
     assert templates == json.loads(json.dumps([[1, *template]]))
     assert len(first.messages) == 3  # team0.xml is checked twice

@@ -12,7 +12,7 @@ from semlint.dsl_parser import parse_rules
 from semlint.engine import (_capture_test, _eval_condition, _ground_term,
                             _ground_value, evaluate_file)
 from semlint.matcher import match_node
-from semlint.rule_ast import Assign, EnvRule
+from semlint.rule_ast import EnvRule
 from semlint.xml_frontend import Element, SourcePos, Text, parse_xml
 
 
@@ -42,19 +42,17 @@ def scan_evaluate(doc, rules, file):
             if not isinstance(rule.body, EnvRule):
                 tests.append(_capture_test(rule, b, node.pos))
                 continue
-            for act in rule.body.actions:
-                if isinstance(act, Assign):
-                    if act.env_var in assigned_by:
-                        diagnostics.append(
-                            f"{file}:{node.pos.line}: conflicting "
-                            f"assignments to {act.env_var!r} (rule "
-                            f"{rule.index} overrides rule "
-                            f"{assigned_by[act.env_var]})")
-                    assigned_by[act.env_var] = rule.index
-                    child_env = {**child_env, act.env_var: _ground_value(
-                        act.value, b)}
-                else:
-                    facts.append(_ground_term(act.fact, b))
+            for act in rule.body.assigns:
+                if act.env_var in assigned_by:
+                    diagnostics.append(
+                        f"{file}:{node.pos.line}: conflicting "
+                        f"assignments to {act.env_var!r} (rule "
+                        f"{rule.index} overrides rule "
+                        f"{assigned_by[act.env_var]})")
+                assigned_by[act.env_var] = rule.index
+                child_env = {**child_env, act.env_var: _ground_value(
+                    act.value, b)}
+            facts.extend(_ground_term(f, b) for f in rule.body.asserts)
         if isinstance(node, Element):
             for child in node.children:
                 visit(child, child_env)
